@@ -30,9 +30,9 @@
 //                            --static-prune on both execution engines,
 //                            recording wall time, runs/sec, prune stats,
 //                            and a retained-predicate ranking check into
-//                            BENCH_sampling.json (the committed copy is
-//                            the reference measurement EXPERIMENTS.md
-//                            cites);
+//                            BENCH_sampling.json (the committed copy,
+//                            bench/baselines/BENCH_sampling.json, is the
+//                            reference measurement EXPERIMENTS.md cites);
 //   --smoke[=PATH]           the same study at 2048 runs, sized for the
 //                            CI bench-sampling-smoke gate;
 //   --dispatch-bench[=PATH]  the VM-dispatch study: both engines at the

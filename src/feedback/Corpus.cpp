@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -149,7 +150,8 @@ bool CorpusWriter::open(const std::string &ShardPath, uint32_t Id,
   }
   Stream = std::fopen(ShardPath.c_str(), "wb");
   if (!Stream) {
-    Error = format("cannot create '%s'", ShardPath.c_str());
+    Error = format("cannot create '%s': %s", ShardPath.c_str(),
+                   std::strerror(errno));
     return false;
   }
   Path = ShardPath;

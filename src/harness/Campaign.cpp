@@ -73,6 +73,47 @@ double meanPlannedRate(const SiteTable &Sites, const SamplingPlan &Plan,
   return Count == 0 ? 1.0 : Total / static_cast<double>(Count);
 }
 
+/// What one worker learns from its runs besides the reports themselves.
+/// Each worker keeps one and merges it into the campaign's once, after its
+/// last unit, whether the reports stay in memory or spill to shards.
+struct RunTally {
+  size_t Runs = 0;
+  size_t Failing = 0;
+  uint64_t Bytes = 0; ///< Shard bytes written (spill mode).
+  std::vector<CampaignResult::BugStats> Bugs;
+  ReportCollector::ReachStats Reaches;
+
+  explicit RunTally(const Subject &Subj) {
+    for (const BugSpec &Bug : Subj.Bugs)
+      Bugs.push_back({Bug.Id, 0, 0});
+  }
+
+  void add(const FeedbackReport &Report) {
+    ++Runs;
+    Failing += Report.Failed;
+    for (CampaignResult::BugStats &Bug : Bugs)
+      if (Report.hasBug(Bug.BugId)) {
+        ++Bug.Triggered;
+        Bug.TriggeredAndFailed += Report.Failed;
+      }
+  }
+
+  void merge(const RunTally &Other) {
+    Runs += Other.Runs;
+    Failing += Other.Failing;
+    Bytes += Other.Bytes;
+    for (size_t B = 0; B < Bugs.size(); ++B) {
+      Bugs[B].Triggered += Other.Bugs[B].Triggered;
+      Bugs[B].TriggeredAndFailed += Other.Bugs[B].TriggeredAndFailed;
+    }
+    for (size_t K = 0; K < Reaches.Reaches.size(); ++K) {
+      Reaches.Reaches[K] += Other.Reaches.Reaches[K];
+      Reaches.Samples[K] += Other.Reaches.Samples[K];
+      Reaches.ExpectedSamples[K] += Other.Reaches.ExpectedSamples[K];
+    }
+  }
+};
+
 } // namespace
 
 CampaignResult sbi::runCampaign(const Subject &Subj,
@@ -161,6 +202,21 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
                ? runCompiled(GoldenBytecode, Config)
                : runProgram(*Result.Golden, Config);
   };
+  // Each run is fully determined by (campaign seed, stream, run index): its
+  // input and overrun padding come from seed stream Stream, its sampling
+  // coins from Stream + 1. Campaign runs use streams 1/2, training 100/101.
+  auto beginRun = [&](uint64_t Stream, size_t Run,
+                      ReportCollector &Collector) {
+    Rng InputRng(mixSeed(Options.Seed, Stream, Run));
+    RunConfig Config;
+    Config.Args = Subj.GenerateInput(InputRng);
+    Config.OverrunPad =
+        static_cast<size_t>(InputRng.nextBelow(Options.MaxOverrunPad + 1));
+    Config.StepLimit = Options.StepLimit;
+    Config.Observer = &Collector;
+    Collector.beginRun(mixSeed(Options.Seed, Stream + 1, Run));
+    return Config;
+  };
 
   // --- Choose the sampling plan -----------------------------------------
   std::optional<ScopedPhase> PlanPhase;
@@ -184,15 +240,7 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
                             SiteMask);
     std::vector<double> TotalReaches(Result.Sites.numSites(), 0.0);
     for (size_t Run = 0; Run < Options.TrainingRuns; ++Run) {
-      Rng InputRng(mixSeed(Options.Seed, /*Stream=*/100, Run));
-      RunConfig Config;
-      Config.Args = Subj.GenerateInput(InputRng);
-      Config.OverrunPad = static_cast<size_t>(
-          InputRng.nextBelow(Options.MaxOverrunPad + 1));
-      Config.StepLimit = Options.StepLimit;
-      Config.Observer = &Trainer;
-      Trainer.beginRun(mixSeed(Options.Seed, /*Stream=*/101, Run));
-      executeBuggy(Config);
+      executeBuggy(beginRun(/*Stream=*/100, Run, Trainer));
       RawReport Raw = Trainer.takeReport();
       for (const auto &[Site, Count] : Raw.SiteObservations)
         TotalReaches[Site] += static_cast<double>(Count);
@@ -211,26 +259,29 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
   PlanPhase.reset();
 
   // --- Main campaign -----------------------------------------------------
-  // Each run is fully determined by (campaign seed, run index), so the
-  // loop parallelizes into bit-identical results for any thread count:
-  // workers fill pre-sized slots (or, in spill mode, whole shards) and
-  // share nothing but read-only state.
+  // The loop runs over units: run K in memory, or shard K — runs
+  // [K*S, (K+1)*S) in run order — when spilling. Worker T takes units T,
+  // T+Threads, ...; workers fill pre-sized slots or whole shards and share
+  // nothing but read-only state, so any thread count produces bit-identical
+  // reports and corpus bytes.
   const bool Spill = !Options.SpillDir.empty();
+  const size_t ShardSize = std::max<size_t>(1, Options.SpillShardReports);
+  // An empty spilled campaign still emits one (empty) shard so the
+  // directory is a well-formed corpus.
+  const size_t NumUnits =
+      Spill ? std::max<size_t>(1, (Options.NumRuns + ShardSize - 1) /
+                                      ShardSize)
+            : Options.NumRuns;
+  // hardware_concurrency() may legitimately return 0; resolveThreadCount
+  // clamps so a campaign never launches zero workers.
+  const size_t Threads = resolveThreadCount(Options.Threads, NumUnits);
   std::vector<FeedbackReport> Collected(Spill ? 0 : Options.NumRuns);
 
   std::atomic<size_t> RunsCompleted{0};
   const size_t ProgressStride = std::max<size_t>(1, Options.NumRuns / 200);
 
   auto oneRun = [&](size_t Run, ReportCollector &Collector) {
-    Rng InputRng(mixSeed(Options.Seed, /*Stream=*/1, Run));
-    RunConfig Config;
-    Config.Args = Subj.GenerateInput(InputRng);
-    Config.OverrunPad =
-        static_cast<size_t>(InputRng.nextBelow(Options.MaxOverrunPad + 1));
-    Config.StepLimit = Options.StepLimit;
-    Config.Observer = &Collector;
-
-    Collector.beginRun(mixSeed(Options.Seed, /*Stream=*/2, Run));
+    RunConfig Config = beginRun(/*Stream=*/1, Run, Collector);
     RunOutcome Outcome = executeBuggy(Config);
     if (Obs) {
       RunsTotal.add(1);
@@ -249,11 +300,8 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
 
     // Output oracle: compare against the golden build on the same input.
     if (!Report.Failed && Subj.UseOutputOracle) {
-      RunConfig GoldenConfig;
-      GoldenConfig.Args = Config.Args;
-      GoldenConfig.OverrunPad = Config.OverrunPad;
-      GoldenConfig.StepLimit = Options.StepLimit;
-      RunOutcome GoldenOutcome = executeGolden(GoldenConfig);
+      Config.Observer = nullptr;
+      RunOutcome GoldenOutcome = executeGolden(Config);
       assert(!GoldenOutcome.crashed() && "golden build must never crash");
       if (GoldenOutcome.Output != Outcome.Output)
         Report.Failed = true;
@@ -267,236 +315,104 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
     return Report;
   };
 
-  // Realized sampling rates need per-scheme reach counts, which only the
-  // collectors see; workers merge their counts here after the loop.
-  ReportCollector::ReachStats MergedReaches;
-  std::mutex ReachMu;
-  auto mergeReaches = [&](const ReportCollector &Collector) {
-    const ReportCollector::ReachStats &S = Collector.reachStats();
-    std::lock_guard<std::mutex> Lock(ReachMu);
-    for (size_t K = 0; K < S.Reaches.size(); ++K) {
-      MergedReaches.Reaches[K] += S.Reaches[K];
-      MergedReaches.Samples[K] += S.Samples[K];
-      MergedReaches.ExpectedSamples[K] += S.ExpectedSamples[K];
-    }
+  RunTally Total(Subj);
+  std::mutex TotalMu; // Guards Total and Result.Error.
+  std::atomic<bool> Stop{false};
+  // Keeps the first spill failure and stops every worker at its next unit.
+  auto fail = [&](std::string Error) {
+    std::lock_guard<std::mutex> Lock(TotalMu);
+    if (Result.Error.empty())
+      Result.Error = std::move(Error);
+    Stop.store(true, std::memory_order_relaxed);
   };
 
-  // Spill mode shares nothing across shards, so per-worker tallies (failure
-  // labels, per-bug ground truth, bytes) merge here after the loop — the
-  // reports themselves are already on disk by then.
-  struct SpillTally {
-    size_t Failing = 0;
-    uint64_t Bytes = 0;
-    std::vector<CampaignResult::BugStats> Bugs;
-  };
-  SpillTally MergedSpill;
-  std::mutex SpillMu;
-  std::string SpillError;
-  auto tallySpilledReport = [&](SpillTally &Tally,
-                                const FeedbackReport &Report) {
-    if (Report.Failed)
-      ++Tally.Failing;
-    for (size_t B = 0; B < Tally.Bugs.size(); ++B)
-      if (Report.hasBug(Tally.Bugs[B].BugId)) {
-        ++Tally.Bugs[B].Triggered;
-        if (Report.Failed)
-          ++Tally.Bugs[B].TriggeredAndFailed;
-      }
-  };
-  auto newSpillTally = [&] {
-    SpillTally Tally;
-    for (const BugSpec &Bug : Subj.Bugs)
-      Tally.Bugs.push_back({Bug.Id, 0, 0});
-    return Tally;
-  };
-  auto mergeSpill = [&](const SpillTally &Tally) {
-    std::lock_guard<std::mutex> Lock(SpillMu);
-    MergedSpill.Failing += Tally.Failing;
-    MergedSpill.Bytes += Tally.Bytes;
-    for (size_t B = 0; B < Tally.Bugs.size(); ++B) {
-      MergedSpill.Bugs[B].Triggered += Tally.Bugs[B].Triggered;
-      MergedSpill.Bugs[B].TriggeredAndFailed +=
-          Tally.Bugs[B].TriggeredAndFailed;
+  auto runUnit = [&](size_t Unit, ReportCollector &Collector,
+                     RunTally &Tally) {
+    if (!Spill) {
+      Collected[Unit] = oneRun(Unit, Collector);
+      Tally.add(Collected[Unit]);
+      return;
     }
-  };
-  // One whole shard per worker iteration: runs [K*S, (K+1)*S) encode into
-  // shard K in run order, making the corpus bytes thread-count-invariant.
-  auto spillShard = [&](size_t Shard, size_t ShardSize,
-                        ReportCollector &Collector, SpillTally &Tally) {
-    const size_t Begin = Shard * ShardSize;
+    const size_t Begin = Unit * ShardSize;
     const size_t End = std::min(Options.NumRuns, Begin + ShardSize);
     ScopedSpan ShardSpan("spill_shard", "harness");
-    ShardSpan.arg("shard", Shard);
+    ShardSpan.arg("shard", Unit);
     ShardSpan.arg("reports", End - Begin);
     CorpusWriter Writer;
     std::string Error;
     std::string Path = Options.SpillDir + "/" +
-                       corpusShardName(static_cast<uint32_t>(Shard));
-    bool Ok = Writer.open(Path, static_cast<uint32_t>(Shard),
+                       corpusShardName(static_cast<uint32_t>(Unit));
+    bool Ok = Writer.open(Path, static_cast<uint32_t>(Unit),
                           Result.Sites.numSites(),
                           Result.Sites.numPredicates(), Error);
     for (size_t Run = Begin; Ok && Run < End; ++Run) {
       FeedbackReport Report = oneRun(Run, Collector);
-      tallySpilledReport(Tally, Report);
+      Tally.add(Report);
       Ok = Writer.append(Report, Error);
     }
-    Ok = Writer.finalize(Error) && Ok;
-    if (Ok) {
+    if (Ok && Writer.finalize(Error))
       Tally.Bytes += Writer.bytesWritten();
-      return true;
-    }
-    std::lock_guard<std::mutex> Lock(SpillMu);
-    if (SpillError.empty())
-      SpillError = Path + ": " + Error;
-    return false;
+    else
+      fail(format("shard %zu: %s", Unit, Error.c_str()));
+  };
+
+  auto worker = [&](size_t T) {
+    ScopedSpan WorkerSpan("worker", "harness");
+    WorkerSpan.arg("worker", T);
+    ReportCollector Collector(Result.Sites, Result.Plan, SiteMask);
+    if (Obs)
+      Collector.enableReachStats();
+    RunTally Tally(Subj);
+    for (size_t Unit = T;
+         Unit < NumUnits && !Stop.load(std::memory_order_relaxed);
+         Unit += Threads)
+      runUnit(Unit, Collector, Tally);
+    // Realized sampling rates need per-scheme reach counts, which only the
+    // collectors see (all zero unless telemetry enabled them).
+    Tally.Reaches = Collector.reachStats();
+    if (Obs)
+      WorkerHist.record(Tally.Runs);
+    WorkerSpan.arg("runs", Tally.Runs);
+    std::lock_guard<std::mutex> Lock(TotalMu);
+    Total.merge(Tally);
   };
 
   auto RunLoopStart = std::chrono::steady_clock::now();
   {
     ScopedPhase RunLoopPhase("run_loop");
     ScopedSpan RunLoopSpan("run_loop", "harness");
-    if (Spill) {
-      MergedSpill = newSpillTally();
-      std::error_code DirEc;
+    std::error_code DirEc;
+    if (Spill)
       std::filesystem::create_directories(Options.SpillDir, DirEc);
-      if (DirEc) {
-        std::fprintf(stderr, "sbi: cannot create spill directory '%s': %s\n",
-                     Options.SpillDir.c_str(), DirEc.message().c_str());
-        std::abort();
-      }
-      const size_t ShardSize = std::max<size_t>(1, Options.SpillShardReports);
-      // An empty campaign still emits one (empty) shard so the directory is
-      // a well-formed corpus.
-      const size_t NumShards =
-          std::max<size_t>(1, (Options.NumRuns + ShardSize - 1) / ShardSize);
-      size_t Threads = resolveThreadCount(Options.Threads, NumShards);
-      if (Threads <= 1) {
-        ReportCollector Collector(Result.Sites, Result.Plan, SiteMask);
-        if (Obs)
-          Collector.enableReachStats();
-        SpillTally Tally = newSpillTally();
-        for (size_t Shard = 0; Shard < NumShards; ++Shard)
-          if (!spillShard(Shard, ShardSize, Collector, Tally))
-            break;
-        mergeSpill(Tally);
-        if (Obs) {
-          mergeReaches(Collector);
-          WorkerHist.record(Options.NumRuns);
-        }
-      } else {
-        std::vector<std::thread> Workers;
-        Workers.reserve(Threads);
-        for (size_t T = 0; T < Threads; ++T)
-          Workers.emplace_back([&, T] {
-            ScopedSpan WorkerSpan("worker", "harness");
-            WorkerSpan.arg("worker", T);
-            ReportCollector Collector(Result.Sites, Result.Plan, SiteMask);
-            if (Obs)
-              Collector.enableReachStats();
-            SpillTally Tally = newSpillTally();
-            size_t RunsByThisWorker = 0;
-            for (size_t Shard = T; Shard < NumShards; Shard += Threads) {
-              if (!spillShard(Shard, ShardSize, Collector, Tally))
-                break;
-              RunsByThisWorker +=
-                  std::min(Options.NumRuns, (Shard + 1) * ShardSize) -
-                  std::min(Options.NumRuns, Shard * ShardSize);
-            }
-            mergeSpill(Tally);
-            if (Obs) {
-              mergeReaches(Collector);
-              WorkerHist.record(RunsByThisWorker);
-            }
-            WorkerSpan.arg("runs", RunsByThisWorker);
-          });
-        for (std::thread &Worker : Workers)
-          Worker.join();
-      }
-      if (!SpillError.empty()) {
-        std::fprintf(stderr, "sbi: corpus spill failed: %s\n",
-                     SpillError.c_str());
-        std::abort();
-      }
-      Result.SpilledShards = NumShards;
-      Result.SpilledReports = Options.NumRuns;
-      Result.SpilledFailing = MergedSpill.Failing;
-      Result.SpilledBytes = MergedSpill.Bytes;
-    } else {
-      // hardware_concurrency() may legitimately return 0; resolveThreadCount
-      // clamps so a campaign never launches zero workers.
-      size_t Threads = resolveThreadCount(Options.Threads, Options.NumRuns);
-      if (Threads <= 1) {
-        ReportCollector Collector(Result.Sites, Result.Plan, SiteMask);
-        if (Obs)
-          Collector.enableReachStats();
-        for (size_t Run = 0; Run < Options.NumRuns; ++Run)
-          Collected[Run] = oneRun(Run, Collector);
-        if (Obs) {
-          mergeReaches(Collector);
-          WorkerHist.record(Options.NumRuns);
-        }
-      } else {
-        std::vector<std::thread> Workers;
-        Workers.reserve(Threads);
-        for (size_t T = 0; T < Threads; ++T)
-          Workers.emplace_back([&, T] {
-            ScopedSpan WorkerSpan("worker", "harness");
-            WorkerSpan.arg("worker", T);
-            ReportCollector Collector(Result.Sites, Result.Plan, SiteMask);
-            if (Obs)
-              Collector.enableReachStats();
-            size_t RunsByThisWorker = 0;
-            for (size_t Run = T; Run < Options.NumRuns; Run += Threads) {
-              Collected[Run] = oneRun(Run, Collector);
-              ++RunsByThisWorker;
-            }
-            if (Obs) {
-              mergeReaches(Collector);
-              WorkerHist.record(RunsByThisWorker);
-            }
-            WorkerSpan.arg("runs", RunsByThisWorker);
-          });
-        for (std::thread &Worker : Workers)
-          Worker.join();
-      }
-    }
+    if (DirEc)
+      fail(format("cannot create spill directory '%s': %s",
+                  Options.SpillDir.c_str(), DirEc.message().c_str()));
+    // Worker 0 is the calling thread; the others join as the block ends,
+    // on every path out of it.
+    std::vector<std::jthread> Helpers;
+    for (size_t T = 1; T < Threads; ++T)
+      Helpers.emplace_back(worker, T);
+    worker(0);
   }
   double RunLoopSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     RunLoopStart)
           .count();
+  if (!Result.Error.empty())
+    return Result;
 
   {
     ScopedPhase LabelPhase("label");
     ScopedSpan LabelSpan("label", "harness");
     Result.Reports =
         ReportSet(Result.Sites.numSites(), Result.Sites.numPredicates());
-    if (Spill) {
-      // Reports already live on disk; the tallies collected as they
-      // streamed out are the ground truth.
-      Result.Bugs = std::move(MergedSpill.Bugs);
-    } else {
-      for (FeedbackReport &Report : Collected)
-        Result.Reports.add(std::move(Report));
-
-      // Ground-truth stats derive from the recorded bug masks.
-      for (const BugSpec &Bug : Subj.Bugs) {
-        CampaignResult::BugStats Stats;
-        Stats.BugId = Bug.Id;
-        for (const FeedbackReport &Report : Result.Reports.reports())
-          if (Report.hasBug(Bug.Id)) {
-            ++Stats.Triggered;
-            if (Report.Failed)
-              ++Stats.TriggeredAndFailed;
-          }
-        Result.Bugs.push_back(Stats);
-      }
-    }
+    for (FeedbackReport &Report : Collected)
+      Result.Reports.add(std::move(Report));
+    Result.Bugs = std::move(Total.Bugs);
   }
 
   // --- Campaign summary --------------------------------------------------
   RunsGauge.set(static_cast<double>(Options.NumRuns));
-  FailingGauge.set(static_cast<double>(Result.numFailing()));
   SamplingLabel.set(Result.Plan.name());
   double WallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -507,6 +423,10 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
     RunsPerSecGauge.set(static_cast<double>(Options.NumRuns) /
                         RunLoopSeconds);
   if (Spill) {
+    Result.SpilledShards = NumUnits;
+    Result.SpilledReports = Total.Runs;
+    Result.SpilledFailing = Total.Failing;
+    Result.SpilledBytes = Total.Bytes;
     static Gauge &SpillShardsGauge =
         Metrics.registerGauge("campaign.spill.shards");
     static Gauge &SpillBytesGauge =
@@ -514,6 +434,7 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
     SpillShardsGauge.set(static_cast<double>(Result.SpilledShards));
     SpillBytesGauge.set(static_cast<double>(Result.SpilledBytes));
   }
+  FailingGauge.set(static_cast<double>(Result.numFailing()));
 
   if (Obs) {
     // Planned vs. realized sampling rate per instrumentation scheme.
@@ -523,6 +444,7 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
                                          "scalar_pairs"};
     static Gauge *PlannedGauges[3] = {nullptr, nullptr, nullptr};
     static Gauge *RealizedGauges[3] = {nullptr, nullptr, nullptr};
+    const ReportCollector::ReachStats &Reaches = Total.Reaches;
     for (size_t K = 0; K < 3; ++K) {
       if (!PlannedGauges[K]) {
         PlannedGauges[K] = &Metrics.registerGauge(
@@ -530,13 +452,12 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
         RealizedGauges[K] = &Metrics.registerGauge(
             format("campaign.sampling.%s.realized_rate", SchemeNames[K]));
       }
-      if (MergedReaches.Reaches[K] > 0) {
+      if (Reaches.Reaches[K] > 0) {
         // Reach-weighted planned rate: under a fair Bernoulli coin the
         // realized rate converges to it, so any drift is a sampler bug.
-        double Reaches = static_cast<double>(MergedReaches.Reaches[K]);
-        PlannedGauges[K]->set(MergedReaches.ExpectedSamples[K] / Reaches);
-        RealizedGauges[K]->set(
-            static_cast<double>(MergedReaches.Samples[K]) / Reaches);
+        double N = static_cast<double>(Reaches.Reaches[K]);
+        PlannedGauges[K]->set(Reaches.ExpectedSamples[K] / N);
+        RealizedGauges[K]->set(static_cast<double>(Reaches.Samples[K]) / N);
       } else {
         // Scheme never reached: fall back to the plan's unweighted mean.
         PlannedGauges[K]->set(meanPlannedRate(Result.Sites, Result.Plan,

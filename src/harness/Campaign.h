@@ -41,9 +41,8 @@ enum class SamplingMode {
 /// Which execution engine runs the subject. The two are observably
 /// equivalent — differential-tested down to bit-identical sampled
 /// feedback reports — so campaigns may use either. The tree-walker is the
-/// default (its values live in host-stack temporaries and it currently
-/// outruns the boxed-value stack VM by ~35%); the VM exists as an
-/// independent second implementation that keeps the semantics honest.
+/// default and the reference the differential tests hold the VM to; the
+/// VM is the faster engine at every sampling rate (EXPERIMENTS.md).
 enum class Engine {
   Interpreter, ///< Tree-walking reference interpreter (default).
   VM           ///< Bytecode virtual machine.
@@ -69,7 +68,8 @@ struct CampaignOptions {
   size_t Threads = 1;
   /// Optional progress sink for the main run loop, called with
   /// (runs completed, total runs) roughly every 0.5% of runs and once at
-  /// completion. Invoked from worker threads — must be thread-safe.
+  /// completion. Invoked from worker threads (worker 0 is the calling
+  /// thread) — must be thread-safe.
   std::function<void(size_t Done, size_t Total)> Progress;
   /// Static predicate pruning (src/sa): classify every site before the
   /// campaign and instrument only the Live ones. Site ids are not
@@ -84,6 +84,8 @@ struct CampaignOptions {
   /// [K*SpillShardReports, (K+1)*SpillShardReports) in run order, so the
   /// corpus bytes are identical for any thread count and reading the
   /// shards back in filename order reproduces the in-memory run order.
+  /// A directory or shard that cannot be written ends the campaign with
+  /// CampaignResult::Error.
   std::string SpillDir;
   /// Reports per shard in spill mode.
   size_t SpillShardReports = 1024;
@@ -118,6 +120,12 @@ struct CampaignResult {
   size_t SpilledFailing = 0;
   uint64_t SpilledBytes = 0;
 
+  /// Empty on success. Otherwise why a spill-mode campaign stopped: the
+  /// spill directory could not be created or a shard could not be written.
+  /// The first failure stops every worker at its next unit, so the corpus
+  /// directory is incomplete and the other results are unspecified.
+  std::string Error;
+
   size_t numFailing() const {
     return Reports.size() ? Reports.numFailing() : SpilledFailing;
   }
@@ -127,8 +135,9 @@ struct CampaignResult {
   }
 };
 
-/// Runs the full campaign. Aborts (assert) if the subject's sources fail to
-/// parse — subject programs are part of this repository and must be valid.
+/// Runs the full campaign. Aborts if the subject's sources fail to parse —
+/// subject programs are part of this repository and must be valid. Spill
+/// failures come back in CampaignResult::Error instead.
 CampaignResult runCampaign(const Subject &Subj,
                            const CampaignOptions &Options = {});
 

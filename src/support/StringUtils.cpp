@@ -81,3 +81,15 @@ bool sbi::parseUnsigned(std::string_view Text, uint64_t &Out) {
   Out = Value;
   return true;
 }
+
+bool sbi::parseRate(std::string_view Text, double &Out) {
+  double Value = 0.0;
+  const char *First = Text.data(), *Last = Text.data() + Text.size();
+  std::from_chars_result Result = std::from_chars(First, Last, Value);
+  // The range test also rejects NaN, which compares false with everything.
+  if (Result.ec != std::errc() || Result.ptr != Last ||
+      !(Value > 0.0 && Value <= 1.0))
+    return false;
+  Out = Value;
+  return true;
+}

@@ -49,6 +49,12 @@ bool startsWith(std::string_view Text, std::string_view Prefix);
 /// \p Out and returns true; on failure \p Out is untouched.
 bool parseUnsigned(std::string_view Text, uint64_t &Out);
 
+/// Strict sampling-rate parse: the entire input must be a decimal number
+/// with 0 < rate <= 1. Rejects empty strings, trailing garbage ("0.5x"),
+/// zero, negatives, rates above one, "nan" and "inf". On success writes
+/// \p Out and returns true; on failure \p Out is untouched.
+bool parseRate(std::string_view Text, double &Out);
+
 } // namespace sbi
 
 #endif // SBI_SUPPORT_STRINGUTILS_H

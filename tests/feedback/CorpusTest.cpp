@@ -190,8 +190,12 @@ std::string writeGoldenShard(const std::string &Dir) {
 /// — with a non-empty diagnostic, and must never crash or return more
 /// records than the mutation allows.
 void expectShardRejected(const std::string &Bytes, const std::string &What) {
+  // Named after the running test: ctest runs each test as its own process,
+  // and a shared file would let two of them overwrite each other's shard.
   std::string Path =
-      ::testing::TempDir() + "sbi-corpus-test-corrupt.sbic";
+      ::testing::TempDir() + "sbi-corpus-test-corrupt-" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".sbic";
   writeFileBytes(Path, Bytes);
   CorpusReader Reader;
   std::string Error;

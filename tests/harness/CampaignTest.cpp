@@ -2,12 +2,17 @@
 
 #include "harness/Campaign.h"
 
+#include "feedback/Corpus.h"
 #include "obs/Telemetry.h"
 #include "runtime/Interp.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 
 using namespace sbi;
@@ -21,6 +26,34 @@ CampaignOptions smallOptions(size_t Runs = 150) {
   Options.Seed = 777;
   return Options;
 }
+
+/// A fresh scratch directory named after the running test, so tests that
+/// ctest runs as concurrent processes never share one.
+std::string freshTestDir() {
+  std::string Dir = ::testing::TempDir() + "sbi-campaign-" +
+                    ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  return Dir;
+}
+
+/// Every shard's file name and bytes, in corpus order.
+std::string corpusBytes(const std::string &Dir) {
+  std::string Bytes;
+  for (const std::string &Shard : listCorpusShards(Dir)) {
+    std::ifstream In(Shard, std::ios::binary);
+    Bytes += std::filesystem::path(Shard).filename().string() + ":";
+    Bytes.append(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+  }
+  return Bytes;
+}
+
+/// Turns telemetry on for one scope, and off again however the scope ends.
+struct TelemetryOn {
+  TelemetryOn() { Telemetry::setEnabled(true); }
+  ~TelemetryOn() { Telemetry::setEnabled(false); }
+};
 
 } // namespace
 
@@ -283,5 +316,123 @@ TEST(CampaignTest, TelemetryRecordsRealizedSamplingRates) {
     EXPECT_NEAR(Realized->value(), Planned->value(),
                 0.05 * std::max(Planned->value(), 0.01))
         << SchemeName;
+  }
+}
+
+TEST(CampaignTest, RunLoopAgreesAcrossModesAndThreadCounts) {
+  // The one run loop over {in memory, spilled} x {1, 3 workers}: every cell
+  // must produce the same reports (serialized, or as shard bytes), ground
+  // truth, failure count and sampling-rate gauges. 130 runs in shards of
+  // 16 leave a short last shard and an uneven split over three workers.
+  const std::string Dir = freshTestDir();
+  const TelemetryOn Scope;
+  CampaignOptions Options = smallOptions(130);
+  Options.SpillShardReports = 16;
+  const Subject &Subj = exifSubject(); // Output-oracle labels included.
+  const char *Gauges[] = {"branches", "returns", "scalar_pairs"};
+  auto gauge = [](const char *Scheme, const char *Which) {
+    const Gauge *G = Telemetry::metrics().findGauge(
+        std::string("campaign.sampling.") + Scheme + "." + Which + "_rate");
+    EXPECT_NE(G, nullptr) << Scheme << " " << Which;
+    return G ? G->value() : -1.0;
+  };
+
+  CampaignResult Reference = runCampaign(Subj, Options);
+  ASSERT_TRUE(Reference.Error.empty()) << Reference.Error;
+  ASSERT_EQ(Reference.Reports.size(), 130u);
+  ASSERT_GT(Reference.numFailing(), 0u);
+  const std::string ReferenceText = Reference.Reports.serialize();
+  std::string Error;
+  ASSERT_TRUE(writeCorpus(Reference.Reports, Dir + "/reference",
+                          Options.SpillShardReports, Error))
+      << Error;
+  const std::string ReferenceShards = corpusBytes(Dir + "/reference");
+  std::vector<double> ReferenceGauges;
+  for (const char *Scheme : Gauges)
+    for (const char *Which : {"planned", "realized"})
+      ReferenceGauges.push_back(gauge(Scheme, Which));
+
+  for (bool Spill : {false, true})
+    for (size_t Threads : {size_t(1), size_t(3)}) {
+      std::string What = std::string(Spill ? "spilled" : "in memory") +
+                         ", threads=" + std::to_string(Threads);
+      Options.Threads = Threads;
+      Options.SpillDir =
+          Spill ? Dir + "/spill-t" + std::to_string(Threads) : "";
+      CampaignResult Cell = runCampaign(Subj, Options);
+      ASSERT_TRUE(Cell.Error.empty()) << What << ": " << Cell.Error;
+      if (Spill) {
+        EXPECT_EQ(Cell.Reports.size(), 0u) << What;
+        EXPECT_EQ(Cell.SpilledReports, 130u) << What;
+        EXPECT_EQ(corpusBytes(Options.SpillDir), ReferenceShards) << What;
+      } else {
+        EXPECT_EQ(Cell.Reports.serialize(), ReferenceText) << What;
+      }
+      EXPECT_EQ(Cell.numFailing(), Reference.numFailing()) << What;
+      ASSERT_EQ(Cell.Bugs.size(), Reference.Bugs.size()) << What;
+      for (size_t B = 0; B < Cell.Bugs.size(); ++B) {
+        EXPECT_EQ(Cell.Bugs[B].BugId, Reference.Bugs[B].BugId) << What;
+        EXPECT_EQ(Cell.Bugs[B].Triggered, Reference.Bugs[B].Triggered)
+            << What;
+        EXPECT_EQ(Cell.Bugs[B].TriggeredAndFailed,
+                  Reference.Bugs[B].TriggeredAndFailed)
+            << What;
+      }
+      size_t G = 0;
+      for (const char *Scheme : Gauges) {
+        // Realized rates are ratios of exact counts. Planned rates divide a
+        // floating-point sum of per-reach rates, which workers add up in
+        // their own order, so they may differ in the last bits.
+        double Planned = ReferenceGauges[G++];
+        EXPECT_NEAR(gauge(Scheme, "planned"), Planned, 1e-12 * Planned)
+            << What << ": " << Scheme;
+        EXPECT_EQ(gauge(Scheme, "realized"), ReferenceGauges[G++])
+            << What << ": " << Scheme;
+      }
+    }
+}
+
+TEST(CampaignTest, SpillErrorWhenTheDirectoryCannotBeCreated) {
+  // A spill directory under a regular file can never be created. The
+  // campaign must say so instead of aborting, at any thread count.
+  const std::string Dir = freshTestDir();
+  const std::string File = Dir + "/regular-file";
+  std::ofstream(File) << "not a directory\n";
+  CampaignOptions Options = smallOptions(40);
+  Options.SpillDir = File + "/corpus";
+  for (size_t Threads : {size_t(1), size_t(2)}) {
+    Options.Threads = Threads;
+    CampaignResult Result = runCampaign(ccryptSubject(), Options);
+    EXPECT_NE(Result.Error.find("'" + Options.SpillDir + "'"),
+              std::string::npos)
+        << Threads << " threads: " << Result.Error;
+    EXPECT_NE(Result.Error.find(std::strerror(ENOTDIR)), std::string::npos)
+        << Threads << " threads: " << Result.Error;
+  }
+}
+
+TEST(CampaignTest, SpillErrorWhenAShardPathIsADirectory) {
+  // Shard 1's file name is taken by a directory, so its writer cannot
+  // open. The error names the shard and the cause, and the failure stops
+  // the workers: one worker never reaches the shards after it.
+  const std::string Dir = freshTestDir();
+  CampaignOptions Options = smallOptions(40);
+  Options.SpillShardReports = 8;
+  for (size_t Threads : {size_t(1), size_t(2)}) {
+    Options.Threads = Threads;
+    Options.SpillDir = Dir + "/corpus-t" + std::to_string(Threads);
+    std::filesystem::create_directories(Options.SpillDir + "/" +
+                                        corpusShardName(1));
+    CampaignResult Result = runCampaign(ccryptSubject(), Options);
+    std::string What = std::to_string(Threads) + " threads: " + Result.Error;
+    EXPECT_NE(Result.Error.find(corpusShardName(1)), std::string::npos)
+        << What;
+    EXPECT_NE(Result.Error.find(std::strerror(EISDIR)), std::string::npos)
+        << What;
+    if (Threads == 1) {
+      EXPECT_FALSE(std::filesystem::exists(Options.SpillDir + "/" +
+                                           corpusShardName(2)))
+          << What;
+    }
   }
 }

@@ -109,6 +109,29 @@ TEST(ParseUnsignedTest, RejectsPartialConsumptionAndSigns) {
   EXPECT_EQ(V, 99u) << "failed parse must not clobber the output";
 }
 
+TEST(ParseRateTest, AcceptsRatesInTheUnitInterval) {
+  double V = 0.0;
+  EXPECT_TRUE(parseRate("0.5", V));
+  EXPECT_EQ(V, 0.5);
+  EXPECT_TRUE(parseRate("1", V));
+  EXPECT_EQ(V, 1.0);
+  EXPECT_TRUE(parseRate("0.01", V));
+  EXPECT_EQ(V, 0.01);
+  EXPECT_TRUE(parseRate("1e-3", V));
+  EXPECT_EQ(V, 0.001);
+}
+
+TEST(ParseRateTest, RejectsPartialConsumptionAndRatesOutsideZeroToOne) {
+  // strtod accepted every one of these, running `--sampling=uniform:abc`
+  // as a rate-0 campaign and `uniform:5` as a full-rate one.
+  double V = 0.25;
+  for (const char *Bad :
+       {"", "abc", "0.5x", " 0.5", "0.5 ", "+0.5", "0", "-0", "-1", "5",
+        "1.0000001", "nan", "NaN", "inf", "-inf", "infinity", "0x1p-1"})
+    EXPECT_FALSE(parseRate(Bad, V)) << '"' << Bad << '"';
+  EXPECT_EQ(V, 0.25) << "failed parse must not clobber the output";
+}
+
 TEST(ParseUnsignedTest, RejectsOverflow) {
   uint64_t V = 99;
   EXPECT_FALSE(parseUnsigned("18446744073709551616", V)); // UINT64_MAX + 1.

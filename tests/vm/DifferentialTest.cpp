@@ -47,6 +47,15 @@ class SubjectDifferentialTest
 
 } // namespace
 
+// gtest prints a test parameter into the test's name (`# GetParam() = ...`).
+// For a bare pointer that is its address, which changes from run to run, so
+// ctest would rename these tests on every build; print the subject's name.
+namespace sbi {
+static void PrintTo(const Subject *Subj, std::ostream *OS) {
+  *OS << Subj->Name;
+}
+} // namespace sbi
+
 TEST_P(SubjectDifferentialTest, OutcomesMatchAcrossEngines) {
   const Subject &Subj = *GetParam();
   std::vector<Diagnostic> Diags;

@@ -84,6 +84,7 @@ struct CliArgs {
   std::string OutFile;
   std::string CorpusDir;
   std::string Sampling = "adaptive";
+  double UniformRate = 0.01; // RATE of --sampling=uniform:RATE.
   std::string Policy = "all";
   std::string Engine = "incremental";
   std::string ExecEngine = "interp";
@@ -194,13 +195,24 @@ bool parseArgs(int Argc, char **Argv, CliArgs &Args) {
     if (valueOf("--subject=", Args.SubjectName) ||
         valueOf("--in=", Args.InFile) || valueOf("--out=", Args.OutFile) ||
         valueOf("--corpus=", Args.CorpusDir) ||
-        valueOf("--sampling=", Args.Sampling) ||
         valueOf("--policy=", Args.Policy) ||
         valueOf("--analysis-engine=", Args.Engine) ||
         valueOf("--engine=", Args.ExecEngine) ||
         valueOf("--metrics-out=", Args.MetricsOut) ||
         valueOf("--trace-out=", Args.TraceOut))
       continue;
+    if (valueOf("--sampling=", Args.Sampling)) {
+      if (startsWith(Args.Sampling, "uniform:") &&
+          !parseRate(std::string_view(Args.Sampling).substr(8),
+                     Args.UniformRate)) {
+        std::fprintf(stderr,
+                     "sbi: bad rate '%s' for --sampling=uniform:RATE: "
+                     "expected a number with 0 < RATE <= 1\n",
+                     Args.Sampling.c_str() + 8);
+        return false;
+      }
+      continue;
+    }
     bool BadNumber = false;
     uint64_t Number = 0;
     if (numberOf("--runs=", Number, BadNumber)) {
@@ -320,9 +332,9 @@ bool configureCampaign(const CliArgs &Args, CampaignOptions &Options) {
     Options.Mode = SamplingMode::Adaptive;
   } else if (Args.Sampling == "none") {
     Options.Mode = SamplingMode::None;
-  } else if (Args.Sampling.rfind("uniform:", 0) == 0) {
+  } else if (startsWith(Args.Sampling, "uniform:")) {
     Options.Mode = SamplingMode::Uniform;
-    Options.UniformRate = std::strtod(Args.Sampling.c_str() + 8, nullptr);
+    Options.UniformRate = Args.UniformRate;
   } else {
     std::fprintf(stderr, "sbi: bad --sampling value '%s'\n",
                  Args.Sampling.c_str());
@@ -396,6 +408,11 @@ int cmdRun(const CliArgs &Args) {
     std::fprintf(stderr, "sbi: running %zu '%s' inputs...\n", Args.Runs,
                  Subj->Name.c_str());
     CampaignResult Result = runCampaign(*Subj, Options);
+    if (!Result.Error.empty()) {
+      std::fprintf(stderr, "sbi: corpus spill failed: %s\n",
+                   Result.Error.c_str());
+      return 1;
+    }
     printPruneSummary(Result);
     std::printf("spilled %zu reports (%zu failing, %zu successful) into "
                 "%zu shards (%llu bytes) under %s\n",
