@@ -14,14 +14,17 @@
 //
 // Expected shape: cost grows with the effective sampling rate; uniform
 // 1/100 sits well below full monitoring. Two honest deviations from the
-// paper's absolute numbers: (a) our interpreter pays a fixed observer
-// dispatch per dynamic event even when the sample is skipped, while CBI's
-// compiled fast path bypasses instrumentation entirely, so the floor is
-// higher than "unmeasurable"; (b) the adaptive plan targets ~100 samples
-// per site per run, and on subjects this small most sites are reached
-// fewer than 100 times, so adaptive deliberately approaches complete
-// monitoring — its overhead win materializes on programs whose hot sites
-// execute orders of magnitude more often than the target.
+// paper's absolute numbers: (a) the interpreter pays an observer call per
+// dynamic event even when the sample is skipped, while CBI's compiled fast
+// path bypasses instrumentation entirely; the VM consumes a skipped reach
+// with one decrement of its node's countdown, however many sites the node
+// carries, but a reach on which any site is due still costs an observer
+// call, so neither floor is "unmeasurable" (EXPERIMENTS.md has the
+// figures); (b) the adaptive plan targets ~100 samples per site per run,
+// and on subjects this small most sites are reached fewer than 100 times,
+// so adaptive deliberately approaches complete monitoring — its overhead
+// win materializes on programs whose hot sites execute orders of
+// magnitude more often than the target.
 //
 // Besides the google-benchmark suites, the binary has four study modes:
 //

@@ -48,10 +48,10 @@ ReportCollector::ReportCollector(const SiteTable &Sites, SamplingPlan Plan,
   assert((!EnabledSites || EnabledSites->size() == Sites.numSites()) &&
          "enabled-site mask does not match the site table");
   uint32_t NumSites = Sites.numSites();
-  Countdown.assign(NumSites, SamplingAccel::Uninit);
   SiteObserved.assign(NumSites, 0);
   PredTrue.assign(Sites.numPredicates(), 0);
   SiteRng.assign(NumSites, Rng(0));
+  SiteDue.assign(NumSites, 0);
   buildNodeIndex(EnabledSites);
 }
 
@@ -60,66 +60,47 @@ void ReportCollector::buildNodeIndex(
   uint32_t NumNodes = 0;
   for (const SiteInfo &Site : Sites.sites())
     NumNodes = std::max(NumNodes, static_cast<uint32_t>(Site.NodeId) + 1);
+  // A site at rate 0 never samples and never draws, so, like a masked site,
+  // it is left out of its node's list.
+  auto listed = [&](const SiteInfo &Site) {
+    return (!EnabledSites || (*EnabledSites)[Site.Id]) &&
+           Plan.rate(Site.Id) > 0.0;
+  };
   NodeStart.assign(NumNodes + 1, 0);
   for (const SiteInfo &Site : Sites.sites())
-    if (!EnabledSites || (*EnabledSites)[Site.Id])
+    if (listed(Site))
       ++NodeStart[static_cast<size_t>(Site.NodeId) + 1];
   for (size_t I = 1; I < NodeStart.size(); ++I)
     NodeStart[I] += NodeStart[I - 1];
   NodeSites.resize(NodeStart.back());
-  // Site ids ascend and each node's sites are contiguous, so a single
-  // forward pass with a per-node cursor fills each CSR row in id order.
-  std::vector<uint32_t> Cursor(NodeStart.begin(), NodeStart.end() - 1);
+  // Two forward passes with per-node cursors: the rate-1 sites, then the
+  // sampled ones, each in id order.
+  SampledStart.assign(NodeStart.begin(), NodeStart.end() - 1);
   for (const SiteInfo &Site : Sites.sites())
-    if (!EnabledSites || (*EnabledSites)[Site.Id])
+    if (listed(Site) && Plan.rate(Site.Id) >= 1.0)
+      NodeSites[SampledStart[static_cast<size_t>(Site.NodeId)]++] = Site.Id;
+  std::vector<uint32_t> Cursor = SampledStart;
+  for (const SiteInfo &Site : Sites.sites())
+    if (listed(Site) && Plan.rate(Site.Id) < 1.0)
       NodeSites[Cursor[static_cast<size_t>(Site.NodeId)]++] = Site.Id;
 
-  // Classify every node for the engine fast path. A node is only hoistable
-  // when every enabled site samples at a rate strictly inside (0, 1): a
-  // rate-1.0 site means every reach is a sample (the observer must always
-  // run), and a rate-0.0 site is never sampled and consumes no draw (so it
-  // simply drops out of the fan span). One eligible site hoists to a single
-  // decrement; several hoist to a FanNode span scan. Each site's decision
-  // is independent (own countdown, own RNG stream), so bulk-decrementing a
-  // fan is exactly the sequence of per-site decrements sampleDecision would
-  // have made.
-  Accel.NodeSite.assign(NumNodes, SamplingAccel::SkipNode);
-  Accel.FanStart.assign(NumNodes + 1, 0);
-  Accel.FanSites.clear();
+  size_t Widest = 0;
+  Countdown.resize(NumNodes);
+  NodeDue.assign(NumNodes, 0);
   for (uint32_t Node = 0; Node < NumNodes; ++Node) {
-    uint32_t First = NodeStart[Node], Last = NodeStart[Node + 1];
-    bool AnyFull = false;
-    uint32_t NumSampled = 0, OnlySite = 0;
-    for (uint32_t I = First; I < Last && !AnyFull; ++I) {
-      double Rate = Plan.rate(NodeSites[I]);
-      if (Rate >= 1.0)
-        AnyFull = true;
-      else if (Rate > 0.0) {
-        ++NumSampled;
-        OnlySite = NodeSites[I];
-      }
-    }
-    if (AnyFull)
-      Accel.NodeSite[Node] = SamplingAccel::CallObserver;
-    else if (NumSampled == 1)
-      Accel.NodeSite[Node] = OnlySite;
-    else if (NumSampled > 1) {
-      Accel.NodeSite[Node] = SamplingAccel::FanNode;
-      for (uint32_t I = First; I < Last; ++I)
-        if (Plan.rate(NodeSites[I]) > 0.0)
-          Accel.FanSites.push_back(NodeSites[I]);
-    }
-    // else: no enabled site sampled above rate 0 — stays SkipNode.
-    Accel.FanStart[Node + 1] =
-        static_cast<uint32_t>(Accel.FanSites.size());
+    size_t Width = NodeStart[Node + 1] - NodeStart[Node];
+    Countdown[Node] = Width == 0 ? NeverDue : SamplingAccel::Uninit;
+    Widest = std::max(Widest, Width);
   }
+  DueScratch.resize(Widest);
   Accel.Countdown = Countdown.data();
+  Accel.NumNodes = NumNodes;
 }
 
 void ReportCollector::beginRun(uint64_t RunSeed) {
   RunSeedBase = RunSeed;
   assert(TouchedSites.empty() && TouchedPreds.empty() &&
-         TouchedCountdowns.empty() &&
+         TouchedNodes.empty() &&
          "takeReport must be called before the next beginRun");
 }
 
@@ -141,13 +122,25 @@ RawReport ReportCollector::takeReport() {
   }
   TouchedPreds.clear();
 
-  // Restore the Uninit sentinel so the next run's first reach of each site
-  // reseeds its RNG stream. Engine fast paths only ever decrement values
-  // that sampleDecision initialized, so this list is complete even when
-  // most decrements bypassed the observer.
-  for (uint32_t Site : TouchedCountdowns)
-    Countdown[Site] = SamplingAccel::Uninit;
-  TouchedCountdowns.clear();
+  // Restore the Uninit sentinel so the next run's first reach of each node
+  // reseeds its sites' streams. A node enters this list on its first reach,
+  // which always reaches dueStep, so the list is complete even though most
+  // reaches never called the collector. Every site of a node is reached as
+  // often as the node, so the reach count the countdown implies is each
+  // listed site's.
+  for (uint32_t Node : TouchedNodes) {
+    if (TrackReaches) {
+      uint64_t Reaches = NodeDue[Node] - Countdown[Node];
+      for (uint32_t I = NodeStart[Node]; I < NodeStart[Node + 1]; ++I) {
+        uint32_t Site = NodeSites[I];
+        Stats.Reaches[SchemeOf[Site]] += Reaches;
+        Stats.ExpectedSamples[SchemeOf[Site]] +=
+            static_cast<double>(Reaches) * Plan.rate(Site);
+      }
+    }
+    Countdown[Node] = SamplingAccel::Uninit;
+  }
+  TouchedNodes.clear();
   return Report;
 }
 
@@ -158,43 +151,71 @@ void ReportCollector::enableReachStats() {
     SchemeOf[Site] = static_cast<uint8_t>(Sites.site(Site).SchemeKind);
 }
 
-bool ReportCollector::shouldSample(uint32_t SiteId) {
-  if (!TrackReaches)
-    return sampleDecision(SiteId);
-  bool Sampled = sampleDecision(SiteId);
-  size_t Scheme = SchemeOf[SiteId];
-  ++Stats.Reaches[Scheme];
-  Stats.Samples[Scheme] += Sampled ? 1 : 0;
-  Stats.ExpectedSamples[Scheme] += Plan.rate(SiteId);
-  return Sampled;
+inline ReportCollector::SiteSpan ReportCollector::dueSites(int NodeId) {
+  if (Accel.skipReach(NodeId))
+    return {};
+  auto Node = static_cast<size_t>(static_cast<uint32_t>(NodeId));
+  if (Node >= Accel.NumNodes)
+    return {};
+  return dueStep(Node);
 }
 
-bool ReportCollector::sampleDecision(uint32_t SiteId) {
-  double Rate = Plan.rate(SiteId);
-  if (Rate >= 1.0)
-    return true;
-  if (Rate <= 0.0)
-    return false;
-  // Geometric skip counting: instead of flipping a coin on every reach,
-  // draw how many reaches to skip until the next sample (Section 2's
-  // statistically fair Bernoulli process, with the fast path of the
-  // original CBI instrumentor). Each site draws from its own RNG stream,
-  // seeded from (run seed, site id) on first reach within the run, so the
-  // draw sequence a site sees depends only on the run — never on which
-  // other sites are instrumented or how often they are reached.
-  if (Countdown[SiteId] == SamplingAccel::Uninit) {
-    TouchedCountdowns.push_back(SiteId);
-    SiteRng[SiteId].reseed(RunSeedBase ^
-                           (0x5bd1e995bc9e1d34ULL +
-                            SiteId * 0x9e3779b97f4a7c15ULL));
-    Countdown[SiteId] = SiteRng[SiteId].nextGeometricSkip(Rate);
+ReportCollector::SiteSpan ReportCollector::dueStep(size_t Node) {
+  const uint32_t *First = NodeSites.data() + NodeStart[Node];
+  const uint32_t *Sampled = NodeSites.data() + SampledStart[Node];
+  const uint32_t *Last = NodeSites.data() + NodeStart[Node + 1];
+  uint64_t &Left = Countdown[Node];
+  if (First == Last) {
+    // A node without sites only runs out after 2^64 - 2 reaches.
+    Left = NeverDue;
+    return {};
   }
-  if (Countdown[SiteId] == 0) {
-    Countdown[SiteId] = SiteRng[SiteId].nextGeometricSkip(Rate);
-    return true;
+  uint64_t Reach = NodeDue[Node];
+  if (Left == SamplingAccel::Uninit) {
+    // Geometric skip counting: instead of flipping a coin on every reach,
+    // each site draws how many reaches to skip until its next sample
+    // (Section 2's statistically fair Bernoulli process, with the fast path
+    // of the original CBI instrumentor). Each site draws from its own RNG
+    // stream, seeded from (run seed, site id) on its node's first reach in
+    // the run, so the draw sequence a site sees depends only on the run —
+    // never on which other sites are instrumented or how often they are
+    // reached.
+    TouchedNodes.push_back(static_cast<uint32_t>(Node));
+    for (const uint32_t *Site = Sampled; Site != Last; ++Site) {
+      SiteRng[*Site].reseed(RunSeedBase ^
+                            (0x5bd1e995bc9e1d34ULL +
+                             *Site * 0x9e3779b97f4a7c15ULL));
+      SiteDue[*Site] = SiteRng[*Site].nextGeometricSkip(Plan.rate(*Site));
+    }
+    Reach = 0;
   }
-  --Countdown[SiteId];
-  return false;
+
+  // Rate-1 sites are due on every reach, so they hold the countdown at 0.
+  uint64_t Next = First != Sampled ? Reach + 1 : UINT64_MAX;
+  SiteSpan Due{First, Sampled};
+  if (Sampled != Last) {
+    uint32_t *Out = std::copy(First, Sampled, DueScratch.data());
+    for (const uint32_t *Site = Sampled; Site != Last; ++Site) {
+      uint64_t &At = SiteDue[*Site];
+      if (At == Reach) {
+        *Out++ = *Site;
+        // The next sample comes after Skip more reaches. A rate too small
+        // to sample draws UINT64_MAX: saturate, meaning never this run.
+        uint64_t Skip = SiteRng[*Site].nextGeometricSkip(Plan.rate(*Site));
+        At = Skip < UINT64_MAX - Reach ? Reach + 1 + Skip : UINT64_MAX;
+      }
+      Next = std::min(Next, At);
+    }
+    Due = {DueScratch.data(), Out};
+  }
+  NodeDue[Node] = Next;
+  // Every due index left lies past Reach, so the countdown stays below
+  // Uninit.
+  Left = Next - Reach - 1;
+  if (TrackReaches)
+    for (uint32_t Site : Due)
+      ++Stats.Samples[SchemeOf[Site]];
+  return Due;
 }
 
 void ReportCollector::markObserved(uint32_t SiteId) {
@@ -230,9 +251,7 @@ void ReportCollector::recordSixWay(const SiteInfo &Site, int64_t Lhs,
 }
 
 void ReportCollector::onBranch(int NodeId, bool Taken) {
-  for (uint32_t SiteId : activeSites(NodeId)) {
-    if (!shouldSample(SiteId))
-      continue;
+  for (uint32_t SiteId : dueSites(NodeId)) {
     markObserved(SiteId);
     const SiteInfo &Site = Sites.site(SiteId);
     assert(Site.SchemeKind == Scheme::Branches && "node scheme mismatch");
@@ -241,9 +260,7 @@ void ReportCollector::onBranch(int NodeId, bool Taken) {
 }
 
 void ReportCollector::onScalarReturn(int NodeId, int64_t Result) {
-  for (uint32_t SiteId : activeSites(NodeId)) {
-    if (!shouldSample(SiteId))
-      continue;
+  for (uint32_t SiteId : dueSites(NodeId)) {
     markObserved(SiteId);
     recordSixWay(Sites.site(SiteId), Result, 0);
   }
@@ -251,11 +268,9 @@ void ReportCollector::onScalarReturn(int NodeId, int64_t Result) {
 
 void ReportCollector::onScalarAssign(int NodeId, int64_t NewValue,
                                      const FrameView &Frame) {
-  for (uint32_t SiteId : activeSites(NodeId)) {
-    // Make the sampling decision before touching the comparand: skipped
-    // reaches must stay cheap (this is the whole point of sampling).
-    if (!shouldSample(SiteId))
-      continue;
+  // The sampling decision comes before any comparand is read: skipped
+  // reaches must stay cheap (this is the whole point of sampling).
+  for (uint32_t SiteId : dueSites(NodeId)) {
     const SiteInfo &Site = Sites.site(SiteId);
     int64_t Rhs;
     if (Site.PairIsConstant) {

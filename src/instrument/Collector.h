@@ -15,10 +15,11 @@
 ///     run, clamped to a 1/100 minimum).
 ///
 ///   - ReportCollector: an ExecutionObserver that makes the per-site
-///     Bernoulli sampling decision (geometric skip-count fast path) and
-///     accumulates one run's observation counts, producing a sparse
-///     RawReport. "P observed" means P's site was reached AND sampled;
-///     "P observed true" additionally requires the predicate to hold.
+///     Bernoulli sampling decision (a geometric skip count per site, and one
+///     countdown per node to the nearest due site) and accumulates one
+///     run's observation counts, producing a sparse RawReport. "P
+///     observed" means P's site was reached AND sampled; "P observed true"
+///     additionally requires the predicate to hold.
 ///
 /// Sampling draws come from an independent per-site RNG stream seeded from
 /// (run seed, site id). This makes each site's coin-flip sequence a function
@@ -81,7 +82,7 @@ class ReportCollector : public ExecutionObserver {
 public:
   /// \p EnabledSites, when non-null, is a per-site 0/1 mask (indexed by site
   /// id); sites with a 0 entry are never sampled, never observed, and cost
-  /// zero per-reach work — their node dispatch entries are simply absent.
+  /// zero per-reach work — they are left out of their node's site list.
   /// The mask is copied into the node index, so the pointer need not outlive
   /// the constructor call.
   ReportCollector(const SiteTable &Sites, SamplingPlan Plan,
@@ -98,23 +99,19 @@ public:
   void onScalarAssign(int NodeId, int64_t NewValue,
                       const FrameView &Frame) override;
 
-  /// The countdown-hoisting handle (see SamplingAccel in Observer.h). Null
-  /// while reach stats are enabled: stat accumulation must see every reach,
-  /// so engines have to take the always-call path. Engines must re-query
-  /// after enableReachStats(); the campaign queries per run, which is
-  /// always after stats are configured.
-  const SamplingAccel *samplingAccel() const override {
-    return TrackReaches ? nullptr : &Accel;
-  }
+  /// The countdown-hoisting handle (see SamplingAccel in Observer.h).
+  const SamplingAccel *samplingAccel() const override { return &Accel; }
 
   const SamplingPlan &plan() const { return Plan; }
 
   /// Per-scheme reach/sample totals, accumulated across all runs since
   /// enableReachStats(): how often sites of each scheme were reached vs.
   /// actually sampled. Samples/Reaches is the *realized* sampling rate the
-  /// telemetry layer compares against the plan. Off by default — counting
-  /// adds one branch plus two increments per site reach, so the campaign
-  /// only enables it when telemetry is on.
+  /// telemetry layer compares against the plan. Off by default. When on, a
+  /// sample costs one increment and takeReport derives each reached node's
+  /// reach count from its countdown, so skipped reaches stay on the fast
+  /// path. Reaches count sites sampled at a positive rate; a site at rate 0,
+  /// like a masked one, is never instrumented.
   struct ReachStats {
     std::array<uint64_t, 3> Reaches{}; ///< Indexed by Scheme.
     std::array<uint64_t, 3> Samples{};
@@ -128,70 +125,73 @@ public:
   const ReachStats &reachStats() const { return Stats; }
 
 private:
-  /// Makes the joint sampling decision for one reach of \p SiteId,
-  /// recording reach stats when enabled.
-  bool shouldSample(uint32_t SiteId);
-  /// The undecorated geometric-skip sampling decision.
-  bool sampleDecision(uint32_t SiteId);
+  /// A run of site ids.
+  struct SiteSpan {
+    const uint32_t *First = nullptr;
+    const uint32_t *Last = nullptr;
+    const uint32_t *begin() const { return First; }
+    const uint32_t *end() const { return Last; }
+  };
+
+  /// The sites of \p NodeId due to sample on this reach. A reach that is
+  /// not due costs one decrement of the node's countdown; otherwise
+  /// dueStep picks the due sites.
+  SiteSpan dueSites(int NodeId);
+  /// The due reach of \p Node, or its first reach this run: seeds the
+  /// node's streams on a first reach, redraws its due sites and resets
+  /// its countdown to the nearest next sample.
+  SiteSpan dueStep(size_t Node);
   void markObserved(uint32_t SiteId);
   void markTrue(uint32_t PredId);
   /// Records the six relational predicates of a returns/scalar-pairs site.
   void recordSixWay(const SiteInfo &Site, int64_t Lhs, int64_t Rhs);
 
-  /// Builds the CSR node -> enabled-site dispatch index.
+  /// Builds the per-node site lists and countdowns.
   void buildNodeIndex(const std::vector<uint8_t> *EnabledSites);
-
-  /// The enabled site ids instrumenting \p NodeId (empty for unknown or
-  /// fully pruned nodes).
-  struct SiteSpan {
-    const uint32_t *First;
-    const uint32_t *Last;
-    const uint32_t *begin() const { return First; }
-    const uint32_t *end() const { return Last; }
-  };
-  SiteSpan activeSites(int NodeId) const {
-    auto Node = static_cast<size_t>(static_cast<uint32_t>(NodeId));
-    if (Node + 1 >= NodeStart.size())
-      return {nullptr, nullptr};
-    return {NodeSites.data() + NodeStart[Node],
-            NodeSites.data() + NodeStart[Node + 1]};
-  }
 
   const SiteTable &Sites;
   SamplingPlan Plan;
 
-  /// CSR dispatch: the enabled sites of node N are
-  /// NodeSites[NodeStart[N] .. NodeStart[N+1]).
+  /// CSR node -> site lists. Node N lists its enabled sites with a positive
+  /// rate, NodeSites[NodeStart[N] .. NodeStart[N+1]): first the rate-1
+  /// sites, which are due on every reach and never draw, then from
+  /// SampledStart[N] the sites whose rate lies in (0, 1).
   std::vector<uint32_t> NodeStart;
+  std::vector<uint32_t> SampledStart;
   std::vector<uint32_t> NodeSites;
 
-  /// Seed of the current run; each site derives its own RNG stream from it
-  /// lazily on first reach (see sampleDecision).
+  /// Seed of the current run; each sampled site derives its own RNG stream
+  /// from it on its node's first reach (see dueStep).
   uint64_t RunSeedBase = 0;
   std::vector<Rng> SiteRng;
+  /// Per sampled site: the index of the node reach (from 0 within the run)
+  /// at which the site next samples, saturating at UINT64_MAX.
+  std::vector<uint64_t> SiteDue;
+  /// Per node: the reach index at which its countdown next runs out, the
+  /// nearest SiteDue of its sampled sites (or the next reach, when it has a
+  /// rate-1 site). NodeDue minus the countdown is the node's reach count.
+  std::vector<uint64_t> NodeDue;
+  /// Per node: SamplingAccel's countdown, which engines decrement in place
+  /// through Accel. Uninit until the node's first reach of the run; a node
+  /// that lists no site starts at NeverDue, so it is never due.
+  std::vector<uint64_t> Countdown;
+  static constexpr uint64_t NeverDue = SamplingAccel::Uninit - 1;
+  /// Room for the due sites of the widest node.
+  std::vector<uint32_t> DueScratch;
 
   bool TrackReaches = false;
   ReachStats Stats;
   /// Site id -> Scheme, materialized by enableReachStats().
   std::vector<uint8_t> SchemeOf;
 
-  // Dense scratch, reset in O(touched) at run end. A site's countdown is
-  // SamplingAccel::Uninit until its first sampled-rate reach of the run
-  // draws the initial geometric skip; every initialized site is recorded
-  // in TouchedCountdowns so takeReport can restore the sentinel. The
-  // countdown array doubles as the engine fast path's decrement target
-  // (Accel.Countdown points at it), which is why initialization must be
-  // observable in the value itself rather than in a side epoch: the engine
-  // tests only the countdown word.
-  std::vector<uint64_t> Countdown;
+  // Dense scratch, reset in O(touched) at run end.
   std::vector<uint32_t> SiteObserved;
   std::vector<uint32_t> PredTrue;
   std::vector<uint32_t> TouchedSites;
   std::vector<uint32_t> TouchedPreds;
-  std::vector<uint32_t> TouchedCountdowns;
+  /// Nodes reached this run; takeReport restores their Uninit countdowns.
+  std::vector<uint32_t> TouchedNodes;
 
-  /// Node -> fast-path classification plus the countdown base pointer,
-  /// built once alongside the CSR index (node population never changes).
   SamplingAccel Accel;
 };
 

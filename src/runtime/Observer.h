@@ -21,6 +21,7 @@
 #include "lang/AST.h"
 #include "runtime/Value.h"
 
+#include <cstddef>
 #include <cstdint>
 
 namespace sbi {
@@ -59,46 +60,39 @@ private:
 
 /// The sampling fast-path handle an observer may expose so an execution
 /// engine can hoist the geometric skip countdown (Section 2's sparse
-/// sampling transformation) into its dispatch loop. When a node's entry
-/// names a single site, a non-sampled reach is one in-register decrement of
-/// that site's countdown — the observer virtual call fires only when the
-/// countdown hits zero (a sample) or is uninitialized for this run (the
-/// first reach, which seeds the site's RNG stream). A FanNode entry covers
-/// nodes with several sampled sites (scalar-pairs nodes routinely carry a
-/// site per visible comparand): the engine scans the node's countdown span
-/// and either bulk-decrements — every site independently decided "skip" —
-/// or, the moment any site would sample or needs its first draw, calls the
-/// observer with nothing mutated. Either way each site's countdown and RNG
-/// stream advance exactly as the ReportCollector itself would have advanced
-/// them, so reports stay bit-identical whether or not an engine uses the
-/// handle.
+/// sampling transformation) into its dispatch loop. It is one countdown per
+/// AST node: how many more reaches of the node pass before any of its sites
+/// is next due to sample. A reach whose countdown is neither 0 nor Uninit is
+/// not due, and skipReach consumes it with one decrement, however many
+/// sites the node carries. Otherwise the engine calls the observer: 0 means
+/// some site is due, Uninit that this is the node's first reach of the run
+/// (the observer seeds its sites' RNG streams). The observer then records
+/// the due sites, redraws only those, and resets the countdown to the
+/// nearest next sample. Its own entry points make the same skipReach test,
+/// so each site draws at the same moments from the same stream whether or
+/// not an engine uses the handle, and reports stay bit-identical.
 struct SamplingAccel {
-  /// NodeSite entry: always invoke the observer (a site monitored at rate
-  /// 1.0, or a node this table does not cover).
-  static constexpr uint32_t CallObserver = UINT32_MAX;
-  /// NodeSite entry: no enabled site — the event cannot be observed and
-  /// the engine may skip the call entirely.
-  static constexpr uint32_t SkipNode = UINT32_MAX - 1;
-  /// NodeSite entry: several sites, all with rates in (0, 1); the node's
-  /// span of FanSites holds their ids.
-  static constexpr uint32_t FanNode = UINT32_MAX - 2;
-  /// Countdown value meaning "not drawn yet this run".
+  /// Countdown value meaning "not reached yet this run".
   static constexpr uint64_t Uninit = UINT64_MAX;
 
-  /// Indexed by AST node id: CallObserver, SkipNode, FanNode, or the single
-  /// enabled site id whose plan rate lies in (0, 1).
-  std::vector<uint32_t> NodeSite;
-  /// CSR fan spans: a FanNode's sampled sites are
-  /// FanSites[FanStart[N] .. FanStart[N+1]). Other nodes have empty spans.
-  std::vector<uint32_t> FanStart;
-  std::vector<uint32_t> FanSites;
-  /// Per-site skip countdowns, owned by the observer; stable for the
-  /// observer's lifetime.
+  /// Per-node countdowns indexed by AST node id, owned by the observer and
+  /// stable for its lifetime. Nodes at or past NumNodes always go to the
+  /// observer.
   uint64_t *Countdown = nullptr;
+  size_t NumNodes = 0;
 
-  uint32_t siteFor(int NodeId) const {
-    auto Id = static_cast<size_t>(static_cast<uint32_t>(NodeId));
-    return Id < NodeSite.size() ? NodeSite[Id] : CallObserver;
+  /// Consumes one reach of \p NodeId with a single decrement and returns
+  /// true when the reach is not due; returns false, changing nothing, when
+  /// the observer has to run.
+  bool skipReach(int NodeId) const {
+    auto Node = static_cast<size_t>(static_cast<uint32_t>(NodeId));
+    if (Node >= NumNodes)
+      return false;
+    uint64_t &Left = Countdown[Node];
+    if (Left == 0 || Left == Uninit)
+      return false;
+    --Left;
+    return true;
   }
 };
 
@@ -120,9 +114,8 @@ public:
                               const FrameView &Frame);
 
   /// Optional sampling fast path (see SamplingAccel). The default — and any
-  /// observer that must see every event, e.g. a collector accumulating
-  /// reach statistics — returns null, which forces engines onto the
-  /// always-call slow path. Engines query once per run.
+  /// observer that must see every event — returns null, which puts engines
+  /// on the always-call path. Engines query once per run.
   virtual const SamplingAccel *samplingAccel() const { return nullptr; }
 };
 

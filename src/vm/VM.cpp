@@ -24,12 +24,13 @@
 // between frame changes.
 //
 // Sampling fast path: when the observer exposes a SamplingAccel, an
-// observed event whose node maps to a single sampled site is consumed by
-// decrementing that site's geometric-skip countdown in place — the same
-// decrement ReportCollector::sampleDecision would have performed — and the
-// observer virtual call happens only when the countdown is exhausted (a
-// sample) or uninitialized (first reach; the collector seeds the site's RNG
-// stream). Reports therefore stay bit-identical at fixed seeds.
+// observed event is first offered to its per-node countdown. A reach that
+// is not due is consumed by one in-place decrement — the decrement
+// ReportCollector's own entry point would have applied — whatever the
+// node's fan width. The observer virtual call happens only when the
+// countdown is exhausted (some site of the node is due) or uninitialized
+// (the node's first reach this run, which seeds its sites' RNG streams).
+// Reports therefore stay bit-identical at fixed seeds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -181,44 +182,11 @@ private:
     return V;
   }
 
-  /// True when the observed event at \p NodeId is fully consumed without
-  /// calling the observer: either the node has no enabled site, or every
-  /// sampled site's countdown is mid-skip and one decrement each — the
-  /// exact decrements sampleDecision would apply — records the non-samples.
-  bool sampleSkip(int NodeId) {
-    if (!Accel)
-      return false;
-    uint32_t Site = Accel->siteFor(NodeId);
-    if (Site == SamplingAccel::SkipNode)
-      return true;
-    if (Site == SamplingAccel::CallObserver)
-      return false;
-    if (Site == SamplingAccel::FanNode) {
-      // Check-then-commit: mutate nothing until every site in the fan has
-      // independently decided "skip". If any site samples this reach (or
-      // needs its first draw), the observer replays the whole fan itself.
-      auto Node = static_cast<size_t>(static_cast<uint32_t>(NodeId));
-      const uint32_t *First = Accel->FanSites.data() + Accel->FanStart[Node];
-      const uint32_t *Last =
-          Accel->FanSites.data() + Accel->FanStart[Node + 1];
-      for (const uint32_t *P = First; P != Last; ++P) {
-        uint64_t C = Accel->Countdown[*P];
-        if (C == 0 || C == SamplingAccel::Uninit)
-          return false;
-      }
-      for (const uint32_t *P = First; P != Last; ++P)
-        --Accel->Countdown[*P];
-      return true;
-    }
-    uint64_t C = Accel->Countdown[Site];
-    if (C != 0 && C != SamplingAccel::Uninit) {
-      Accel->Countdown[Site] = C - 1;
-      return true;
-    }
-    // Exhausted (a sample) or uninitialized (first reach of the run):
-    // the collector must redraw/seed, so take the virtual call.
-    return false;
-  }
+  /// True when the observed event at \p NodeId is consumed without calling
+  /// the observer: the node is not due, and one decrement of its countdown
+  /// — the decrement the observer itself would apply — records the skip,
+  /// however many sites the node carries.
+  bool sampleSkip(int NodeId) { return Accel.skipReach(NodeId); }
 
   void observeBranch(int NodeId, bool Taken) {
     if (Config.Observer && !sampleSkip(NodeId))
@@ -227,7 +195,9 @@ private:
 
   const CompiledProgram &Compiled;
   const RunConfig &Config;
-  const SamplingAccel *Accel = nullptr;
+  /// The observer's countdowns, copied once per run; empty (every reach
+  /// goes to the observer) when it exposes none.
+  SamplingAccel Accel;
   RunOutcome Outcome;
   bool Stopped = false;
   std::vector<Value> Globals;
@@ -252,7 +222,9 @@ void VM::captureStack() {
 
 RunOutcome VM::run() {
   Globals.resize(Compiled.NumGlobals);
-  Accel = Config.Observer ? Config.Observer->samplingAccel() : nullptr;
+  if (const SamplingAccel *Handle =
+          Config.Observer ? Config.Observer->samplingAccel() : nullptr)
+    Accel = *Handle;
   execute(Compiled.InitStart, Compiled.InitChunk);
 
   if (!Stopped) {

@@ -1,8 +1,9 @@
 //===- tests/cli/SbiCliTest.cpp - sbi exit statuses -----------------------===//
 //
-// Runs the built `sbi` binary on inputs a user can get wrong and checks its
-// exit status and what it says: 2 for a malformed flag, 1 for a failure
-// while running, and never a crash.
+// Runs the built `sbi` binary, and a table bench for the flags the benches
+// share, on inputs a user can get wrong and checks the exit status and
+// what the program says: 2 for a malformed flag or environment variable, 1
+// for a failure while running, and never a crash.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,10 +26,10 @@ struct CliResult {
   std::string Output; ///< stdout and stderr together.
 };
 
-CliResult runSbi(const std::string &Args) {
+/// Runs the shell command \p Command.
+CliResult runCommand(const std::string &Command) {
   CliResult Result;
-  std::string Command = std::string(SBI_PATH) + " " + Args + " 2>&1";
-  std::FILE *Pipe = popen(Command.c_str(), "r");
+  std::FILE *Pipe = popen((Command + " 2>&1").c_str(), "r");
   if (!Pipe)
     return Result;
   char Buffer[4096];
@@ -48,13 +49,15 @@ TEST(SbiCliTest, ExitStatusTable) {
   std::filesystem::create_directories(Dir);
   const std::string File = Dir + "/regular-file";
   std::ofstream(File) << "not a directory\n";
-  const std::string Run = "run --subject=ccrypt --runs=20 ";
+  const std::string Sbi = std::string(SBI_PATH) + " ";
+  const std::string Table = std::string(TABLE4_CCRYPT_PATH) + " ";
+  const std::string Run = Sbi + "run --subject=ccrypt --runs=20 ";
   const std::string Out = " --out=" + Dir + "/ccrypt.reports";
   const std::string Spill =
       Run + "--sampling=none --corpus=" + File + "/corpus --threads=";
 
   struct Case {
-    std::string Args;
+    std::string Command;
     int Status;
     std::vector<std::string> Says;
   };
@@ -68,14 +71,20 @@ TEST(SbiCliTest, ExitStatusTable) {
       {Run + "--sampling=uniform:0.5" + Out, 0, {"wrote 20 reports"}},
       {Spill + "1", 1, {File + "/corpus", std::strerror(ENOTDIR)}},
       {Spill + "2", 1, {File + "/corpus", std::strerror(ENOTDIR)}},
+      {Table + "--threads=-1", 2, {"'-1'", "--threads"}},
+      {Table + "--runs=abc", 2, {"'abc'", "--runs"}},
+      {Table + "--seed=12x", 2, {"'12x'", "--seed"}},
+      {"SBI_BENCH_THREADS=-1 " + Table, 2, {"'-1'", "SBI_BENCH_THREADS"}},
+      {"SBI_BENCH_RUNS=abc " + Table, 2, {"'abc'", "SBI_BENCH_RUNS"}},
+      {"SBI_BENCH_SEED=12x " + Table, 2, {"'12x'", "SBI_BENCH_SEED"}},
+      {Table + "--runs=40 --seed=12 --threads=1", 0, {"runs: 40, seed: 12"}},
   };
   for (const Case &C : Cases) {
-    CliResult Result = runSbi(C.Args);
-    EXPECT_EQ(Result.Status, C.Status) << "sbi " << C.Args << "\n"
-                                       << Result.Output;
+    CliResult Result = runCommand(C.Command);
+    EXPECT_EQ(Result.Status, C.Status) << C.Command << "\n" << Result.Output;
     for (const std::string &Fragment : C.Says)
       EXPECT_NE(Result.Output.find(Fragment), std::string::npos)
-          << "sbi " << C.Args << " never says \"" << Fragment << "\":\n"
+          << C.Command << " never says \"" << Fragment << "\":\n"
           << Result.Output;
   }
 }

@@ -2,8 +2,14 @@
 
 #include "instrument/Collector.h"
 
+#include "instrument/CallCounter.h"
+
+#include "harness/Campaign.h"
 #include "lang/Sema.h"
 #include "runtime/Interp.h"
+#include "support/Random.h"
+#include "vm/Compiler.h"
+#include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
@@ -32,6 +38,18 @@ struct Harness {
     Config.Observer = &Collector;
     Collector.beginRun(Seed);
     runProgram(*Prog, Config);
+    return Collector.takeReport();
+  }
+
+  /// One VM run feeding \p Collector, through \p Via when it is given.
+  RawReport collectOnVM(ReportCollector &Collector, uint64_t Seed,
+                        ExecutionObserver *Via = nullptr) {
+    CompiledProgram Code = compileProgram(*Prog);
+    RunConfig Config;
+    Config.OverrunPad = 4;
+    Config.Observer = Via ? Via : &Collector;
+    Collector.beginRun(Seed);
+    runCompiled(Code, Config);
     return Collector.takeReport();
   }
 
@@ -373,4 +391,188 @@ TEST(CollectorTest, UninitializedComparandSkipsObservation) {
   ReportCollector Collector(H.Sites, SamplingPlan::full(H.Sites.numSites()));
   RawReport Report = H.collect(Collector, 1);
   EXPECT_FALSE(Report.TruePredicates.empty());
+}
+
+namespace {
+
+/// The scalar-pairs node with the most sites, and those sites.
+std::vector<uint32_t> widestPairsNode(const SiteTable &Sites) {
+  std::map<int, std::vector<uint32_t>> ByNode;
+  for (const SiteInfo &Site : Sites.sites())
+    if (Site.SchemeKind == Scheme::ScalarPairs)
+      ByNode[Site.NodeId].push_back(Site.Id);
+  std::vector<uint32_t> Widest;
+  for (const auto &[Node, NodeSites] : ByNode)
+    if (NodeSites.size() > Widest.size())
+      Widest = NodeSites;
+  return Widest;
+}
+
+const char *const LoopProgram = R"(
+fn step(int x) {
+  if (x > 3) { return x - 1; }
+  return x + 1;
+}
+fn main() {
+  int total = 0;
+  int limit = 9;
+  for (int i = 0; i < 300; i = i + 1) {
+    int v = step(i % 7);
+    total = total + v % limit;
+    if (v % 2 == 0) { total = total + 1; }
+  }
+  println(total);
+})";
+
+} // namespace
+
+TEST(CollectorTest, MixedRateNodeKeepsEachSiteOnItsOwnStream) {
+  // Only adaptive plans mix rates within a node: here the first site of the
+  // widest scalar-pairs node trains as rarely reached (rate 1) and every
+  // other site as hot (rate 1/10). The rate-1 site must see every reach
+  // without drawing, and every other site must sample exactly as it does
+  // under a uniform 1/10 plan, where the node holds no rate-1 site.
+  Harness H(LoopProgram);
+  std::vector<uint32_t> Node = widestPairsNode(H.Sites);
+  ASSERT_GE(Node.size(), 3u);
+  std::vector<double> MeanReach(H.Sites.numSites(), 1000.0);
+  MeanReach[Node[0]] = 10.0;
+  SamplingPlan Mixed = SamplingPlan::adaptive(MeanReach);
+  ASSERT_EQ(Mixed.rate(Node[0]), 1.0);
+  ASSERT_EQ(Mixed.rate(Node[1]), 0.1);
+
+  for (uint64_t Seed : {3ull, 41ull, 977ull}) {
+    ReportCollector MixedCollector(H.Sites, Mixed);
+    ReportCollector UniformCollector(
+        H.Sites, SamplingPlan::uniform(H.Sites.numSites(), 0.1));
+    RawReport A = H.collect(MixedCollector, Seed);
+    RawReport B = H.collect(UniformCollector, Seed);
+    EXPECT_EQ(siteCount(A, Node[0]), 300u) << "seed " << Seed;
+    uint32_t Sampled = 0;
+    for (uint32_t Site = 0; Site < H.Sites.numSites(); ++Site)
+      if (Site != Node[0]) {
+        EXPECT_EQ(siteCount(A, Site), siteCount(B, Site))
+            << "seed " << Seed << " site " << Site;
+        Sampled += siteCount(A, Site);
+      }
+    EXPECT_GT(Sampled, 0u) << "seed " << Seed;
+    RawReport OnVM = H.collectOnVM(MixedCollector, Seed);
+    EXPECT_EQ(OnVM.SiteObservations, A.SiteObservations) << "seed " << Seed;
+    EXPECT_EQ(OnVM.TruePredicates, A.TruePredicates) << "seed " << Seed;
+  }
+}
+
+TEST(CollectorTest, VanishingRateSeedsEachReachedNodeOnce) {
+  // At 1e-20 every draw saturates: no site ever samples. The VM still
+  // calls the collector once per node reached, to seed that node's
+  // streams, and never again in the run.
+  Harness H(LoopProgram);
+  ReportCollector Collector(H.Sites,
+                            SamplingPlan::uniform(H.Sites.numSites(), 1e-20));
+  ReportCollector Reference(H.Sites, SamplingPlan::full(H.Sites.numSites()));
+  for (uint64_t Seed : {1ull, 2ull, 3ull}) {
+    CallCounter Reaches(Reference, /*ExposeAccel=*/false);
+    H.collectOnVM(Reference, Seed, &Reaches);
+    for (const auto &[NodeId, Count] : Reaches.CallsByNode)
+      ASSERT_GT(H.Sites.sitesForNode(NodeId).Count, 0u) << NodeId;
+
+    CallCounter Calls(Collector);
+    RawReport Report = H.collectOnVM(Collector, Seed, &Calls);
+    EXPECT_TRUE(Report.SiteObservations.empty()) << "seed " << Seed;
+    EXPECT_TRUE(Report.TruePredicates.empty()) << "seed " << Seed;
+    EXPECT_EQ(Calls.Calls, Reaches.CallsByNode.size()) << "seed " << Seed;
+    for (const auto &[NodeId, Count] : Calls.CallsByNode)
+      EXPECT_EQ(Count, 1u) << "seed " << Seed << " node " << NodeId;
+  }
+}
+
+TEST(CollectorTest, FullyMaskedNodeCostsNoCall) {
+  // Masking every site of a node removes it from the collector's view: the
+  // VM consumes its reaches without a call, at any rate.
+  Harness H(LoopProgram);
+  std::vector<uint32_t> Node = widestPairsNode(H.Sites);
+  ASSERT_FALSE(Node.empty());
+  const int NodeId = H.Sites.site(Node[0]).NodeId;
+  std::vector<uint8_t> Mask(H.Sites.numSites(), 1);
+  for (uint32_t Site : Node)
+    Mask[Site] = 0;
+  for (double Rate : {1.0, 0.1}) {
+    ReportCollector Collector(
+        H.Sites, SamplingPlan::uniform(H.Sites.numSites(), Rate), &Mask);
+    CallCounter Calls(Collector);
+    RawReport Report = H.collectOnVM(Collector, 5, &Calls);
+    EXPECT_GT(Calls.Calls, 0u) << "rate " << Rate;
+    EXPECT_EQ(Calls.CallsByNode.count(NodeId), 0u) << "rate " << Rate;
+    for (uint32_t Site : Node)
+      EXPECT_EQ(siteCount(Report, Site), 0u) << "rate " << Rate;
+  }
+}
+
+TEST(CollectorTest, ReachStatsKeepTheFastPath) {
+  // Counting reaches must not take the VM off the countdown: with stats on
+  // it makes exactly the calls it makes with stats off, and the per-scheme
+  // counts match a brute-force tally from an observer that sees every
+  // reach. The plan mixes rates 1, 1/2, 1/20 and 1/100 across the sites.
+  const Subject &Subj = mossSubject();
+  auto Prog = compileSubjectSource(Subj.Source, Subj.Name);
+  CompiledProgram Code = compileProgram(*Prog);
+  SiteTable Sites = SiteTable::build(*Prog);
+  std::vector<double> MeanReach(Sites.numSites());
+  const double Means[] = {50.0, 200.0, 2000.0, 1e6};
+  for (uint32_t Site = 0; Site < Sites.numSites(); ++Site)
+    MeanReach[Site] = Means[Site % 4];
+  SamplingPlan Plan = SamplingPlan::adaptive(MeanReach);
+
+  ReportCollector Off(Sites, Plan), On(Sites, Plan), Slow(Sites, Plan);
+  On.enableReachStats();
+  CallCounter OffCalls(Off), OnCalls(On);
+  CallCounter Brute(Slow, /*ExposeAccel=*/false);
+  std::array<uint64_t, 3> Reaches{}, Samples{};
+  std::array<double, 3> Expected{};
+  Rng Seeder(0x57A7);
+  for (int Run = 0; Run < 20; ++Run) {
+    Rng InputRng(Seeder.next());
+    RunConfig Config;
+    Config.Args = Subj.GenerateInput(InputRng);
+    Config.OverrunPad = static_cast<size_t>(InputRng.nextBelow(8));
+    uint64_t SampleSeed = Seeder.next();
+    RawReport Reports[3];
+    ExecutionObserver *Observers[3] = {&OffCalls, &OnCalls, &Brute};
+    ReportCollector *Collectors[3] = {&Off, &On, &Slow};
+    for (int I = 0; I < 3; ++I) {
+      Config.Observer = Observers[I];
+      Collectors[I]->beginRun(SampleSeed);
+      runCompiled(Code, Config);
+      Reports[I] = Collectors[I]->takeReport();
+    }
+    for (int I = 1; I < 3; ++I) {
+      ASSERT_EQ(Reports[I].SiteObservations, Reports[0].SiteObservations);
+      ASSERT_EQ(Reports[I].TruePredicates, Reports[0].TruePredicates);
+    }
+    for (const auto &[Site, Count] : Reports[2].SiteObservations)
+      Samples[static_cast<size_t>(Sites.site(Site).SchemeKind)] += Count;
+  }
+  for (const auto &[NodeId, Count] : Brute.CallsByNode) {
+    SiteTable::SiteRange Range = Sites.sitesForNode(NodeId);
+    for (uint32_t Site = Range.First; Site < Range.First + Range.Count;
+         ++Site) {
+      auto Kind = static_cast<size_t>(Sites.site(Site).SchemeKind);
+      Reaches[Kind] += Count;
+      Expected[Kind] += static_cast<double>(Count) * Plan.rate(Site);
+    }
+  }
+
+  EXPECT_EQ(OnCalls.Calls, OffCalls.Calls);
+  EXPECT_LT(OnCalls.Calls, Brute.Calls);
+  const ReportCollector::ReachStats &Stats = On.reachStats();
+  for (size_t Kind = 0; Kind < 3; ++Kind) {
+    EXPECT_GT(Reaches[Kind], 0u) << Kind;
+    EXPECT_EQ(Stats.Reaches[Kind], Reaches[Kind]) << Kind;
+    EXPECT_EQ(Stats.Samples[Kind], Samples[Kind]) << Kind;
+    EXPECT_NEAR(Stats.ExpectedSamples[Kind], Expected[Kind],
+                1e-9 * Expected[Kind])
+        << Kind;
+  }
+  // Off counts nothing.
+  EXPECT_EQ(Off.reachStats().Reaches[0], 0u);
 }
