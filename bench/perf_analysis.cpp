@@ -642,11 +642,12 @@ void BM_Aggregation(benchmark::State &State) {
 
 void BM_IndexBuild(benchmark::State &State) {
   const SyntheticWorld &World = worldFor(State.range(0));
+  RunProfiles Runs = RunProfiles::fromReports(World.Reports);
   for (auto _ : State) {
-    InvertedIndex Index = InvertedIndex::build(World.Reports);
+    InvertedIndex Index = InvertedIndex::build(Runs);
     benchmark::DoNotOptimize(Index.numPostings());
   }
-  State.counters["runs"] = static_cast<double>(World.Reports.size());
+  State.counters["runs"] = static_cast<double>(Runs.size());
 }
 
 void BM_BitsetBuild(benchmark::State &State) {

@@ -100,6 +100,7 @@ CauseIsolator::CauseIsolator(const SiteTable &Sites, const ReportSet &Set,
     : Sites(Sites), OwnedRuns(RunProfiles::fromReports(Set)),
       Runs(*OwnedRuns), Options(Options) {
   assert(Sites.numPredicates() == Runs.numPredicates() &&
+         Sites.numSites() == Runs.numSites() &&
          "report set does not match the site table");
 }
 
@@ -107,6 +108,7 @@ CauseIsolator::CauseIsolator(const SiteTable &Sites, const RunProfiles &Runs,
                              AnalysisOptions Options)
     : Sites(Sites), Runs(Runs), Options(Options) {
   assert(Sites.numPredicates() == Runs.numPredicates() &&
+         Sites.numSites() == Runs.numSites() &&
          "run profiles do not match the site table");
 }
 
@@ -162,11 +164,12 @@ struct BestCandidate {
 BestCandidate scoreCandidates(const Aggregates &Agg, const SiteTable &Sites,
                               const std::vector<uint32_t> &Candidates,
                               std::vector<double> &ImportanceByPred) {
-  uint64_t NumF = Agg.numFailing();
+  // One logarithm per pass: log(NumF) is the same for every candidate.
+  const double LogNumF = PredicateScores::logNumFailing(Agg.numFailing());
   BestCandidate Best;
   for (uint32_t Pred : Candidates) {
     PredicateScores Scores = Agg.scores(Pred, Sites);
-    double Importance = Scores.importance(NumF);
+    double Importance = Scores.importanceFromLog(LogNumF);
     ImportanceByPred[Pred] = Importance;
     if (Scores.counts().F == 0 || Importance <= 0.0)
       continue;
@@ -359,13 +362,15 @@ AnalysisResult CauseIsolator::run() const {
     if (Options.SharedIndex) {
       Index = Options.SharedIndex;
       if (Index->numPredicates() != Runs.numPredicates() ||
-          Index->numSites() != Runs.numSites()) {
+          Index->numSites() != Runs.numSites() ||
+          Index->numRuns() != Runs.size()) {
         std::fprintf(stderr,
-                     "sbi: CauseIsolator::run: shared index (%u sites / %u "
-                     "predicates) was not built over this run population "
-                     "(%u sites / %u predicates)\n",
-                     Index->numSites(), Index->numPredicates(),
-                     Runs.numSites(), Runs.numPredicates());
+                     "sbi: CauseIsolator::run: shared index (%zu runs / %u "
+                     "sites / %u predicates) was not built over this run "
+                     "population (%zu runs / %u sites / %u predicates)\n",
+                     Index->numRuns(), Index->numSites(),
+                     Index->numPredicates(), Runs.size(), Runs.numSites(),
+                     Runs.numPredicates());
         std::abort();
       }
     } else {

@@ -74,11 +74,12 @@ struct AnalysisOptions {
   /// (and the bitset engine's large row sweeps); 0 means one per hardware
   /// thread. Irrelevant under AnalysisEngine::Rescan.
   size_t IndexThreads = 0;
-  /// Optional prebuilt index over the same ReportSet, letting callers that
-  /// analyze one report set repeatedly (e.g. once per policy) pay the build
-  /// once. The index is immutable — all per-run() mutable state lives in
-  /// DeltaAggregates — and must outlive the isolator. When null the
-  /// incremental engine builds its own.
+  /// Optional prebuilt index over the same run population, letting callers
+  /// that analyze one population repeatedly (e.g. once per policy) pay the
+  /// build once. The index is immutable — all per-run() mutable state
+  /// lives in DeltaAggregates — and must outlive the isolator; run()
+  /// aborts if its run, site or predicate count differs from the
+  /// population's. When null the incremental engine builds its own.
   const InvertedIndex *SharedIndex = nullptr;
   /// The bitset-engine analog of SharedIndex: a prebuilt BitsetIndex over
   /// the same run population (immutable; mutable state lives in

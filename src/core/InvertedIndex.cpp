@@ -9,137 +9,70 @@
 
 using namespace sbi;
 
-namespace {
-
-/// Shared chunked builder: \p ForEachObservation(Run, SiteFn, PredFn) must
-/// invoke the callbacks for every observed site / true predicate of the
-/// run, ascending. Runs are partitioned into contiguous chunks, one worker
-/// per chunk, and chunk-local lists concatenated in run order, so any
-/// worker count yields the same index.
-template <typename ForEachFn>
-void buildPostings(std::vector<std::vector<uint32_t>> &PredRuns,
-                   std::vector<std::vector<uint32_t>> &SiteRuns,
-                   size_t NumRuns, size_t Threads,
-                   const ForEachFn &ForEachObservation) {
-  // Below ~4k runs the thread spawn/join overhead dominates the scan.
-  size_t Workers = resolveThreadCount(Threads, NumRuns / 4096);
-  if (Workers <= 1) {
-    for (size_t Run = 0; Run < NumRuns; ++Run)
-      ForEachObservation(
-          Run, [&](uint32_t Site) { SiteRuns[Site].push_back(Run); },
-          [&](uint32_t Pred) { PredRuns[Pred].push_back(Run); });
-    return;
-  }
-
-  struct ChunkLists {
-    std::vector<std::vector<uint32_t>> PredRuns;
-    std::vector<std::vector<uint32_t>> SiteRuns;
-  };
-  std::vector<ChunkLists> Chunks(Workers);
-  std::vector<std::thread> Pool;
-  Pool.reserve(Workers);
-  const size_t ChunkSize = (NumRuns + Workers - 1) / Workers;
-  for (size_t W = 0; W < Workers; ++W)
-    Pool.emplace_back([&, W] {
-      ChunkLists &Local = Chunks[W];
-      Local.PredRuns.resize(PredRuns.size());
-      Local.SiteRuns.resize(SiteRuns.size());
-      const size_t Begin = W * ChunkSize;
-      const size_t End = std::min(NumRuns, Begin + ChunkSize);
-      for (size_t Run = Begin; Run < End; ++Run)
-        ForEachObservation(
-            Run,
-            [&](uint32_t Site) { Local.SiteRuns[Site].push_back(Run); },
-            [&](uint32_t Pred) { Local.PredRuns[Pred].push_back(Run); });
-    });
-  for (std::thread &Worker : Pool)
-    Worker.join();
-
-  // Concatenation is parallel too: each final list is owned by exactly one
-  // merge worker (lists partitioned by id over a virtual pred-then-site
-  // space), and each is assembled in chunk order, so the result is the
-  // same as a serial merge and the concatenation no longer serializes the
-  // build behind one core.
-  const size_t NumPreds = PredRuns.size();
-  const size_t NumLists = NumPreds + SiteRuns.size();
-  auto mergeLists = [&](size_t Begin, size_t End) {
-    for (size_t I = Begin; I < End; ++I) {
-      std::vector<uint32_t> &Out =
-          I < NumPreds ? PredRuns[I] : SiteRuns[I - NumPreds];
-      size_t Total = 0;
-      for (const ChunkLists &Local : Chunks)
-        Total += (I < NumPreds ? Local.PredRuns[I]
-                               : Local.SiteRuns[I - NumPreds])
-                     .size();
-      Out.reserve(Total);
-      for (const ChunkLists &Local : Chunks) {
-        const std::vector<uint32_t> &Src =
-            I < NumPreds ? Local.PredRuns[I] : Local.SiteRuns[I - NumPreds];
-        Out.insert(Out.end(), Src.begin(), Src.end());
-      }
-    }
-  };
-  const size_t MergeWorkers = resolveThreadCount(Threads, NumLists / 1024);
-  if (MergeWorkers <= 1) {
-    mergeLists(0, NumLists);
-    return;
-  }
-  std::vector<std::thread> MergePool;
-  MergePool.reserve(MergeWorkers);
-  const size_t ListsPerWorker = (NumLists + MergeWorkers - 1) / MergeWorkers;
-  for (size_t W = 0; W < MergeWorkers; ++W) {
-    size_t Begin = W * ListsPerWorker;
-    size_t End = std::min(NumLists, Begin + ListsPerWorker);
-    MergePool.emplace_back([&mergeLists, Begin, End] {
-      mergeLists(Begin, End);
-    });
-  }
-  for (std::thread &Worker : MergePool)
-    Worker.join();
-}
-
-} // namespace
-
-InvertedIndex InvertedIndex::build(const ReportSet &Set, size_t Threads) {
-  InvertedIndex Index;
-  Index.PredRuns.resize(Set.numPredicates());
-  Index.SiteRuns.resize(Set.numSites());
-  buildPostings(Index.PredRuns, Index.SiteRuns, Set.size(), Threads,
-                [&Set](size_t Run, auto &&SiteFn, auto &&PredFn) {
-                  const FeedbackReport &Report = Set[Run];
-                  for (const auto &[Site, Count] :
-                       Report.Counts.SiteObservations)
-                    if (Count > 0)
-                      SiteFn(Site);
-                  for (const auto &[Pred, Count] :
-                       Report.Counts.TruePredicates)
-                    if (Count > 0)
-                      PredFn(Pred);
-                });
-  return Index;
-}
-
 InvertedIndex InvertedIndex::build(const RunProfiles &Runs, size_t Threads) {
+  const uint32_t NumPreds = Runs.numPredicates();
+  const size_t NumRuns = Runs.size();
   InvertedIndex Index;
-  Index.PredRuns.resize(Runs.numPredicates());
-  Index.SiteRuns.resize(Runs.numSites());
-  buildPostings(Index.PredRuns, Index.SiteRuns, Runs.size(), Threads,
-                [&Runs](size_t Run, auto &&SiteFn, auto &&PredFn) {
-                  for (uint32_t Site : Runs.sites(Run))
-                    SiteFn(Site);
-                  for (uint32_t Pred : Runs.preds(Run))
-                    PredFn(Pred);
-                });
-  return Index;
-}
+  Index.NumSites = Runs.numSites();
+  Index.NumRuns = NumRuns;
+  Index.Offsets.resize(static_cast<size_t>(NumPreds) + 1);
 
-size_t InvertedIndex::numPostings() const {
-  size_t N = 0;
-  for (const auto &Runs : PredRuns)
-    N += Runs.size();
-  for (const auto &Runs : SiteRuns)
-    N += Runs.size();
-  return N;
+  // Below ~4k runs the thread spawn/join overhead dominates the scan.
+  const size_t Workers = resolveThreadCount(Threads, NumRuns / 4096);
+  const size_t ChunkSize = (NumRuns + Workers - 1) / Workers;
+  // Runs \p Pass(W, Begin, End) over chunk W = [Begin, End) for every
+  // chunk, one thread per chunk (inline when there is only one).
+  auto forEachChunk = [&](const auto &Pass) {
+    auto chunk = [&](size_t W) {
+      Pass(W, std::min(NumRuns, W * ChunkSize),
+           std::min(NumRuns, (W + 1) * ChunkSize));
+    };
+    if (Workers <= 1) {
+      chunk(0);
+      return;
+    }
+    std::vector<std::thread> Pool;
+    Pool.reserve(Workers);
+    for (size_t W = 0; W < Workers; ++W)
+      Pool.emplace_back(chunk, W);
+    for (std::thread &Worker : Pool)
+      Worker.join();
+  };
+
+  // Count pass: Cursors[W][P] = how many of chunk W's runs have R(P) = 1.
+  std::vector<std::vector<uint64_t>> Cursors(Workers);
+  forEachChunk([&](size_t W, size_t Begin, size_t End) {
+    std::vector<uint64_t> &Count = Cursors[W];
+    Count.assign(NumPreds, 0);
+    for (size_t Run = Begin; Run < End; ++Run)
+      for (uint32_t Pred : Runs.preds(Run))
+        ++Count[Pred];
+  });
+
+  // Prefix sum in (predicate, chunk) order: P's list starts at Offsets[P],
+  // and chunk W's runs of P start at the cursor that replaces its count, so
+  // the chunks land one after another in run order.
+  uint64_t Total = 0;
+  for (uint32_t Pred = 0; Pred < NumPreds; ++Pred) {
+    Index.Offsets[Pred] = Total;
+    for (std::vector<uint64_t> &Cursor : Cursors) {
+      const uint64_t Count = Cursor[Pred];
+      Cursor[Pred] = Total;
+      Total += Count;
+    }
+  }
+  Index.Offsets[NumPreds] = Total;
+
+  // Scatter pass: every worker writes only the slots its cursors own.
+  Index.RunIds.resize(Total);
+  uint32_t *Out = Index.RunIds.data();
+  forEachChunk([&](size_t W, size_t Begin, size_t End) {
+    std::vector<uint64_t> &Cursor = Cursors[W];
+    for (size_t Run = Begin; Run < End; ++Run)
+      for (uint32_t Pred : Runs.preds(Run))
+        Out[Cursor[Pred]++] = static_cast<uint32_t>(Run);
+  });
+  return Index;
 }
 
 void DeltaAggregates::removeRun(size_t Run, bool Failed) {

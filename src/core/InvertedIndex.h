@@ -12,10 +12,11 @@
 /// O(selections x candidates x runs) — the dominant cost at the paper's
 /// 32,000-run scale. This module makes the loop incremental:
 ///
-///   InvertedIndex    one-time posting lists, built in parallel across
-///                    worker threads: for each predicate P, the sorted run
-///                    ids with R(P) = 1; for each site, the sorted run ids
-///                    that sampled the site at least once.
+///   InvertedIndex    one-time predicate posting lists: for each predicate
+///                    P, the ascending run ids with R(P) = 1. The lists are
+///                    the CSR transpose of RunProfiles' predicate ids — one
+///                    offsets array and one run-id array — built by a count
+///                    pass and a scatter pass over contiguous run chunks.
 ///
 ///   DeltaAggregates  mutable F/S/FObs/SObs counts, initialized by a single
 ///                    full scan and then updated by *subtracting* (or
@@ -41,41 +42,46 @@
 
 namespace sbi {
 
-/// Per-predicate and per-site posting lists of run indices.
+/// Per-predicate posting lists of run indices in CSR form: predicate P's
+/// runs are RunIds[Offsets[P], Offsets[P + 1]). Site lists are not kept —
+/// the elimination loop only ever walks the selected predicate's runs.
 class InvertedIndex {
 public:
-  /// Builds the index over \p Set. Runs are partitioned into contiguous
-  /// chunks, one worker thread per chunk, and chunk-local lists are
-  /// concatenated in run order, so any \p Threads value (0 = one per
-  /// hardware thread) yields the same index.
-  static InvertedIndex build(const ReportSet &Set, size_t Threads = 0);
-
-  /// Same contract over the compact RunProfiles store (the streamed-corpus
-  /// ingestion path); a profile store converted from \p Set yields a
-  /// bit-identical index.
+  /// Transposes \p Runs' predicate ids. Runs are split into contiguous
+  /// chunks, one worker thread per chunk (0 = one per hardware thread,
+  /// capped at one per 4,096 runs). Each worker counts its chunk's
+  /// postings per predicate; a prefix sum over (predicate, chunk) gives
+  /// every chunk its own write cursor in every list; each worker then
+  /// scatters its run ids. Lists come out ascending, and identical for
+  /// any \p Threads value.
   static InvertedIndex build(const RunProfiles &Runs, size_t Threads = 0);
 
-  /// Sorted run ids where predicate \p Pred was observed true (R(P) = 1).
-  const std::vector<uint32_t> &runsWhereTrue(uint32_t Pred) const {
-    return PredRuns[Pred];
-  }
-
-  /// Sorted run ids where site \p Site was sampled at least once.
-  const std::vector<uint32_t> &runsObservingSite(uint32_t Site) const {
-    return SiteRuns[Site];
+  /// Ascending run ids where predicate \p Pred was observed true
+  /// (R(P) = 1).
+  IdSpan runsWhereTrue(uint32_t Pred) const {
+    return {RunIds.data() + Offsets[Pred], RunIds.data() + Offsets[Pred + 1]};
   }
 
   uint32_t numPredicates() const {
-    return static_cast<uint32_t>(PredRuns.size());
+    return static_cast<uint32_t>(Offsets.size() - 1);
   }
-  uint32_t numSites() const { return static_cast<uint32_t>(SiteRuns.size()); }
+  /// The site count of the indexed population (no site lists are kept).
+  uint32_t numSites() const { return NumSites; }
+  /// Runs in the indexed population; every posting is below this.
+  size_t numRuns() const { return NumRuns; }
 
-  /// Total posting-list entries (for memory accounting in benches).
-  size_t numPostings() const;
+  /// Total posting-list entries: the predicate ids in the indexed
+  /// profiles.
+  size_t numPostings() const { return RunIds.size(); }
 
 private:
-  std::vector<std::vector<uint32_t>> PredRuns;
-  std::vector<std::vector<uint32_t>> SiteRuns;
+  InvertedIndex() = default;
+
+  uint32_t NumSites = 0;
+  size_t NumRuns = 0;
+  /// numPredicates() + 1 entries; Offsets[P] is where P's list starts.
+  std::vector<uint64_t> Offsets;
+  std::vector<uint32_t> RunIds;
 };
 
 /// Aggregate counts kept live under run discarding/relabeling. Starts as a

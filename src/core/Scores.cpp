@@ -7,22 +7,27 @@
 
 using namespace sbi;
 
-double PredicateScores::sensitivity(uint64_t NumF) const {
-  if (NumF <= 1 || Counts.F == 0)
-    return 0.0;
-  double Num = std::log(static_cast<double>(Counts.F));
-  double Den = std::log(static_cast<double>(NumF));
-  return Num / Den;
+double PredicateScores::logNumFailing(uint64_t NumF) {
+  return NumF <= 1 ? 0.0 : std::log(static_cast<double>(NumF));
 }
 
-double PredicateScores::importance(uint64_t NumF) const {
+double PredicateScores::sensitivityFromLog(double LogNumF) const {
+  if (LogNumF <= 0.0 || Counts.F == 0)
+    return 0.0;
+  return std::log(static_cast<double>(Counts.F)) / LogNumF;
+}
+
+double PredicateScores::importanceFromLog(double LogNumF) const {
   // failure() - context() is bit-for-bit increase().Value; computing it
   // directly skips the interval's sqrt, which dominates the ranking loops.
   double Inc = failure() - context();
-  double Sens = sensitivity(NumF);
   // The harmonic mean is undefined when either term is nonpositive; the
-  // paper defines Importance as 0 in that case.
-  if (Inc <= 0.0 || Sens <= 0.0)
+  // paper defines Importance as 0 in that case. Testing Increase first
+  // skips the logarithm for every predicate that cannot score.
+  if (Inc <= 0.0)
+    return 0.0;
+  double Sens = sensitivityFromLog(LogNumF);
+  if (Sens <= 0.0)
     return 0.0;
   return 2.0 / (1.0 / Inc + 1.0 / Sens);
 }

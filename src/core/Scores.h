@@ -81,10 +81,22 @@ public:
   }
 
   /// The log-moderated sensitivity term log(F(P)) / log(NumF).
-  double sensitivity(uint64_t NumF) const;
+  double sensitivity(uint64_t NumF) const {
+    return sensitivityFromLog(logNumFailing(NumF));
+  }
 
   /// Importance(P) over a population with \p NumF failing runs.
-  double importance(uint64_t NumF) const;
+  double importance(uint64_t NumF) const {
+    return importanceFromLog(logNumFailing(NumF));
+  }
+
+  /// log(NumF), the sensitivity term's denominator; 0 when NumF <= 1,
+  /// where sensitivity (and so Importance) is 0. A pass scoring many
+  /// predicates over one population takes it once.
+  static double logNumFailing(uint64_t NumF);
+
+  /// importance() given \p LogNumF = logNumFailing(NumF).
+  double importanceFromLog(double LogNumF) const;
 
   /// Delta-method 95% interval for Importance (Section 3.3's suggestion).
   ScoreInterval importanceInterval(uint64_t NumF) const;
@@ -93,6 +105,8 @@ public:
   ThermometerSpec thermometer() const;
 
 private:
+  double sensitivityFromLog(double LogNumF) const;
+
   PredicateCounts Counts;
 };
 

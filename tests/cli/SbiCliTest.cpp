@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,40 @@ CliResult runCommand(const std::string &Command) {
   return Result;
 }
 
+/// Copies the SBI-REPORTS v1 file \p In to \p Out with its site count cut
+/// to \p NumSites and every site entry at or above it dropped: a file
+/// that is still well-formed, but no longer matches its subject.
+bool cutSites(const std::string &In, const std::string &Out,
+              unsigned NumSites) {
+  std::ifstream Src(In);
+  std::ofstream Dst(Out);
+  std::string Line;
+  for (int LineNo = 0; std::getline(Src, Line); ++LineNo) {
+    std::istringstream Fields(Line);
+    if (LineNo == 1) {
+      unsigned Sites = 0, Preds = 0, Reports = 0;
+      if (!(Fields >> Sites >> Preds >> Reports))
+        return false;
+      Dst << NumSites << ' ' << Preds << ' ' << Reports << '\n';
+    } else if (Line.rfind("S ", 0) == 0) {
+      std::string Mark, Entry;
+      size_t Count = 0;
+      Fields >> Mark >> Count;
+      std::vector<std::string> Kept;
+      while (Fields >> Entry)
+        if (std::stoul(Entry.substr(0, Entry.find(':'))) < NumSites)
+          Kept.push_back(Entry);
+      Dst << "S " << Kept.size();
+      for (const std::string &E : Kept)
+        Dst << ' ' << E;
+      Dst << '\n';
+    } else {
+      Dst << Line << '\n';
+    }
+  }
+  return static_cast<bool>(Dst);
+}
+
 } // namespace
 
 TEST(SbiCliTest, ExitStatusTable) {
@@ -55,6 +90,17 @@ TEST(SbiCliTest, ExitStatusTable) {
   const std::string Out = " --out=" + Dir + "/ccrypt.reports";
   const std::string Spill =
       Run + "--sampling=none --corpus=" + File + "/corpus --threads=";
+
+  // ccrypt has 253 sites; a report file and a corpus cut to 100 of them
+  // must be refused, not analyzed against predicates naming sites past
+  // the end of their observation counts.
+  const std::string Fresh = Dir + "/fresh.reports";
+  const std::string Cut = Dir + "/cut.reports";
+  const std::string CutCorpus = Dir + "/cut-corpus";
+  CliResult Made = runCommand(Run + "--out=" + Fresh);
+  ASSERT_EQ(Made.Status, 0) << Made.Output;
+  ASSERT_TRUE(cutSites(Fresh, Cut, 100));
+  const std::string Analyze = Sbi + "analyze --subject=ccrypt ";
 
   struct Case {
     std::string Command;
@@ -78,6 +124,10 @@ TEST(SbiCliTest, ExitStatusTable) {
       {"SBI_BENCH_RUNS=abc " + Table, 2, {"'abc'", "SBI_BENCH_RUNS"}},
       {"SBI_BENCH_SEED=12x " + Table, 2, {"'12x'", "SBI_BENCH_SEED"}},
       {Table + "--runs=40 --seed=12 --threads=1", 0, {"runs: 40, seed: 12"}},
+      {Sbi + "corpus convert --in=" + Cut + " --out=" + CutCorpus, 0,
+       {"converted 20 reports"}},
+      {Analyze + "--in=" + Cut, 1, {"'ccrypt'", "100 vs 253 sites"}},
+      {Analyze + "--corpus=" + CutCorpus, 1, {"'ccrypt'", "100 vs 253 sites"}},
   };
   for (const Case &C : Cases) {
     CliResult Result = runCommand(C.Command);

@@ -472,7 +472,7 @@ TEST(EngineDifferentialTest, SharedIndexMatchesOwnedIndex) {
   // that builds its own.
   SyntheticWorld World(16);
   ReportSet Set = multiBugSet(World, 909);
-  InvertedIndex Index = InvertedIndex::build(Set);
+  InvertedIndex Index = InvertedIndex::build(RunProfiles::fromReports(Set));
   for (DiscardPolicy Policy :
        {DiscardPolicy::DiscardAllRuns, DiscardPolicy::DiscardFailingRuns,
         DiscardPolicy::RelabelFailingRuns}) {
@@ -486,6 +486,23 @@ TEST(EngineDifferentialTest, SharedIndexMatchesOwnedIndex) {
     EXPECT_TRUE(bitIdentical(A, B)) << discardPolicyName(Policy);
     EXPECT_FALSE(B.Selected.empty()) << "trivial differential";
   }
+}
+
+TEST(CauseIsolatorDeathTest, SharedIndexOverOtherRunsAborts) {
+  // An index over a larger population of the same dimensions would hand
+  // the elimination loop run ids past the end of this one; run() refuses
+  // it, as it refuses a shared bitset over other runs.
+  SyntheticWorld World(16);
+  ReportSet Set = multiBugSet(World, 909);
+  InvertedIndex Index = InvertedIndex::build(RunProfiles::fromReports(Set));
+  ReportSet Half = World.emptySet();
+  for (size_t Run = 0; Run < Set.size() / 2; ++Run)
+    Half.add(Set[Run]);
+  AnalysisOptions Shared;
+  Shared.SharedIndex = &Index;
+  EXPECT_DEATH(CauseIsolator(World.Sites, Half, Shared).run(),
+               "shared index \\(500 runs.*was not built over this run "
+               "population \\(250 runs");
 }
 
 TEST(EngineDifferentialTest, SharedBitsetMatchesOwnedBitset) {

@@ -31,6 +31,32 @@ ReportSet randomSet(const SyntheticWorld &World, size_t NumRuns,
   return Set;
 }
 
+/// Profiles over \p NumPreds predicates in which predicate 0 and the last
+/// predicate are never true, about one run in ten has no true predicate,
+/// and the rest are true at rates from 1/16 to 7/16.
+RunProfiles randomProfiles(size_t NumRuns, uint32_t NumPreds, uint64_t Seed) {
+  const uint32_t NumSites = 8;
+  RunProfiles Runs(NumSites, NumPreds);
+  Rng R(Seed);
+  for (size_t Run = 0; Run < NumRuns; ++Run) {
+    Runs.beginRun(R.nextBernoulli(0.3));
+    for (uint32_t Site = 0; Site < NumSites; ++Site)
+      if (R.nextBernoulli(0.5))
+        Runs.addSite(Site);
+    if (R.nextBernoulli(0.1))
+      continue;
+    for (uint32_t Pred = 1; Pred + 1 < NumPreds; ++Pred)
+      if (R.nextBernoulli((Pred % 7 + 1) / 16.0))
+        Runs.addPred(Pred);
+  }
+  return Runs;
+}
+
+/// A posting list as a vector, for comparison.
+std::vector<uint32_t> ids(IdSpan Span) {
+  return std::vector<uint32_t>(Span.begin(), Span.end());
+}
+
 /// Asserts that \p Agg matches a from-scratch recomputation under \p View
 /// for every predicate.
 void expectMatchesRecompute(const SyntheticWorld &World, const ReportSet &Set,
@@ -53,23 +79,18 @@ void expectMatchesRecompute(const SyntheticWorld &World, const ReportSet &Set,
 TEST(InvertedIndexTest, PostingListsMatchReports) {
   SyntheticWorld World(12);
   ReportSet Set = randomSet(World, 60, 42);
-  InvertedIndex Index = InvertedIndex::build(Set, /*Threads=*/1);
+  InvertedIndex Index =
+      InvertedIndex::build(RunProfiles::fromReports(Set), /*Threads=*/1);
 
   ASSERT_EQ(Index.numPredicates(), Set.numPredicates());
   ASSERT_EQ(Index.numSites(), Set.numSites());
+  ASSERT_EQ(Index.numRuns(), Set.size());
   for (uint32_t Pred = 0; Pred < Set.numPredicates(); ++Pred) {
     std::vector<uint32_t> Expected;
     for (size_t Run = 0; Run < Set.size(); ++Run)
       if (Set[Run].observedTrue(Pred))
         Expected.push_back(static_cast<uint32_t>(Run));
-    EXPECT_EQ(Index.runsWhereTrue(Pred), Expected) << "pred " << Pred;
-  }
-  for (uint32_t Site = 0; Site < Set.numSites(); ++Site) {
-    std::vector<uint32_t> Expected;
-    for (size_t Run = 0; Run < Set.size(); ++Run)
-      if (Set[Run].siteObserved(Site))
-        Expected.push_back(static_cast<uint32_t>(Run));
-    EXPECT_EQ(Index.runsObservingSite(Site), Expected) << "site " << Site;
+    EXPECT_EQ(ids(Index.runsWhereTrue(Pred)), Expected) << "pred " << Pred;
   }
 }
 
@@ -81,10 +102,8 @@ TEST(InvertedIndexTest, ZeroCountEntriesAreNotIndexed) {
   Report.Counts.TruePredicates = {{World.predOf(0), 0},
                                   {World.predOf(1), 1}};
   Set.add(std::move(Report));
-  InvertedIndex Index = InvertedIndex::build(Set, 1);
-  EXPECT_TRUE(Index.runsObservingSite(0).empty());
-  EXPECT_EQ(Index.runsObservingSite(1).size(), 1u);
-  EXPECT_TRUE(Index.runsWhereTrue(World.predOf(0)).empty());
+  InvertedIndex Index = InvertedIndex::build(RunProfiles::fromReports(Set), 1);
+  EXPECT_EQ(Index.runsWhereTrue(World.predOf(0)).size(), 0u);
   EXPECT_EQ(Index.runsWhereTrue(World.predOf(1)).size(), 1u);
 }
 
@@ -92,18 +111,44 @@ TEST(InvertedIndexTest, ParallelBuildMatchesSerial) {
   SyntheticWorld World(12);
   // Enough runs that the parallel path actually splits into chunks (the
   // builder falls back to serial below ~4k runs per worker).
-  ReportSet Set = randomSet(World, 9000, 7);
-  InvertedIndex Serial = InvertedIndex::build(Set, 1);
+  RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 9000, 7));
+  InvertedIndex Serial = InvertedIndex::build(Runs, 1);
   for (size_t Threads : {2u, 3u, 8u}) {
-    InvertedIndex Parallel = InvertedIndex::build(Set, Threads);
+    InvertedIndex Parallel = InvertedIndex::build(Runs, Threads);
     ASSERT_EQ(Parallel.numPostings(), Serial.numPostings());
-    for (uint32_t Pred = 0; Pred < Set.numPredicates(); ++Pred)
-      ASSERT_EQ(Parallel.runsWhereTrue(Pred), Serial.runsWhereTrue(Pred))
+    for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred)
+      ASSERT_EQ(ids(Parallel.runsWhereTrue(Pred)),
+                ids(Serial.runsWhereTrue(Pred)))
           << "pred " << Pred << " with " << Threads << " threads";
-    for (uint32_t Site = 0; Site < Set.numSites(); ++Site)
-      ASSERT_EQ(Parallel.runsObservingSite(Site),
-                Serial.runsObservingSite(Site))
-          << "site " << Site << " with " << Threads << " threads";
+  }
+}
+
+TEST(InvertedIndexTest, TransposeMatchesBruteForceAtAnyChunkCount) {
+  // One worker per 4,096 runs at most: an empty population and 4,000 runs
+  // build in one chunk, 9,000 in up to two, 17,000 in up to four.
+  for (size_t NumRuns : {0u, 4000u, 9000u, 17000u}) {
+    RunProfiles Runs = randomProfiles(NumRuns, /*NumPreds=*/40, NumRuns);
+    size_t PredIds = 0;
+    for (size_t Run = 0; Run < Runs.size(); ++Run)
+      PredIds += Runs.preds(Run).size();
+    std::vector<std::vector<uint32_t>> Expected(Runs.numPredicates());
+    for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred)
+      for (size_t Run = 0; Run < Runs.size(); ++Run)
+        if (Runs.observedTrue(Run, Pred))
+          Expected[Pred].push_back(static_cast<uint32_t>(Run));
+    ASSERT_TRUE(Expected.front().empty() && Expected.back().empty());
+
+    for (size_t Threads : {0u, 1u, 2u, 3u, 8u}) {
+      InvertedIndex Index = InvertedIndex::build(Runs, Threads);
+      ASSERT_EQ(Index.numPredicates(), Runs.numPredicates());
+      ASSERT_EQ(Index.numSites(), Runs.numSites());
+      ASSERT_EQ(Index.numRuns(), NumRuns);
+      ASSERT_EQ(Index.numPostings(), PredIds);
+      for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred)
+        ASSERT_EQ(ids(Index.runsWhereTrue(Pred)), Expected[Pred])
+            << "pred " << Pred << ", " << NumRuns << " runs, " << Threads
+            << " threads";
+    }
   }
 }
 

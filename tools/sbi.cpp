@@ -378,11 +378,13 @@ bool obtainReports(const CliArgs &Args, CampaignResult &Result) {
                  Args.InFile.c_str());
     return false;
   }
-  if (Result.Reports.numPredicates() != Result.Sites.numPredicates()) {
+  if (Result.Reports.numSites() != Result.Sites.numSites() ||
+      Result.Reports.numPredicates() != Result.Sites.numPredicates()) {
     std::fprintf(stderr,
                  "sbi: report file does not match subject '%s' (%u vs %u "
-                 "predicates)\n",
-                 Subj->Name.c_str(), Result.Reports.numPredicates(),
+                 "sites, %u vs %u predicates)\n",
+                 Subj->Name.c_str(), Result.Reports.numSites(),
+                 Result.Sites.numSites(), Result.Reports.numPredicates(),
                  Result.Sites.numPredicates());
     return false;
   }
@@ -529,12 +531,13 @@ int cmdAnalyze(const CliArgs &Args) {
                    Args.CorpusDir.c_str(), Error.c_str());
       return 1;
     }
-    if (Runs.numPredicates() != Sites.numPredicates()) {
+    if (Runs.numSites() != Sites.numSites() ||
+        Runs.numPredicates() != Sites.numPredicates()) {
       std::fprintf(stderr,
                    "sbi: corpus does not match subject '%s' (%u vs %u "
-                   "predicates)\n",
-                   Subj->Name.c_str(), Runs.numPredicates(),
-                   Sites.numPredicates());
+                   "sites, %u vs %u predicates)\n",
+                   Subj->Name.c_str(), Runs.numSites(), Sites.numSites(),
+                   Runs.numPredicates(), Sites.numPredicates());
       return 1;
     }
     std::fprintf(stderr,
