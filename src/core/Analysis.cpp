@@ -4,7 +4,6 @@
 
 #include "core/BitMatrix.h"
 #include "core/InvertedIndex.h"
-#include "obs/Phase.h"
 #include "obs/Tracer.h"
 
 #include <algorithm>
@@ -313,11 +312,9 @@ CauseIsolator::initialCandidatesOf(const Aggregates &Agg) const {
 }
 
 AnalysisResult CauseIsolator::run() const {
-  ScopedPhase AnalysisPhase("analysis");
-  // Trace spans mirror the phase names so `sbi trace summarize` agrees
-  // with the registry's phase timers; the per-iteration spans add the
-  // resolution phases cannot give (which iteration dominates, and how the
-  // candidate pool shrinks).
+  // The per-iteration spans below add the resolution the stage spans
+  // cannot give: which iteration dominates, and how the candidate pool
+  // shrinks.
   ScopedSpan AnalysisSpan("analysis", "analysis");
 
   // The density fallback: for populations so sparse that dense word sweeps
@@ -354,7 +351,7 @@ AnalysisResult CauseIsolator::run() const {
   std::optional<BitsetState> BState;
   // An owned posting-list build reads the same immutable RunProfiles as
   // the initial scan, so it runs on a worker concurrently with the scan
-  // below instead of serializing in front of it; the "index_build" phase
+  // below instead of serializing in front of it; the "index_build" span
   // then measures only the residual join wait.
   std::thread IndexBuilder;
 
@@ -379,7 +376,6 @@ AnalysisResult CauseIsolator::run() const {
       });
     }
   } else if (Bitset) {
-    ScopedPhase IndexPhase("index_build");
     ScopedSpan IndexSpan("index_build", "analysis");
     if (Options.SharedBitset) {
       BIndex = Options.SharedBitset;
@@ -401,10 +397,7 @@ AnalysisResult CauseIsolator::run() const {
 
   // Initial (full-population) scores, shown as the "initial thermometer".
   // The bitset build already fused this scan into its counting pass.
-  std::optional<ScopedPhase> ScanPhase;
-  std::optional<ScopedSpan> ScanSpan;
-  ScanPhase.emplace("initial_scan");
-  ScanSpan.emplace("initial_scan", "analysis");
+  std::optional<ScopedSpan> ScanSpan(std::in_place, "initial_scan", "analysis");
   if (Incremental)
     Delta.emplace(Runs, View);
   Aggregates InitialAgg = Bitset        ? BIndex->initialAggregates()
@@ -416,16 +409,13 @@ AnalysisResult CauseIsolator::run() const {
       Bitset ? BIndex->survivors() : survivorsOf(InitialAgg);
   std::vector<uint32_t> Candidates = initialCandidatesOf(InitialAgg);
   ScanSpan.reset();
-  ScanPhase.reset();
 
   if (IndexBuilder.joinable()) {
-    ScopedPhase IndexPhase("index_build");
     ScopedSpan IndexSpan("index_build", "analysis");
     IndexBuilder.join();
     Index = &*OwnedIndex;
   }
 
-  ScopedPhase EliminationPhase("elimination");
   ScopedSpan EliminationSpan("elimination", "analysis");
 
   // The live engines' current counts: delta-maintained or popcount-

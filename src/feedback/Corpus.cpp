@@ -2,7 +2,6 @@
 
 #include "feedback/Corpus.h"
 
-#include "obs/Phase.h"
 #include "obs/Telemetry.h"
 #include "obs/Tracer.h"
 #include "support/Parallel.h"
@@ -554,9 +553,7 @@ bool sbi::readCorpus(const std::string &Dir, ReportSet &Out,
 bool sbi::ingestCorpus(const std::string &Dir, RunProfiles &Out,
                        size_t Threads, std::string &Error,
                        CorpusIngestStats *Stats) {
-  ScopedPhase IngestPhase("corpus_ingest");
-  // Span name mirrors the phase name (see obs/Tracer.h); per-shard child
-  // spans below show decode skew across workers.
+  // Per-shard child spans below show decode skew across workers.
   ScopedSpan IngestSpan("corpus_ingest", "feedback");
   auto Start = std::chrono::steady_clock::now();
 

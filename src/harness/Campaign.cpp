@@ -3,7 +3,6 @@
 #include "harness/Campaign.h"
 
 #include "feedback/Corpus.h"
-#include "obs/Phase.h"
 #include "obs/Telemetry.h"
 #include "obs/Tracer.h"
 #include "runtime/Interp.h"
@@ -118,9 +117,6 @@ struct RunTally {
 
 CampaignResult sbi::runCampaign(const Subject &Subj,
                                 const CampaignOptions &Options) {
-  ScopedPhase CampaignPhase("campaign");
-  // Trace spans mirror the phase names exactly so `sbi trace summarize`
-  // totals line up with the registry's phase timers.
   ScopedSpan CampaignSpan("campaign", "harness");
   CampaignSpan.arg("runs", Options.NumRuns);
   const bool Obs = Telemetry::enabled();
@@ -149,10 +145,7 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
       Metrics.registerHistogram("campaign.runs_per_worker");
   auto WallStart = std::chrono::steady_clock::now();
 
-  std::optional<ScopedPhase> ParsePhase;
-  std::optional<ScopedSpan> ParseSpan;
-  ParsePhase.emplace("parse");
-  ParseSpan.emplace("parse", "harness");
+  std::optional<ScopedSpan> ParseSpan(std::in_place, "parse", "harness");
   CampaignResult Result;
   Result.Subj = &Subj;
   Result.Prog = compileSubjectSource(Subj.Source, Subj.Name);
@@ -170,7 +163,6 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
   const std::vector<uint8_t> *SiteMask = nullptr;
   std::vector<uint8_t> ObservedNodes;
   if (Options.StaticPrune) {
-    ScopedPhase PrunePhase("static_prune");
     ScopedSpan PruneSpan("static_prune", "harness");
     Result.StaticPruned = true;
     Result.Prune = computePrune(*Result.Prog, Result.Sites);
@@ -192,7 +184,6 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
       GoldenBytecode = compileProgram(*Result.Golden);
   }
   ParseSpan.reset();
-  ParsePhase.reset();
   auto executeBuggy = [&](const RunConfig &Config) {
     return Options.Exec == Engine::VM ? runCompiled(Bytecode, Config)
                                       : runProgram(*Result.Prog, Config);
@@ -219,10 +210,7 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
   };
 
   // --- Choose the sampling plan -----------------------------------------
-  std::optional<ScopedPhase> PlanPhase;
-  std::optional<ScopedSpan> PlanSpan;
-  PlanPhase.emplace("plan_training");
-  PlanSpan.emplace("plan_training", "harness");
+  std::optional<ScopedSpan> PlanSpan(std::in_place, "plan_training", "harness");
   if (Options.Mode == SamplingMode::None) {
     Result.Plan = SamplingPlan::full(Result.Sites.numSites());
   } else if (Options.Mode == SamplingMode::Uniform) {
@@ -256,7 +244,6 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
       TrainingRunsTotal.add(Options.TrainingRuns);
   }
   PlanSpan.reset();
-  PlanPhase.reset();
 
   // --- Main campaign -----------------------------------------------------
   // The loop runs over units: run K in memory, or shard K — runs
@@ -379,7 +366,6 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
 
   auto RunLoopStart = std::chrono::steady_clock::now();
   {
-    ScopedPhase RunLoopPhase("run_loop");
     ScopedSpan RunLoopSpan("run_loop", "harness");
     std::error_code DirEc;
     if (Spill)
@@ -402,7 +388,6 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
     return Result;
 
   {
-    ScopedPhase LabelPhase("label");
     ScopedSpan LabelSpan("label", "harness");
     Result.Reports =
         ReportSet(Result.Sites.numSites(), Result.Sites.numPredicates());

@@ -93,16 +93,19 @@ MetricsRegistry::findHistogram(const std::string &Name) const {
   return It == Histograms.end() ? nullptr : It->second.get();
 }
 
-void MetricsRegistry::recordPhase(const std::string &Path, uint64_t Nanos) {
+void MetricsRegistry::recordPhase(std::string_view Name, uint64_t Nanos) {
   std::lock_guard<std::mutex> Lock(Mu);
-  PhaseStats &Stats = Phases[Path];
-  ++Stats.Count;
-  Stats.TotalNanos += Nanos;
+  // Heterogeneous lookup: a phase that already exists costs no string.
+  auto It = Phases.find(Name);
+  if (It == Phases.end())
+    It = Phases.emplace(std::string(Name), PhaseStats{}).first;
+  ++It->second.Count;
+  It->second.TotalNanos += Nanos;
 }
 
-PhaseStats MetricsRegistry::phase(const std::string &Path) const {
+PhaseStats MetricsRegistry::phase(std::string_view Name) const {
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Phases.find(Path);
+  auto It = Phases.find(Name);
   return It == Phases.end() ? PhaseStats{} : It->second;
 }
 

@@ -20,8 +20,10 @@
 ///                values whose bit width is i: bucket 0 is exactly {0},
 ///                bucket 1 is {1}, bucket 2 is [2,3], ... bucket 64 is
 ///                [2^63, 2^64-1].
-///   - Phases:    accumulated wall time per dotted/nested phase path,
-///                recorded by obs/Phase.h's ScopedPhase.
+///   - Phases:    call count and accumulated wall time per span name,
+///                added by each ScopedSpan (obs/Tracer.h) that closes
+///                while telemetry is on. Phase keys are therefore exactly
+///                the span names a trace of the same run holds.
 ///
 /// Instruments are registered once by name and live for the process;
 /// registering the same name twice aborts with a diagnostic, so two layers
@@ -42,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace sbi {
 
@@ -124,7 +127,7 @@ private:
   std::atomic<uint64_t> Max{0};
 };
 
-/// Wall time accumulated under one phase path.
+/// Calls and wall time accumulated under one phase (span) name.
 struct PhaseStats {
   uint64_t Count = 0;
   uint64_t TotalNanos = 0;
@@ -155,12 +158,12 @@ public:
   const Label *findLabel(const std::string &Name) const;
   const Histogram *findHistogram(const std::string &Name) const;
 
-  /// Adds \p Nanos of wall time under \p Path (phases need no
-  /// registration; ScopedPhase composes paths from its nesting).
-  void recordPhase(const std::string &Path, uint64_t Nanos);
+  /// Adds one call of \p Nanos wall time to phase \p Name (phases need
+  /// no registration).
+  void recordPhase(std::string_view Name, uint64_t Nanos);
 
-  /// Phase stats for \p Path; {0,0} when the phase never ran.
-  PhaseStats phase(const std::string &Path) const;
+  /// Phase stats for \p Name; {0,0} when the phase never ran.
+  PhaseStats phase(std::string_view Name) const;
 
   /// The whole registry as one deterministic (name-sorted) JSON object
   /// with "phases", "counters", "gauges", "labels", and "histograms" keys.
@@ -181,7 +184,7 @@ private:
   std::map<std::string, std::unique_ptr<Gauge>> Gauges;
   std::map<std::string, std::unique_ptr<Label>> Labels;
   std::map<std::string, std::unique_ptr<Histogram>> Histograms;
-  std::map<std::string, PhaseStats> Phases;
+  std::map<std::string, PhaseStats, std::less<>> Phases;
 };
 
 } // namespace sbi

@@ -1,7 +1,7 @@
-//===- obs/Telemetry.cpp - Telemetry switch -------------------------------===//
+//===- obs/Telemetry.cpp - Observability switches -------------------------===//
 
 #include "obs/Telemetry.h"
 
 using namespace sbi;
 
-std::atomic<bool> Telemetry::EnabledFlag{false};
+std::atomic<unsigned> Telemetry::Switches{0};

@@ -85,7 +85,6 @@ std::string sbi::traceToJson(const Tracer &T) {
                      return A.Seq < B.Seq;
                    });
 
-#if !defined(SBI_TELEMETRY_DISABLED)
   if (Telemetry::enabled()) {
     // Gauges, not counters: flushing twice reports totals, not sums of
     // totals.
@@ -96,7 +95,6 @@ std::string sbi::traceToJson(const Tracer &T) {
     RecordedGauge.set(static_cast<double>(Events.size()));
     DroppedGauge.set(static_cast<double>(Dropped));
   }
-#endif
 
   std::string Out;
   Out.reserve(128 + Events.size() * 96);

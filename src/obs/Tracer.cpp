@@ -4,8 +4,6 @@
 
 using namespace sbi;
 
-std::atomic<bool> Tracer::EnabledFlag{false};
-
 Tracer &Tracer::instance() {
   static Tracer T;
   return T;
@@ -46,6 +44,24 @@ TraceBuffer &Tracer::threadBuffer() {
   Slot.Buf = Buffers.back().get();
   Slot.Epoch = Epoch.load(std::memory_order_relaxed);
   return *Slot.Buf;
+}
+
+void ScopedSpan::open(const char *Name, const char *Cat) {
+  if (On & Telemetry::TracingOn)
+    Buf = &Tracer::instance().threadBuffer();
+  Ev.Name = Name;
+  Ev.Cat = Cat;
+  Ev.StartNs = Tracer::nowNs();
+}
+
+void ScopedSpan::close() {
+  // One end-time read feeds both records, so a phase's total is exactly
+  // the sum of its spans' durations.
+  Ev.DurNs = Tracer::nowNs() - Ev.StartNs;
+  if (Buf)
+    Buf->append(Ev);
+  if (On & Telemetry::MetricsOn)
+    Telemetry::metrics().recordPhase(Ev.Name, Ev.DurNs);
 }
 
 void Tracer::instant(const char *Name, const char *Cat) {

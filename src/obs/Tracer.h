@@ -15,9 +15,10 @@
 ///
 /// The contract mirrors Telemetry::enabled():
 ///
-///   - Tracing is off by default; every recording call-site guards on one
-///     relaxed atomic load (Tracer::enabled()), so the untraced fast path
-///     is a single predictable branch.
+///   - Tracing is off by default. Its switch is one bit of the word that
+///     also holds telemetry's (obs/Telemetry.h), so every recording
+///     call-site guards on one relaxed atomic load and the untraced fast
+///     path is a single predictable branch.
 ///   - Recording is wait-free per thread: each OS thread owns one buffer,
 ///     appends are plain stores followed by one release store of the
 ///     count, and no lock is ever taken after a buffer exists. A full
@@ -26,16 +27,20 @@
 ///   - Name / category / argument-name strings must be string literals
 ///     (only the pointer is stored). Values are u64.
 ///
-/// ScopedSpan is the RAII recorder: it reads the clock at construction
-/// and appends one complete event (begin + duration) at destruction, so a
-/// span costs two clock reads and one 64-byte store on the owning
-/// thread's buffer. Defining SBI_TELEMETRY_DISABLED removes the engine-
-/// side hooks just as it does for metrics.
+/// ScopedSpan is the one scope timer, for the trace and the metrics
+/// registry's phase table alike. It reads both switches once at
+/// construction; with both off it does nothing more. Otherwise it reads
+/// the clock at construction and destruction, appends one complete event
+/// (begin + duration, one 64-byte store on the owning thread's buffer)
+/// when tracing is on, and adds one count and the same duration to the
+/// phase named after the span when telemetry is on.
 ///
-//======----------------------------------------------------------------------===//
+//===----------------------------------------------------------------------===//
 
 #ifndef SBI_OBS_TRACER_H
 #define SBI_OBS_TRACER_H
+
+#include "obs/Telemetry.h"
 
 #include <atomic>
 #include <chrono>
@@ -110,10 +115,10 @@ class Tracer {
 public:
   /// Turns span recording on or off process-wide.
   static void setEnabled(bool On) {
-    EnabledFlag.store(On, std::memory_order_relaxed);
+    Telemetry::setSwitch(Telemetry::TracingOn, On);
   }
   static bool enabled() {
-    return EnabledFlag.load(std::memory_order_relaxed);
+    return Telemetry::switches() & Telemetry::TracingOn;
   }
 
   /// The process-wide tracer every ScopedSpan records into.
@@ -152,34 +157,31 @@ public:
 private:
   Tracer() = default;
 
-  static std::atomic<bool> EnabledFlag;
-
   mutable std::mutex Mu;
   std::vector<std::unique_ptr<TraceBuffer>> Buffers;
   size_t Capacity = 1 << 16;
   std::atomic<uint64_t> Epoch{1};
 };
 
-/// RAII span recorder: one complete event on the constructing thread's
-/// buffer, emitted at destruction. Does nothing (and reads no clock) when
-/// tracing is disabled at construction.
+/// RAII scope timer: one complete event on the constructing thread's
+/// buffer while tracing is on, one count and duration in the phase named
+/// after the span while telemetry is on. The switches are read once, at
+/// construction; with both off the scope reads no clock and records
+/// nothing.
 class ScopedSpan {
 public:
   ScopedSpan(const char *Name, const char *Cat)
-      : Buf(Tracer::enabled() ? &Tracer::instance().threadBuffer()
-                              : nullptr) {
-    if (Buf) {
-      Ev.Name = Name;
-      Ev.Cat = Cat;
-      Ev.StartNs = Tracer::nowNs();
-    }
+      : On(Telemetry::switches()) {
+    if (On)
+      open(Name, Cat);
   }
 
   ScopedSpan(const ScopedSpan &) = delete;
   ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-  /// Attaches a u64 argument (at most two; extras are ignored). \p Name
-  /// must be a string literal. Callable any time before destruction.
+  /// Attaches a u64 argument to the trace event (at most two; extras are
+  /// ignored). \p Name must be a string literal. Callable any time before
+  /// destruction.
   void arg(const char *Name, uint64_t Val) {
     if (!Buf || Ev.NumArgs >= 2)
       return;
@@ -189,14 +191,17 @@ public:
   }
 
   ~ScopedSpan() {
-    if (!Buf)
-      return;
-    Ev.DurNs = Tracer::nowNs() - Ev.StartNs;
-    Buf->append(Ev);
+    if (On)
+      close();
   }
 
 private:
-  TraceBuffer *Buf;
+  // Out of line, so each call site inlines only the switch test.
+  void open(const char *Name, const char *Cat);
+  void close();
+
+  unsigned On; // Telemetry::switches() at construction.
+  TraceBuffer *Buf = nullptr; // Null unless tracing was on.
   TraceEvent Ev;
 };
 

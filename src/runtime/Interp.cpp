@@ -188,7 +188,6 @@ RunOutcome Interpreter::run() {
   Outcome.Steps = Steps;
   // Telemetry is a once-per-run flush of the locally maintained step
   // count; the per-step hot path carries no telemetry at all.
-#if !defined(SBI_TELEMETRY_DISABLED)
   if (Telemetry::enabled()) {
     static Counter &RunsCounter =
         Telemetry::metrics().registerCounter("interp.runs");
@@ -197,7 +196,6 @@ RunOutcome Interpreter::run() {
     RunsCounter.add(1);
     StepsCounter.add(Steps);
   }
-#endif
   return std::move(Outcome);
 }
 

@@ -245,7 +245,6 @@ RunOutcome VM::run() {
   Outcome.Steps = Steps;
   // Telemetry is a once-per-run flush of the locally maintained dispatch
   // count; the dispatch loop itself carries no telemetry.
-#if !defined(SBI_TELEMETRY_DISABLED)
   if (Telemetry::enabled()) {
     static Counter &RunsCounter =
         Telemetry::metrics().registerCounter("vm.runs");
@@ -254,7 +253,6 @@ RunOutcome VM::run() {
     RunsCounter.add(1);
     DispatchCounter.add(Steps);
   }
-#endif
   return std::move(Outcome);
 }
 

@@ -101,6 +101,8 @@ TEST(SbiCliTest, ExitStatusTable) {
   ASSERT_EQ(Made.Status, 0) << Made.Output;
   ASSERT_TRUE(cutSites(Fresh, Cut, 100));
   const std::string Analyze = Sbi + "analyze --subject=ccrypt ";
+  const std::string Report = Sbi + "report --subject=ccrypt --in=" + Fresh +
+                             " --out=" + Dir + "/ccrypt.report.html ";
 
   struct Case {
     std::string Command;
@@ -128,6 +130,17 @@ TEST(SbiCliTest, ExitStatusTable) {
        {"converted 20 reports"}},
       {Analyze + "--in=" + Cut, 1, {"'ccrypt'", "100 vs 253 sites"}},
       {Analyze + "--corpus=" + CutCorpus, 1, {"'ccrypt'", "100 vs 253 sites"}},
+      // report takes analyze's policy; a bad one is refused before any
+      // campaign runs.
+      {Report + "--policy=bogus", 2, {"'bogus'", "--policy"}},
+      {Report + "--policy=relabel", 0, {"wrote", "ccrypt.report.html"}},
+      // The streamed paths refuse the flags they cannot honour instead of
+      // ignoring them.
+      {Analyze + "--corpus=" + CutCorpus + " --static-prune", 2,
+       {"--corpus", "--static-prune"}},
+      {Analyze + "--corpus=" + CutCorpus + " --in=" + Fresh, 2,
+       {"--corpus", "--in"}},
+      {Run + "--corpus=" + Dir + "/spill" + Out, 2, {"--corpus", "--out"}},
   };
   for (const Case &C : Cases) {
     CliResult Result = runCommand(C.Command);

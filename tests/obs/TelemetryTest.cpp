@@ -1,14 +1,14 @@
 //===- tests/obs/TelemetryTest.cpp - Observability layer tests ------------===//
 //
 // Covers the telemetry subsystem: log2 histogram bucketing at the edges,
-// nested phase scopes, counter thread-safety, deterministic and
-// well-formed JSON emission, and the double-registration abort that keeps
-// two layers from silently aliasing one metric.
+// counter thread-safety, deterministic and well-formed JSON emission, and
+// the double-registration abort that keeps two layers from silently
+// aliasing one metric. The phase table's feed, ScopedSpan, is covered in
+// TracerTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/Metrics.h"
-#include "obs/Phase.h"
 #include "obs/Telemetry.h"
 #include "support/Json.h"
 
@@ -69,51 +69,6 @@ TEST(HistogramTest, EmptyHistogramHasSentinelExtremes) {
   EXPECT_EQ(H.count(), 0u);
   EXPECT_EQ(H.min(), UINT64_MAX);
   EXPECT_EQ(H.max(), 0u);
-}
-
-// --- Phase scopes ----------------------------------------------------------
-
-TEST(PhaseTest, NestedScopesComposePaths) {
-  MetricsRegistry Registry;
-  {
-    ScopedPhase Outer("outer", &Registry);
-    {
-      ScopedPhase Inner("inner", &Registry);
-      ScopedPhase Innermost("leaf", &Registry);
-    }
-    { ScopedPhase Inner("inner", &Registry); }
-  }
-  EXPECT_EQ(Registry.phase("outer").Count, 1u);
-  EXPECT_EQ(Registry.phase("outer/inner").Count, 2u);
-  EXPECT_EQ(Registry.phase("outer/inner/leaf").Count, 1u);
-  // A parent's accumulated time includes all of its children's.
-  EXPECT_GE(Registry.phase("outer").TotalNanos,
-            Registry.phase("outer/inner").TotalNanos);
-  EXPECT_GE(Registry.phase("outer/inner").TotalNanos,
-            Registry.phase("outer/inner/leaf").TotalNanos);
-  // Unknown paths read as zero.
-  EXPECT_EQ(Registry.phase("nonesuch").Count, 0u);
-  EXPECT_EQ(Registry.phase("nonesuch").TotalNanos, 0u);
-}
-
-TEST(PhaseTest, DisabledScopeRecordsNothingAndStaysOffThePath) {
-  MetricsRegistry Registry;
-  {
-    // A disabled (null-registry) outer scope must not distort the path of
-    // an enabled scope nested inside it.
-    ScopedPhase Disabled("ghost", nullptr);
-    ScopedPhase Enabled("real", &Registry);
-  }
-  EXPECT_EQ(Registry.phase("real").Count, 1u);
-  EXPECT_EQ(Registry.phase("ghost").Count, 0u);
-  EXPECT_EQ(Registry.phase("ghost/real").Count, 0u);
-}
-
-TEST(PhaseTest, DefaultConstructorIsNoOpWhileTelemetryOff) {
-  ASSERT_FALSE(Telemetry::enabled());
-  { ScopedPhase Off("telemetry_test_unused_phase"); }
-  EXPECT_EQ(Telemetry::metrics().phase("telemetry_test_unused_phase").Count,
-            0u);
 }
 
 // --- Counters and gauges ---------------------------------------------------

@@ -1,11 +1,19 @@
 //===- tests/obs/TracerTest.cpp - Span tracer tests -----------------------===//
+//
+// The tracer's buffers and JSON flush, and ScopedSpan as the one scope
+// timer: it feeds the trace while tracing is on and the metrics registry's
+// phase table while telemetry is on, from one pair of clock reads.
+//
+//===----------------------------------------------------------------------===//
 
+#include "obs/Telemetry.h"
 #include "obs/TraceSink.h"
 #include "obs/Tracer.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,21 +22,44 @@ using namespace sbi;
 
 namespace {
 
-/// Every test runs against the process-wide tracer, so restore the
-/// disabled-and-empty state on the way out.
+/// Every test runs against the process-wide tracer and registry, so
+/// restore the disabled-and-empty state on the way out.
 class TracerTest : public ::testing::Test {
 protected:
   void SetUp() override {
     Tracer::setEnabled(false);
+    Telemetry::setEnabled(false);
     Tracer::instance().setBufferCapacity(1 << 16);
     Tracer::instance().reset();
   }
   void TearDown() override {
     Tracer::setEnabled(false);
+    Telemetry::setEnabled(false);
     Tracer::instance().setBufferCapacity(1 << 16);
     Tracer::instance().reset();
   }
 };
+
+PhaseStats phaseOf(const char *Name) {
+  return Telemetry::metrics().phase(Name);
+}
+
+/// Every recorded span named \p Name, across all thread buffers.
+std::vector<TraceEvent> spansNamed(const char *Name) {
+  std::vector<TraceEvent> Out;
+  for (const TraceBuffer *B : Tracer::instance().buffers())
+    for (size_t I = 0; I < B->size(); ++I)
+      if (!B->event(I).Instant && std::strcmp(B->event(I).Name, Name) == 0)
+        Out.push_back(B->event(I));
+  return Out;
+}
+
+/// Spins until the tracer clock moves, so a span has a nonzero duration.
+void tick() {
+  uint64_t Start = Tracer::nowNs();
+  while (Tracer::nowNs() == Start)
+    ;
+}
 
 json::Value parseTrace(const std::string &Text) {
   json::Value V;
@@ -204,6 +235,115 @@ TEST_F(TracerTest, ResetDiscardsBuffersAndReacquires) {
   }
   EXPECT_TRUE(SawAfter);
   EXPECT_FALSE(SawBefore);
+}
+
+// --- ScopedSpan as the one scope timer -----------------------------------
+
+TEST_F(TracerTest, SwitchesShareOneWordButToggleIndependently) {
+  ASSERT_EQ(Telemetry::switches(), 0u);
+  Tracer::setEnabled(true);
+  EXPECT_TRUE(Tracer::enabled());
+  EXPECT_FALSE(Telemetry::enabled());
+  Telemetry::setEnabled(true);
+  EXPECT_EQ(Telemetry::switches(), Telemetry::MetricsOn | Telemetry::TracingOn);
+  Tracer::setEnabled(false);
+  EXPECT_FALSE(Tracer::enabled());
+  EXPECT_TRUE(Telemetry::enabled());
+  Telemetry::setEnabled(false);
+  EXPECT_EQ(Telemetry::switches(), 0u);
+}
+
+TEST_F(TracerTest, EachSwitchFeedsOnlyItsOwnRecord) {
+  // Telemetry alone: a phase, and no trace event.
+  PhaseStats Before = phaseOf("span_test_metrics_only");
+  Telemetry::setEnabled(true);
+  { ScopedSpan Span("span_test_metrics_only", "test"); }
+  Telemetry::setEnabled(false);
+  EXPECT_EQ(phaseOf("span_test_metrics_only").Count, Before.Count + 1);
+  EXPECT_EQ(Tracer::instance().recordedTotal(), 0u);
+
+  // Tracing alone: a trace event, and no phase.
+  Tracer::setEnabled(true);
+  { ScopedSpan Span("span_test_trace_only", "test"); }
+  Tracer::setEnabled(false);
+  EXPECT_EQ(spansNamed("span_test_trace_only").size(), 1u);
+  EXPECT_EQ(phaseOf("span_test_trace_only").Count, 0u);
+}
+
+TEST_F(TracerTest, PhaseTotalEqualsTheEventDurations) {
+  PhaseStats Before = phaseOf("span_test_both");
+  Telemetry::setEnabled(true);
+  Tracer::setEnabled(true);
+  for (int I = 0; I < 3; ++I) {
+    ScopedSpan Span("span_test_both", "test");
+    tick();
+  }
+  Tracer::setEnabled(false);
+  Telemetry::setEnabled(false);
+
+  PhaseStats After = phaseOf("span_test_both");
+  std::vector<TraceEvent> Events = spansNamed("span_test_both");
+  ASSERT_EQ(Events.size(), 3u);
+  EXPECT_EQ(After.Count - Before.Count, 3u);
+  uint64_t DurNs = 0;
+  for (const TraceEvent &Ev : Events) {
+    EXPECT_GT(Ev.DurNs, 0u);
+    DurNs += Ev.DurNs;
+  }
+  // One pair of clock reads per scope feeds both records.
+  EXPECT_EQ(After.TotalNanos - Before.TotalNanos, DurNs);
+}
+
+TEST_F(TracerTest, BothSwitchesOffRecordsNothing) {
+  ASSERT_EQ(Telemetry::switches(), 0u);
+  {
+    ScopedSpan Span("span_test_off", "test");
+    Span.arg("x", 1);
+  }
+  // The switches are read once, at construction: turning them on inside
+  // a scope that opened with both off records nothing either.
+  {
+    ScopedSpan Span("span_test_off", "test");
+    Telemetry::setEnabled(true);
+    Tracer::setEnabled(true);
+  }
+  Tracer::setEnabled(false);
+  Telemetry::setEnabled(false);
+  EXPECT_EQ(phaseOf("span_test_off").Count, 0u);
+  EXPECT_EQ(phaseOf("span_test_off").TotalNanos, 0u);
+  EXPECT_EQ(Tracer::instance().recordedTotal(), 0u);
+  EXPECT_TRUE(Tracer::instance().buffers().empty());
+}
+
+TEST_F(TracerTest, ConcurrentSpansCountExactly) {
+  // Run under ASan and TSan in CI: eight threads close spans into their
+  // own buffers and one shared phase entry at once.
+  constexpr int NumThreads = 8;
+  constexpr int PerThread = 1000;
+  PhaseStats Before = phaseOf("span_test_concurrent");
+  Telemetry::setEnabled(true);
+  Tracer::setEnabled(true);
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < NumThreads; ++T)
+    Workers.emplace_back([] {
+      for (int I = 0; I < PerThread; ++I)
+        ScopedSpan Span("span_test_concurrent", "test");
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  Tracer::setEnabled(false);
+  Telemetry::setEnabled(false);
+
+  PhaseStats After = phaseOf("span_test_concurrent");
+  std::vector<TraceEvent> Events = spansNamed("span_test_concurrent");
+  EXPECT_EQ(After.Count - Before.Count,
+            static_cast<uint64_t>(NumThreads * PerThread));
+  EXPECT_EQ(Events.size(), static_cast<size_t>(NumThreads * PerThread));
+  EXPECT_EQ(Tracer::instance().droppedTotal(), 0u);
+  uint64_t DurNs = 0;
+  for (const TraceEvent &Ev : Events)
+    DurNs += Ev.DurNs;
+  EXPECT_EQ(After.TotalNanos - Before.TotalNanos, DurNs);
 }
 
 } // namespace

@@ -24,7 +24,8 @@
 //       The Section 4.4 baseline: l1-regularized logistic regression.
 //
 //   sbi report --subject=NAME [--in=FILE] [--runs=N] [--seed=S]
-//              [--out=FILE] [--top=K] [--bugs]
+//              [--policy=all|failing|relabel] [--out=FILE] [--top=K]
+//              [--bugs]
 //       Write the analysis as a self-contained HTML page (the paper's
 //       "interactive version of our analysis tools").
 //
@@ -121,6 +122,7 @@ int usage() {
       "  logreg  --subject=NAME [--in=FILE] [--runs=N] [--top=K]\n"
       "  report  --subject=NAME [--in=FILE] [--out=FILE] [--top=K] "
       "[--bugs]\n"
+      "          [--policy=all|failing|relabel]\n"
       "  lint    [--subject=NAME] [--json]\n"
       "  trace   summarize --in=FILE [--top=K] [--json]\n"
       "  corpus  convert  --in=REPORTS --out=DIR [--shard-reports=N]\n"
@@ -278,6 +280,15 @@ bool parseArgs(int Argc, char **Argv, CliArgs &Args) {
   return true;
 }
 
+/// Refuses two flags \p Command cannot honour together, rather than
+/// silently ignoring one of them; returns the usage exit status.
+int conflictingFlags(const char *Command, const char *Flag,
+                     const char *Other) {
+  std::fprintf(stderr, "sbi: %s %s cannot be combined with %s\n", Command,
+               Flag, Other);
+  return 2;
+}
+
 /// One-line prune summary for a campaign that ran with --static-prune.
 void printPruneSummary(const CampaignResult &Result) {
   if (!Result.StaticPruned)
@@ -393,6 +404,8 @@ bool obtainReports(const CliArgs &Args, CampaignResult &Result) {
 
 int cmdRun(const CliArgs &Args) {
   if (!Args.CorpusDir.empty()) {
+    if (!Args.OutFile.empty())
+      return conflictingFlags("run", "--corpus", "--out");
     // Spill mode: workers flush completed reports straight into v2 shards;
     // the full ReportSet is never materialized.
     const Subject *Subj = findSubject(Args.SubjectName);
@@ -441,9 +454,11 @@ int cmdRun(const CliArgs &Args) {
   return 0;
 }
 
-/// Resolves --analysis-engine; returns false (after complaining) on a bad
-/// value.
-bool configureEngine(const CliArgs &Args, AnalysisOptions &Options) {
+/// Resolves the analysis flags analyze and report share:
+/// --analysis-engine, --policy and --threads (the index build's workers).
+/// Returns false (after complaining) on a bad value.
+bool configureAnalysis(const CliArgs &Args, AnalysisOptions &Options) {
+  Options.IndexThreads = Args.Threads;
   if (Args.Engine == "incremental")
     Options.Engine = AnalysisEngine::Incremental;
   else if (Args.Engine == "rescan")
@@ -455,11 +470,6 @@ bool configureEngine(const CliArgs &Args, AnalysisOptions &Options) {
                  Args.Engine.c_str());
     return false;
   }
-  return true;
-}
-
-/// Resolves --policy; returns false (after complaining) on a bad value.
-bool configurePolicy(const CliArgs &Args, AnalysisOptions &Options) {
   if (Args.Policy == "all")
     Options.Policy = DiscardPolicy::DiscardAllRuns;
   else if (Args.Policy == "failing")
@@ -505,11 +515,16 @@ int printAnalysis(const CliArgs &Args, const SiteTable &Sites,
 
 int cmdAnalyze(const CliArgs &Args) {
   AnalysisOptions Options;
-  if (!configureEngine(Args, Options) || !configurePolicy(Args, Options))
+  if (!configureAnalysis(Args, Options))
     return usage();
-  Options.IndexThreads = Args.Threads;
 
   if (!Args.CorpusDir.empty()) {
+    // Prune verification replays the reports in memory, which the
+    // streamed path never builds; and the reports come from DIR alone.
+    if (Args.StaticPrune)
+      return conflictingFlags("analyze", "--corpus", "--static-prune");
+    if (!Args.InFile.empty())
+      return conflictingFlags("analyze", "--corpus", "--in");
     // Streamed path: shards decode in parallel into a compact profile
     // store; no ReportSet is ever built. Results are bit-identical to the
     // in-memory path (differential-tested).
@@ -613,12 +628,12 @@ int cmdLogReg(const CliArgs &Args) {
 }
 
 int cmdReport(const CliArgs &Args) {
+  AnalysisOptions AnalyzeOptions;
+  if (!configureAnalysis(Args, AnalyzeOptions))
+    return usage();
   CampaignResult Result;
   if (!obtainReports(Args, Result))
     return 1;
-  AnalysisOptions AnalyzeOptions;
-  if (!configureEngine(Args, AnalyzeOptions))
-    return usage();
   CauseIsolator Isolator(Result.Sites, Result.Reports, AnalyzeOptions);
   AnalysisResult Analysis = Isolator.run();
 
