@@ -375,38 +375,23 @@ void emitScaleJson(FILE *Json, const ScaleResult &R, bool Last) {
                R.speedupInclBuild(), Last ? "" : ",");
 }
 
-// --- v1 text vs. SBI-CORPUS v2 size and ingestion throughput --------------
+// --- SBI-CORPUS v2 size and ingestion throughput ---------------------------
 
 struct CorpusBenchResult {
-  uint64_t V1Bytes = 0;
   uint64_t V2Bytes = 0;
   size_t Shards = 0;
-  double V1ParseMs = 0.0;
   double V2Ingest1Ms = 0.0; // single ingestion thread
   double V2IngestNMs = 0.0; // one thread per core
   size_t IngestThreads = 1;
   bool Ok = false;
 };
 
-/// Serializes \p World's reports both ways — the v1 text format parsed via
-/// ReportSet::deserialize, and an SBI-CORPUS v2 shard directory streamed
-/// via ingestCorpus — and measures file size plus ingestion throughput of
-/// each. The corpus lands in a scratch directory that is removed
-/// afterwards.
+/// Writes \p World's reports as an SBI-CORPUS v2 shard directory and
+/// measures its size plus the throughput of streaming it back with
+/// ingestCorpus, on one thread and on one per core. The corpus lands in a
+/// scratch directory that is removed afterwards.
 CorpusBenchResult corpusComparison(const SyntheticWorld &World) {
   CorpusBenchResult R;
-
-  std::string V1 = World.Reports.serialize();
-  R.V1Bytes = V1.size();
-
-  auto Start = std::chrono::steady_clock::now();
-  ReportSet Parsed;
-  if (!ReportSet::deserialize(V1, Parsed)) {
-    std::fprintf(stderr, "perf_analysis: v1 reparse failed\n");
-    return R;
-  }
-  auto End = std::chrono::steady_clock::now();
-  R.V1ParseMs = std::chrono::duration<double, std::milli>(End - Start).count();
 
   std::string Dir = (std::filesystem::temp_directory_path() /
                      "sbi-perf-analysis-corpus")
@@ -441,10 +426,7 @@ CorpusBenchResult corpusComparison(const SyntheticWorld &World) {
   auto MBps = [](uint64_t Bytes, double Ms) {
     return Ms > 0.0 ? (static_cast<double>(Bytes) / 1e6) / (Ms / 1000.0) : 0.0;
   };
-  std::printf("# corpus formats, %zu reports\n", World.Reports.size());
-  std::printf("v1 text    %9.1f MB   parse  %8.1f ms   %7.1f MB/s\n",
-              static_cast<double>(R.V1Bytes) / 1e6, R.V1ParseMs,
-              MBps(R.V1Bytes, R.V1ParseMs));
+  std::printf("# corpus ingestion, %zu reports\n", World.Reports.size());
   std::printf("v2 corpus  %9.1f MB   ingest %8.1f ms   %7.1f MB/s   "
               "(1 thread, %zu shards)\n",
               static_cast<double>(R.V2Bytes) / 1e6, R.V2Ingest1Ms,
@@ -453,9 +435,6 @@ CorpusBenchResult corpusComparison(const SyntheticWorld &World) {
               "(%zu threads)\n",
               static_cast<double>(R.V2Bytes) / 1e6, R.V2IngestNMs,
               MBps(R.V2Bytes, R.V2IngestNMs), R.IngestThreads);
-  std::printf("v2/v1 size %.3f\n", R.V1Bytes ? static_cast<double>(R.V2Bytes) /
-                                                   static_cast<double>(R.V1Bytes)
-                                             : 0.0);
   return R;
 }
 
@@ -509,7 +488,7 @@ TracingBenchResult tracingOverhead(const SiteTable &Sites,
   return R;
 }
 
-/// The full comparison: both scales, the corpus formats, one instrumented
+/// The full comparison: both scales, corpus ingestion, one instrumented
 /// pass for the phase breakdown, then BENCH_analysis.json. Returns false
 /// if any engine pair diverged at any scale.
 bool engineComparison() {
@@ -574,15 +553,13 @@ bool engineComparison() {
   emitScaleJson(Json, Scale1M, /*Last=*/true);
   std::fprintf(Json, "  ],\n");
   std::fprintf(Json,
-               "  \"corpus\": {\"reports\": %zu, \"v1_bytes\": %llu, "
+               "  \"corpus\": {\"reports\": %zu, "
                "\"v2_bytes\": %llu, \"v2_shards\": %zu, "
-               "\"v1_parse_ms\": %.3f, \"v2_ingest_1t_ms\": %.3f, "
+               "\"v2_ingest_1t_ms\": %.3f, "
                "\"v2_ingest_ms\": %.3f, \"ingest_threads\": %zu},\n",
                static_cast<size_t>(Scale32k.Runs),
-               static_cast<unsigned long long>(Corpus.V1Bytes),
                static_cast<unsigned long long>(Corpus.V2Bytes), Corpus.Shards,
-               Corpus.V1ParseMs, Corpus.V2Ingest1Ms, Corpus.V2IngestNMs,
-               Corpus.IngestThreads);
+               Corpus.V2Ingest1Ms, Corpus.V2IngestNMs, Corpus.IngestThreads);
   std::fprintf(Json,
                "  \"tracing\": {\"off_ms\": %.3f, \"on_ms\": %.3f, "
                "\"overhead_pct\": %.3f, \"events\": %llu},\n",

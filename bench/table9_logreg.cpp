@@ -40,8 +40,8 @@ int main(int Argc, char **Argv) {
   CampaignResult Result = runCampaign(mossSubject(), Options);
 
   std::vector<double> LambdaPath = {0.05, 0.02, 0.01, 0.005, 0.002, 0.001};
-  LogRegModel Model = trainForSparsity(Result.Reports, /*MaxActive=*/40,
-                                       LambdaPath);
+  LogRegModel Model = trainForSparsity(RunProfiles::fromReports(Result.Reports),
+                                       /*MaxActive=*/40, LambdaPath);
   std::printf("trained: %d nonzero weights, %d iterations, objective "
               "%.5f\n\n",
               Model.numNonzero(), Model.Iterations, Model.FinalObjective);

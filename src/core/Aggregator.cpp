@@ -42,8 +42,7 @@ size_t RunView::numActiveFailing() const {
 Aggregates Aggregates::compute(const ReportSet &Set, const RunView &View) {
   // A mismatched view would read out of bounds below, so the check must
   // survive NDEBUG builds (the default RelWithDebInfo configuration strips
-  // asserts). Mirrors ReportSet::deserialize's hard rejection of malformed
-  // input rather than relying on callers to get it right.
+  // asserts), rather than relying on callers to get it right.
   if (View.Active.size() != Set.size() || View.Failed.size() != Set.size()) {
     std::fprintf(stderr,
                  "sbi: Aggregates::compute: run view (%zu active / %zu "

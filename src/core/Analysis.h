@@ -173,7 +173,7 @@ public:
   CauseIsolator(const SiteTable &Sites, const ReportSet &Set,
                 AnalysisOptions Options = {});
 
-  /// Analysis over a profile store directly (the --corpus path); \p Runs
+  /// Analysis over a profile store directly (what `sbi` reads); \p Runs
   /// must outlive the isolator.
   CauseIsolator(const SiteTable &Sites, const RunProfiles &Runs,
                 AnalysisOptions Options = {});

@@ -473,19 +473,35 @@ std::vector<std::string> sbi::listCorpusShards(const std::string &Dir) {
   return Shards;
 }
 
+bool sbi::clearCorpusDir(const std::string &Dir, std::string &Error) {
+  namespace fs = std::filesystem;
+  std::error_code Ec;
+  fs::create_directories(Dir, Ec);
+  if (Ec) {
+    Error = format("cannot create directory '%s': %s", Dir.c_str(),
+                   Ec.message().c_str());
+    return false;
+  }
+  for (const std::string &Shard : listCorpusShards(Dir)) {
+    fs::remove(Shard, Ec);
+    if (Ec) {
+      Error = format("cannot remove '%s': %s", Shard.c_str(),
+                     Ec.message().c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 bool sbi::writeCorpus(const ReportSet &Set, const std::string &Dir,
                       uint32_t ReportsPerShard, std::string &Error) {
   if (ReportsPerShard == 0) {
     Error = "reports-per-shard must be positive";
     return false;
   }
-  namespace fs = std::filesystem;
-  std::error_code Ec;
-  fs::create_directories(Dir, Ec);
-  if (Ec) {
-    Error = format("cannot create directory '%s'", Dir.c_str());
+  if (!clearCorpusDir(Dir, Error))
     return false;
-  }
+  namespace fs = std::filesystem;
   CorpusWriter Writer;
   uint32_t ShardId = 0;
   for (size_t Run = 0; Run < Set.size(); ++Run) {

@@ -7,11 +7,9 @@
 ///
 /// \file
 /// The paper aggregates ~32,000 feedback reports per subject and the
-/// project's north star is ingestion from millions of users; the
-/// line-oriented SBI-REPORTS v1 text format (feedback/Report.h) does not
-/// scale to that — it must be parsed in full into one in-memory ReportSet
-/// before anything can run. SBI-CORPUS v2 is the binary, sharded,
-/// streaming-friendly replacement:
+/// project's north star is ingestion from millions of users. SBI-CORPUS v2
+/// is the one on-disk form of a report set: binary, sharded, and streamed
+/// back without ever materializing a ReportSet.
 ///
 ///   A *corpus* is a directory of shard files named `shard-NNNNNN.sbic`,
 ///   read in lexicographic filename order. Each shard is self-describing
@@ -168,14 +166,23 @@ std::vector<std::string> listCorpusShards(const std::string &Dir);
 /// Canonical shard filename for \p ShardId ("shard-000042.sbic").
 std::string corpusShardName(uint32_t ShardId);
 
+/// Readies \p Dir for a new corpus: creates it if needed and deletes the
+/// shard files listCorpusShards finds there, so the corpus written next
+/// replaces any older one instead of mixing with it. Other files are left
+/// alone. Spilling campaigns, writeCorpus and `sbi corpus merge` call this
+/// before their first shard.
+bool clearCorpusDir(const std::string &Dir, std::string &Error);
+
 /// Writes \p Set as a v2 corpus of \p ReportsPerShard-record shards under
-/// \p Dir (created if needed). The record order equals the set order.
+/// \p Dir, replacing any corpus already there (clearCorpusDir). The
+/// record order equals the set order.
 bool writeCorpus(const ReportSet &Set, const std::string &Dir,
                  uint32_t ReportsPerShard, std::string &Error);
 
-/// Materializes a full ReportSet from a corpus (the v2 -> v1 conversion
-/// path; analysis should prefer ingestCorpus). All shards must agree on
-/// the site/predicate dimensions.
+/// Materializes a full ReportSet from a corpus, recorded counts and
+/// provenance included (prune verification needs the counts; analysis
+/// should prefer ingestCorpus). All shards must agree on the
+/// site/predicate dimensions. On failure \p Out is left untouched.
 bool readCorpus(const std::string &Dir, ReportSet &Out, std::string &Error);
 
 /// Ingestion throughput accounting, also mirrored into telemetry when

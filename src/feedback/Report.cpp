@@ -2,12 +2,7 @@
 
 #include "feedback/Report.h"
 
-#include "support/StringUtils.h"
-
 #include <algorithm>
-#include <charconv>
-#include <sstream>
-#include <string_view>
 
 using namespace sbi;
 
@@ -36,123 +31,4 @@ size_t ReportSet::numFailing() const {
   for (const FeedbackReport &R : Reports)
     N += R.Failed ? 1 : 0;
   return N;
-}
-
-/// Normalized copy of a sparse pair list for serialization: zero-count
-/// entries are dropped (observedTrue/siteObserved already treat them as
-/// unobserved, so writing them only bloats the file and would round-trip a
-/// set into one that compares unequal), and the result is sorted by id —
-/// deserialize rejects unsorted input, so a hand-assembled set with
-/// out-of-order entries must not produce an unreadable file.
-static std::vector<std::pair<uint32_t, uint32_t>>
-normalizedPairs(const std::vector<std::pair<uint32_t, uint32_t>> &Pairs) {
-  std::vector<std::pair<uint32_t, uint32_t>> Out;
-  Out.reserve(Pairs.size());
-  for (const auto &Pair : Pairs)
-    if (Pair.second > 0)
-      Out.push_back(Pair);
-  if (!std::is_sorted(Out.begin(), Out.end()))
-    std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
-std::string ReportSet::serialize() const {
-  std::string Out;
-  Out += "SBI-REPORTS v1\n";
-  Out += format("%u %u %zu\n", NumSites, NumPredicates, Reports.size());
-  for (const FeedbackReport &R : Reports) {
-    Out += format("R %d %d %d %llu %s\n", R.Failed ? 1 : 0,
-                  static_cast<int>(R.Trap), R.ExitCode,
-                  static_cast<unsigned long long>(R.BugMask),
-                  R.StackSignature.empty() ? "-" : R.StackSignature.c_str());
-    std::vector<std::pair<uint32_t, uint32_t>> Sites =
-        normalizedPairs(R.Counts.SiteObservations);
-    Out += format("S %zu", Sites.size());
-    for (const auto &[Site, Count] : Sites)
-      Out += format(" %u:%u", Site, Count);
-    Out += '\n';
-    std::vector<std::pair<uint32_t, uint32_t>> Preds =
-        normalizedPairs(R.Counts.TruePredicates);
-    Out += format("P %zu", Preds.size());
-    for (const auto &[Pred, Count] : Preds)
-      Out += format(" %u:%u", Pred, Count);
-    Out += '\n';
-  }
-  return Out;
-}
-
-bool ReportSet::deserialize(const std::string &Text, ReportSet &Out) {
-  std::istringstream In(Text);
-  std::string Header;
-  if (!std::getline(In, Header) || Header != "SBI-REPORTS v1")
-    return false;
-
-  ReportSet Result;
-  size_t NumReports = 0;
-  if (!(In >> Result.NumSites >> Result.NumPredicates >> NumReports))
-    return false;
-
-  // Exception-free bounded parse of "<id>:<count>"; std::stoul would throw
-  // (and previously crashed the caller) on oversized or non-numeric input.
-  auto parseU32 = [](std::string_view Text, uint32_t &Out) {
-    auto [Ptr, Ec] =
-        std::from_chars(Text.data(), Text.data() + Text.size(), Out);
-    return Ec == std::errc() && Ptr == Text.data() + Text.size();
-  };
-
-  // Entries must be strictly increasing ids below MaxId: the in-memory
-  // representation relies on sorted, duplicate-free sparse lists (the
-  // observedTrue/siteObserved binary searches), and aggregation indexes
-  // dense count arrays with these ids.
-  auto readPairs = [&](char Tag, uint32_t MaxId,
-                       std::vector<std::pair<uint32_t, uint32_t>> &V) {
-    std::string Mark;
-    size_t N = 0;
-    if (!(In >> Mark >> N) || Mark.size() != 1 || Mark[0] != Tag)
-      return false;
-    if (N > MaxId) // More entries than distinct ids exist.
-      return false;
-    V.reserve(N);
-    for (size_t I = 0; I < N; ++I) {
-      std::string Entry;
-      if (!(In >> Entry))
-        return false;
-      size_t Colon = Entry.find(':');
-      if (Colon == std::string::npos || Colon == 0 ||
-          Colon + 1 >= Entry.size())
-        return false;
-      uint32_t Id = 0, Count = 0;
-      if (!parseU32(std::string_view(Entry).substr(0, Colon), Id) ||
-          !parseU32(std::string_view(Entry).substr(Colon + 1), Count))
-        return false;
-      if (Id >= MaxId)
-        return false;
-      if (!V.empty() && Id <= V.back().first)
-        return false;
-      V.emplace_back(Id, Count);
-    }
-    return true;
-  };
-
-  for (size_t I = 0; I < NumReports; ++I) {
-    FeedbackReport R;
-    std::string Mark;
-    int FailedInt = 0;
-    int TrapInt = 0;
-    unsigned long long Mask = 0;
-    std::string Sig;
-    if (!(In >> Mark >> FailedInt >> TrapInt >> R.ExitCode >> Mask >> Sig) ||
-        Mark != "R")
-      return false;
-    R.Failed = FailedInt != 0;
-    R.Trap = static_cast<TrapKind>(TrapInt);
-    R.BugMask = Mask;
-    R.StackSignature = Sig == "-" ? std::string() : Sig;
-    if (!readPairs('S', Result.NumSites, R.Counts.SiteObservations) ||
-        !readPairs('P', Result.NumPredicates, R.Counts.TruePredicates))
-      return false;
-    Result.Reports.push_back(std::move(R));
-  }
-  Out = std::move(Result);
-  return true;
 }

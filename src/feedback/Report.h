@@ -11,7 +11,8 @@
 /// and whether it was observed to be true. This module stores reports
 /// sparsely, together with per-run provenance the experiments (but never
 /// the analysis) may consult: trap kind, stack signature, and the
-/// ground-truth set of bugs that actually occurred in the run.
+/// ground-truth set of bugs that actually occurred in the run. On disk a
+/// report set is an SBI-CORPUS v2 directory (feedback/Corpus.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,13 +83,6 @@ public:
 
   size_t numFailing() const;
   size_t numSuccessful() const { return size() - numFailing(); }
-
-  /// Serializes to the "SBI-REPORTS v1" line format.
-  std::string serialize() const;
-
-  /// Parses a serialized set; returns false (leaving *this untouched) on
-  /// malformed input.
-  static bool deserialize(const std::string &Text, ReportSet &Out);
 
 private:
   uint32_t NumSites = 0;

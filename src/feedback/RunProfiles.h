@@ -14,14 +14,16 @@
 /// id arrays with per-run offsets, a failure bitvector, and the ground-truth
 /// bug masks the table renderers want. Compared to a materialized ReportSet
 /// it halves the bytes per posting (ids only, no counts) and drops the
-/// per-report vector and string overhead, which is what lets `sbi analyze`
-/// stream an SBI-CORPUS v2 directory shard by shard instead of rebuilding
+/// per-report vector and string overhead, which is what lets `sbi` read an
+/// SBI-CORPUS v2 directory shard by shard instead of rebuilding
 /// FeedbackReports.
 ///
 /// Every aggregation engine (core/Aggregator, core/InvertedIndex,
-/// core/Analysis) runs off this structure; ReportSet-based entry points
-/// convert via fromReports(), so the in-memory and streamed-corpus paths
-/// execute the same code over the same integers and stay bit-identical.
+/// core/Analysis), the logistic-regression baseline and the HTML report
+/// run off this structure; ReportSet-based entry points convert via
+/// fromReports(), so a campaign analyzed in memory and the same campaign
+/// read back from its corpus execute the same code over the same integers
+/// and stay bit-identical.
 ///
 //===----------------------------------------------------------------------===//
 

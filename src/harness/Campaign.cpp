@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -367,12 +366,9 @@ CampaignResult sbi::runCampaign(const Subject &Subj,
   auto RunLoopStart = std::chrono::steady_clock::now();
   {
     ScopedSpan RunLoopSpan("run_loop", "harness");
-    std::error_code DirEc;
-    if (Spill)
-      std::filesystem::create_directories(Options.SpillDir, DirEc);
-    if (DirEc)
-      fail(format("cannot create spill directory '%s': %s",
-                  Options.SpillDir.c_str(), DirEc.message().c_str()));
+    std::string DirError;
+    if (Spill && !clearCorpusDir(Options.SpillDir, DirError))
+      fail(std::move(DirError));
     // Worker 0 is the calling thread; the others join as the block ends,
     // on every path out of it.
     std::vector<std::jthread> Helpers;

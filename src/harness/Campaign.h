@@ -77,14 +77,17 @@ struct CampaignOptions {
   /// unpruned campaign at the same seed; the retained predicates' rankings
   /// are bit-identical (prunedRankingsMatch, differential-tested).
   bool StaticPrune = false;
-  /// Spill mode: when non-empty, workers flush completed reports into
-  /// SBI-CORPUS v2 shards under this directory instead of materializing
-  /// CampaignResult::Reports, bounding memory by Threads x
-  /// SpillShardReports rather than NumRuns. Shard K holds runs
-  /// [K*SpillShardReports, (K+1)*SpillShardReports) in run order, so the
-  /// corpus bytes are identical for any thread count and reading the
-  /// shards back in filename order reproduces the in-memory run order.
-  /// A directory or shard that cannot be written ends the campaign with
+  /// Spill mode (how `sbi run --out=DIR` writes): when non-empty, workers
+  /// flush completed reports into SBI-CORPUS v2 shards under this
+  /// directory instead of materializing CampaignResult::Reports, bounding
+  /// memory by Threads x SpillShardReports rather than NumRuns. Shard K
+  /// holds runs [K*SpillShardReports, (K+1)*SpillShardReports) in run
+  /// order, so the corpus bytes are identical for any thread count and
+  /// reading the shards back in filename order reproduces the in-memory
+  /// run order. Each worker owns whole shards, so a campaign with fewer
+  /// shards than Threads runs on fewer threads. The new corpus replaces
+  /// any corpus already in the directory (clearCorpusDir). A directory or
+  /// shard that cannot be written ends the campaign with
   /// CampaignResult::Error.
   std::string SpillDir;
   /// Reports per shard in spill mode.

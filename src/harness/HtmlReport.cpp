@@ -103,7 +103,7 @@ a.anchor { text-decoration: none; color: #2a6; }
 } // namespace
 
 std::string sbi::renderHtmlReport(const SiteTable &Sites,
-                                  const ReportSet &Set,
+                                  const RunProfiles &Runs,
                                   const AnalysisResult &Analysis,
                                   const HtmlReportOptions &Options) {
   size_t Rows = Options.TopK == 0
@@ -123,7 +123,7 @@ std::string sbi::renderHtmlReport(const SiteTable &Sites,
       "<p>%zu runs: <b>%zu failing</b>, %zu successful &mdash; %u "
       "instrumented predicates, %zu survive the <i>Increase</i> test, "
       "%zu selected by iterative elimination.</p>\n",
-      Set.size(), Set.numFailing(), Set.numSuccessful(),
+      Runs.size(), Runs.numFailing(), Runs.size() - Runs.numFailing(),
       Analysis.NumInitialPredicates, Analysis.PrunedSurvivors.size(),
       Analysis.Selected.size());
   Out += "<p class=\"small\">Thermometer key (paper Section 3.3): black = "
@@ -195,21 +195,20 @@ std::string sbi::renderHtmlReport(const SiteTable &Sites,
   return Out;
 }
 
-std::string sbi::renderHtmlReport(const CampaignResult &Campaign,
+std::string sbi::renderHtmlReport(const Subject &Subj, const SiteTable &Sites,
+                                  const RunProfiles &Runs,
                                   const AnalysisResult &Analysis,
                                   HtmlReportOptions Options) {
-  if (Campaign.Subj && Options.Title == "Statistical debugging report")
+  if (Options.Title == "Statistical debugging report")
     Options.Title =
-        format("Statistical debugging report: %s",
-               Campaign.Subj->Name.c_str());
+        format("Statistical debugging report: %s", Subj.Name.c_str());
 
-  std::string Out = renderHtmlReport(Campaign.Sites, Campaign.Reports,
-                                     Analysis, Options);
+  std::string Out = renderHtmlReport(Sites, Runs, Analysis, Options);
 
   // Compact run-summary header from the metrics registry. The campaign
-  // driver maintains these gauges unconditionally; when the reports were
-  // loaded from a file instead (no campaign ran this process), the gauges
-  // are absent and the header is simply omitted.
+  // driver maintains these gauges unconditionally; when the runs were read
+  // from a corpus instead (no campaign ran this process), the gauges are
+  // absent and the header is simply omitted.
   const MetricsRegistry &Metrics = Telemetry::metrics();
   if (const Gauge *Runs = Metrics.findGauge("campaign.runs")) {
     const Gauge *Failing = Metrics.findGauge("campaign.failing");
@@ -235,7 +234,7 @@ std::string sbi::renderHtmlReport(const CampaignResult &Campaign,
       Out.insert(At + 6, Box);
   }
 
-  if (!Options.ShowGroundTruth || !Campaign.Subj)
+  if (!Options.ShowGroundTruth)
     return Out;
 
   // Splice a ground-truth section in before </body>.
@@ -243,13 +242,17 @@ std::string sbi::renderHtmlReport(const CampaignResult &Campaign,
                       "<table>\n<tr><th>Bug</th><th>Kind</th>"
                       "<th class=\"num\">Triggered</th>"
                       "<th class=\"num\">Failing</th></tr>\n";
-  for (const auto &Stats : Campaign.Bugs) {
-    const BugSpec &Spec =
-        Campaign.Subj->Bugs[static_cast<size_t>(Stats.BugId - 1)];
+  for (const BugSpec &Bug : Subj.Bugs) {
+    size_t Triggered = 0, TriggeredAndFailed = 0;
+    for (size_t Run = 0; Run < Runs.size(); ++Run)
+      if (Runs.hasBug(Run, Bug.Id)) {
+        ++Triggered;
+        TriggeredAndFailed += Runs.failed(Run);
+      }
     Truth += format("<tr><td>#%d</td><td>%s</td><td class=\"num\">%zu</td>"
                     "<td class=\"num\">%zu</td></tr>\n",
-                    Stats.BugId, escapeHtml(Spec.Kind).c_str(),
-                    Stats.Triggered, Stats.TriggeredAndFailed);
+                    Bug.Id, escapeHtml(Bug.Kind).c_str(), Triggered,
+                    TriggeredAndFailed);
   }
   Truth += "</table>\n";
   size_t At = Out.rfind("</body>");

@@ -21,7 +21,8 @@
 #define SBI_HARNESS_HTMLREPORT_H
 
 #include "core/Analysis.h"
-#include "harness/Campaign.h"
+#include "feedback/RunProfiles.h"
+#include "subjects/Subjects.h"
 
 #include <string>
 
@@ -31,21 +32,24 @@ struct HtmlReportOptions {
   std::string Title = "Statistical debugging report";
   /// Maximum selected predicates shown (0 = all).
   size_t TopK = 0;
-  /// When true and the campaign carries ground truth, append per-bug
-  /// failing-run columns (Table 3 style).
+  /// When true, the subject overload appends a ground-truth table: per
+  /// seeded bug, the runs whose bug mask has it and how many of those
+  /// failed.
   bool ShowGroundTruth = false;
   /// Thermometer width in pixels.
   int ThermometerWidth = 220;
 };
 
 /// Renders a full analysis as one self-contained HTML document.
-std::string renderHtmlReport(const SiteTable &Sites, const ReportSet &Set,
+std::string renderHtmlReport(const SiteTable &Sites, const RunProfiles &Runs,
                              const AnalysisResult &Analysis,
                              const HtmlReportOptions &Options = {});
 
-/// Convenience overload pulling subject metadata (name, bug inventory)
-/// from a campaign.
-std::string renderHtmlReport(const CampaignResult &Campaign,
+/// Adds what the subject knows: its name in the title, the campaign summary
+/// box when a campaign ran in this process, and the ground-truth table,
+/// tallied from \p Runs so that a campaign and its corpus render alike.
+std::string renderHtmlReport(const Subject &Subj, const SiteTable &Sites,
+                             const RunProfiles &Runs,
                              const AnalysisResult &Analysis,
                              HtmlReportOptions Options = {});
 

@@ -43,9 +43,10 @@ std::string renderSelectedList(const SiteTable &Sites, const ReportSet &Set,
                                const std::vector<int> &BugIds,
                                size_t TopK = 0);
 
-/// Same rendering over the compact RunProfiles store (the --corpus path);
-/// profiles carry the failure labels, truth bits, and bug masks the bug
-/// columns need, so output is byte-identical to the ReportSet overload.
+/// Same rendering over the compact RunProfiles store (what `sbi analyze`
+/// reads); profiles carry the failure labels, truth bits, and bug masks
+/// the bug columns need, so output is byte-identical to the ReportSet
+/// overload.
 std::string renderSelectedList(const SiteTable &Sites,
                                const RunProfiles &Runs,
                                const std::vector<SelectedPredicate> &Selected,

@@ -67,25 +67,24 @@ struct Design {
   size_t numFeatures() const { return FeatureToPred.size(); }
 };
 
-Design buildDesign(const ReportSet &Set) {
+Design buildDesign(const RunProfiles &Runs) {
   Design D;
-  std::vector<int64_t> PredToFeature(Set.numPredicates(), -1);
-  for (size_t Run = 0; Run < Set.size(); ++Run)
-    for (const auto &[Pred, Count] : Set[Run].Counts.TruePredicates)
-      if (Count > 0 && PredToFeature[Pred] < 0) {
+  std::vector<int64_t> PredToFeature(Runs.numPredicates(), -1);
+  for (size_t Run = 0; Run < Runs.size(); ++Run)
+    for (uint32_t Pred : Runs.preds(Run))
+      if (PredToFeature[Pred] < 0) {
         PredToFeature[Pred] = static_cast<int64_t>(D.FeatureToPred.size());
         D.FeatureToPred.push_back(Pred);
       }
 
-  D.RowStart.reserve(Set.size() + 1);
+  D.RowStart.reserve(Runs.size() + 1);
   D.RowStart.push_back(0);
-  D.Labels.reserve(Set.size());
-  for (size_t Run = 0; Run < Set.size(); ++Run) {
-    for (const auto &[Pred, Count] : Set[Run].Counts.TruePredicates)
-      if (Count > 0)
-        D.Columns.push_back(static_cast<uint32_t>(PredToFeature[Pred]));
+  D.Labels.reserve(Runs.size());
+  for (size_t Run = 0; Run < Runs.size(); ++Run) {
+    for (uint32_t Pred : Runs.preds(Run))
+      D.Columns.push_back(static_cast<uint32_t>(PredToFeature[Pred]));
     D.RowStart.push_back(D.Columns.size());
-    D.Labels.push_back(Set[Run].Failed ? 1.0 : 0.0);
+    D.Labels.push_back(Runs.failed(Run) ? 1.0 : 0.0);
   }
   return D;
 }
@@ -123,14 +122,14 @@ double softThreshold(double X, double T) {
 
 } // namespace
 
-LogRegModel sbi::trainL1LogReg(const ReportSet &Set,
+LogRegModel sbi::trainL1LogReg(const RunProfiles &Runs,
                                const LogRegOptions &Options) {
-  Design D = buildDesign(Set);
+  Design D = buildDesign(Runs);
   size_t NumFeatures = D.numFeatures();
   size_t NumRuns = D.numRuns();
 
   LogRegModel Model;
-  Model.Weights.assign(Set.numPredicates(), 0.0);
+  Model.Weights.assign(Runs.numPredicates(), 0.0);
   if (NumRuns == 0)
     return Model;
   if (NumFeatures == 0) {
@@ -233,14 +232,14 @@ LogRegModel sbi::trainL1LogReg(const ReportSet &Set,
   return Model;
 }
 
-LogRegModel sbi::trainForSparsity(const ReportSet &Set, int MaxActive,
+LogRegModel sbi::trainForSparsity(const RunProfiles &Runs, int MaxActive,
                                   const std::vector<double> &LambdaPath) {
   LogRegModel Fallback;
   bool HaveFallback = false;
   for (double Lambda : LambdaPath) {
     LogRegOptions Options;
     Options.Lambda = Lambda;
-    LogRegModel Model = trainL1LogReg(Set, Options);
+    LogRegModel Model = trainL1LogReg(Runs, Options);
     int Active = Model.numNonzero();
     if (Active > 0 && Active <= MaxActive)
       return Model;

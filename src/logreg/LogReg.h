@@ -24,6 +24,7 @@
 #define SBI_LOGREG_LOGREG_H
 
 #include "feedback/Report.h"
+#include "feedback/RunProfiles.h"
 
 #include <cstdint>
 #include <vector>
@@ -58,13 +59,13 @@ struct LogRegModel {
   double predict(const FeedbackReport &Report) const;
 };
 
-/// Trains on R(P) features from \p Set.
-LogRegModel trainL1LogReg(const ReportSet &Set,
+/// Trains on R(P) features from \p Runs.
+LogRegModel trainL1LogReg(const RunProfiles &Runs,
                           const LogRegOptions &Options = {});
 
 /// Trains over a decreasing lambda path, returning the first model with at
 /// most \p MaxActive nonzero weights; falls back to the sparsest model.
-LogRegModel trainForSparsity(const ReportSet &Set, int MaxActive,
+LogRegModel trainForSparsity(const RunProfiles &Runs, int MaxActive,
                              const std::vector<double> &LambdaPath);
 
 } // namespace sbi

@@ -1,6 +1,6 @@
 //===- tests/feedback/CorpusTest.cpp - SBI-CORPUS v2 format tests ---------===//
 //
-// Three layers of coverage for the binary sharded corpus:
+// Four layers of coverage for the binary sharded corpus:
 //
 //  1. A golden-file test that hand-encodes a shard byte by byte from the
 //     layout documented in feedback/Corpus.h and requires CorpusWriter to
@@ -14,9 +14,15 @@
 //     lying footer offsets). Malformed shards must be rejected with a
 //     diagnostic, never crash.
 //
-//  3. Round-trip and equivalence tests: v1 -> v2 -> v1 preserves the
-//     serialized set, ingestCorpus matches RunProfiles::fromReports for
-//     any thread count, and zero-count pairs normalize away on write.
+//  3. Round-trip and equivalence tests: write -> read -> write is
+//     byte-identical, writing over a corpus replaces it, ingestCorpus
+//     matches RunProfiles::fromReports for any thread count, and
+//     zero-count pairs normalize away on write.
+//
+//  4. ReportSet persistence: a report set's only on-disk form is a corpus,
+//     so writeCorpus/readCorpus must keep every field, and readCorpus must
+//     reject each malformed record a one-record shard can hold while
+//     leaving its output untouched.
 //
 //===----------------------------------------------------------------------===//
 
@@ -453,7 +459,16 @@ ReportSet roundTripSet() {
   return Set;
 }
 
-TEST(CorpusRoundTrip, V1ToV2ToV1PreservesTheSerializedSet) {
+/// Every shard's file name and bytes, in corpus order.
+std::string corpusBytes(const std::string &Dir) {
+  std::string Bytes;
+  for (const std::string &Shard : listCorpusShards(Dir))
+    Bytes += std::filesystem::path(Shard).filename().string() + ":" +
+             readFileBytes(Shard);
+  return Bytes;
+}
+
+TEST(CorpusRoundTrip, WriteReadWriteIsByteIdentical) {
   ReportSet Set = roundTripSet();
   std::string Dir = freshDir("roundtrip");
   std::string Error;
@@ -465,9 +480,34 @@ TEST(CorpusRoundTrip, V1ToV2ToV1PreservesTheSerializedSet) {
   EXPECT_EQ(Out.numSites(), Set.numSites());
   EXPECT_EQ(Out.numPredicates(), Set.numPredicates());
   ASSERT_EQ(Out.size(), Set.size());
-  // serialize() normalizes zero-count pairs away on both sides, so byte
-  // equality of the v1 text is exactly "same set modulo normalization".
-  EXPECT_EQ(Out.serialize(), Set.serialize());
+  // The writer normalizes zero-count pairs away, so the set read back
+  // writes the same bytes: same set modulo normalization.
+  std::string Again = freshDir("roundtrip-again");
+  ASSERT_TRUE(writeCorpus(Out, Again, 4, Error)) << Error;
+  EXPECT_EQ(corpusBytes(Again), corpusBytes(Dir));
+}
+
+TEST(CorpusRoundTrip, WritingOverACorpusReplacesIt) {
+  // The second, smaller set must be all that reads back; a file that is
+  // not a shard stays.
+  std::string Dir = freshDir("replace");
+  std::string Error;
+  ASSERT_TRUE(writeCorpus(roundTripSet(), Dir, 2, Error)) << Error;
+  ASSERT_EQ(listCorpusShards(Dir).size(), 6u);
+  writeFileBytes(Dir + "/notes.txt", "kept\n");
+
+  ReportSet Small = goldenSet();
+  ASSERT_TRUE(writeCorpus(Small, Dir, 2, Error)) << Error;
+  EXPECT_EQ(listCorpusShards(Dir).size(), 1u);
+  ReportSet Out;
+  ASSERT_TRUE(readCorpus(Dir, Out, Error)) << Error;
+  EXPECT_EQ(Out.size(), Small.size());
+  EXPECT_EQ(Out.numSites(), Small.numSites());
+  EXPECT_EQ(readFileBytes(Dir + "/notes.txt"), "kept\n");
+
+  // A directory that cannot be made is an error, not a silent no-op.
+  EXPECT_FALSE(writeCorpus(Small, Dir + "/notes.txt/sub", 2, Error));
+  EXPECT_NE(Error.find("notes.txt/sub"), std::string::npos) << Error;
 }
 
 TEST(CorpusRoundTrip, EmptySetYieldsOneValidEmptyShard) {
@@ -637,6 +677,247 @@ TEST(RunProfilesTest, AppendRebasesOffsets) {
   EXPECT_EQ(A.sites(2).size(), 0u);
   EXPECT_TRUE(A.observedTrue(2, 3));
   EXPECT_FALSE(A.observedTrue(2, 0));
+}
+
+// --- ReportSet persistence ------------------------------------------------
+
+/// Two reports exercising every stored field: trap, negative exit code,
+/// stack signature, bug mask, several ascending pairs per list.
+ReportSet fieldSet() {
+  ReportSet Set(6, 30);
+  FeedbackReport A = makeReport(true, {{0, 2}, {3, 1}}, {{5, 1}, {20, 9}});
+  A.Trap = TrapKind::NullDeref;
+  A.ExitCode = -3;
+  A.StackSignature = "f@3>main@10";
+  A.BugMask = FeedbackReport::bugBit(2);
+  Set.add(A);
+  Set.add(makeReport(false, {{1, 1}, {4, 2}}, {{7, 3}}));
+  return Set;
+}
+
+void expectSameSet(const ReportSet &A, const ReportSet &B) {
+  EXPECT_EQ(A.numSites(), B.numSites());
+  EXPECT_EQ(A.numPredicates(), B.numPredicates());
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I < A.size(); ++I) {
+    EXPECT_EQ(A[I].Failed, B[I].Failed) << I;
+    EXPECT_EQ(A[I].Trap, B[I].Trap) << I;
+    EXPECT_EQ(A[I].ExitCode, B[I].ExitCode) << I;
+    EXPECT_EQ(A[I].StackSignature, B[I].StackSignature) << I;
+    EXPECT_EQ(A[I].BugMask, B[I].BugMask) << I;
+    EXPECT_EQ(A[I].Counts.SiteObservations, B[I].Counts.SiteObservations)
+        << I;
+    EXPECT_EQ(A[I].Counts.TruePredicates, B[I].Counts.TruePredicates) << I;
+  }
+}
+
+/// readCorpus of \p Dir must fail with a diagnostic and leave its output
+/// exactly as it was.
+void expectReadRejected(const std::string &Dir, const std::string &What) {
+  ReportSet Out(7, 8);
+  Out.add(makeReport(true, {{2, 1}}, {{3, 1}}));
+  std::string Error;
+  EXPECT_FALSE(readCorpus(Dir, Out, Error)) << What;
+  EXPECT_FALSE(Error.empty()) << What;
+  ASSERT_EQ(Out.size(), 1u) << What;
+  EXPECT_EQ(Out.numSites(), 7u) << What;
+  EXPECT_EQ(Out.numPredicates(), 8u) << What;
+  EXPECT_EQ(Out[0].Counts.SiteObservations,
+            (std::vector<std::pair<uint32_t, uint32_t>>{{2, 1}}))
+      << What;
+}
+
+/// A fresh corpus, named after the running test, whose only shard holds
+/// \p Bytes.
+std::string corpusOfShard(const std::string &Bytes) {
+  std::string Dir = freshDir(
+      std::string("set-") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  writeFileBytes(Dir + "/" + corpusShardName(0), Bytes);
+  return Dir;
+}
+
+void expectSetRejected(const std::string &Bytes, const std::string &What) {
+  expectReadRejected(corpusOfShard(Bytes), What);
+}
+
+/// One shard holding the single hand-encoded record \p Record under a
+/// correct header, footer and hash, so only the record itself can be
+/// malformed.
+std::string shardOf(const std::string &Record, uint32_t Sites,
+                    uint32_t Preds) {
+  std::string B;
+  B.append(CorpusMagic, sizeof(CorpusMagic));
+  for (uint32_t Field : {CorpusVersion, 0u, 0u, Sites, Preds, 1u})
+    putU32(B, Field);
+  B += Record;
+  uint64_t FooterStart = B.size();
+  putU64(B, CorpusHeaderSize);
+  putU64(B, FooterStart);
+  putU32(B, 1);
+  putU32(B, fnv1a32(B, CorpusHeaderSize, FooterStart));
+  B.append(CorpusFooterMagic, sizeof(CorpusFooterMagic));
+  return B;
+}
+
+/// A successful run with no provenance whose site block is the varints
+/// \p Sites (pair count, then id or gap and count per pair) and whose
+/// predicate block is \p Preds.
+std::string record(std::vector<uint64_t> Sites, std::vector<uint64_t> Preds) {
+  std::string R(2, '\0'); // Flags, trap.
+  putVar(R, 0);           // zigzag(exit code 0)
+  putVar(R, 0);           // Bug mask.
+  for (uint64_t V : Sites)
+    putVar(R, V);
+  for (uint64_t V : Preds)
+    putVar(R, V);
+  return R;
+}
+
+TEST(ReportSetTest, SerializeRoundTrip) {
+  ReportSet Set = fieldSet();
+  std::string Dir = freshDir("set-roundtrip");
+  std::string Error;
+  ASSERT_TRUE(writeCorpus(Set, Dir, 1, Error)) << Error;
+  ReportSet Out;
+  ASSERT_TRUE(readCorpus(Dir, Out, Error)) << Error;
+  expectSameSet(Set, Out);
+}
+
+TEST(ReportSetTest, DeserializeAcceptsCampaignShapedRoundTrip) {
+  // Many runs over several shards, every field populated, zero counts
+  // included: the set read back is the set with its zero counts dropped.
+  ReportSet Set = roundTripSet();
+  ReportSet Expected(Set.numSites(), Set.numPredicates());
+  for (FeedbackReport R : Set.reports()) {
+    for (auto *Pairs :
+         {&R.Counts.SiteObservations, &R.Counts.TruePredicates})
+      std::erase_if(*Pairs, [](const auto &Pair) { return Pair.second == 0; });
+    Expected.add(std::move(R));
+  }
+  std::string Dir = freshDir("set-campaign-shaped");
+  std::string Error;
+  ASSERT_TRUE(writeCorpus(Set, Dir, 3, Error)) << Error;
+  ReportSet Out;
+  ASSERT_TRUE(readCorpus(Dir, Out, Error)) << Error;
+  expectSameSet(Expected, Out);
+}
+
+TEST(ReportSetTest, SerializeDropsZeroCountPairs) {
+  ReportSet Set(5, 9);
+  Set.add(makeReport(true, {{0, 2}, {1, 0}, {4, 1}}, {{2, 0}, {3, 7}}));
+  Set.add(makeReport(false, {{2, 0}}, {{0, 0}, {8, 0}}));
+  std::string Dir = freshDir("set-zero");
+  std::string Error;
+  ASSERT_TRUE(writeCorpus(Set, Dir, 4, Error)) << Error;
+  ReportSet Out;
+  ASSERT_TRUE(readCorpus(Dir, Out, Error)) << Error;
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[0].Counts.SiteObservations,
+            (std::vector<std::pair<uint32_t, uint32_t>>{{0, 2}, {4, 1}}));
+  EXPECT_EQ(Out[0].Counts.TruePredicates,
+            (std::vector<std::pair<uint32_t, uint32_t>>{{3, 7}}));
+  EXPECT_TRUE(Out[1].Counts.SiteObservations.empty());
+  EXPECT_TRUE(Out[1].Counts.TruePredicates.empty());
+}
+
+TEST(ReportSetTest, DeserializeRejectsGarbage) {
+  expectSetRejected("", "empty shard file");
+  expectSetRejected("not a corpus shard", "text");
+  expectSetRejected(std::string(CorpusMagic, sizeof(CorpusMagic)) +
+                        std::string(64, '\0'),
+                    "magic, then zeros");
+  expectReadRejected(freshDir("set-no-shards"), "no shard files");
+}
+
+TEST(ReportSetTest, DeserializeRejectsTruncated) {
+  // Cut at the end of the header, at record 1, and at the footer.
+  std::string Shard = goldenShardBytes();
+  size_t FooterStart = Shard.size() - CorpusTrailerSize - 2 * 8;
+  for (size_t Cut : {CorpusHeaderSize, size_t(51), FooterStart})
+    expectSetRejected(Shard.substr(0, Cut), "cut at " + std::to_string(Cut));
+}
+
+TEST(ReportSetTest, DeserializeRejectsMidTokenTruncation) {
+  std::string Shard = goldenShardBytes();
+  // Byte 43 is the second byte of record 0's two-byte count varint.
+  expectSetRejected(Shard.substr(0, 43), "inside a varint");
+  expectSetRejected(Shard.substr(0, Shard.size() / 4), "quarter");
+  expectSetRejected(Shard.substr(0, Shard.size() / 2), "half");
+  expectSetRejected(Shard.substr(0, (3 * Shard.size()) / 4),
+                    "three quarters");
+}
+
+TEST(ReportSetTest, DeserializeFailureLeavesOutputUntouched) {
+  // Shard 0 decodes before shard 1 fails: none of it may reach the output.
+  std::string Dir = freshDir("set-untouched");
+  std::string Error;
+  ASSERT_TRUE(writeCorpus(fieldSet(), Dir, 1, Error)) << Error;
+  std::string Shard1 = Dir + "/" + corpusShardName(1);
+  std::string Bytes = readFileBytes(Shard1);
+  writeFileBytes(Shard1, Bytes.substr(0, Bytes.size() - 1));
+  expectReadRejected(Dir, "second shard truncated");
+}
+
+TEST(ReportSetTest, DeserializeRejectsCountsExceedingSpace) {
+  // A pair count above the number of ids cannot be a duplicate-free list.
+  ReportSet Read;
+  std::string Error;
+  EXPECT_TRUE(readCorpus(
+      corpusOfShard(shardOf(record({2, 0, 1, 1, 1}, {0}), 2, 12)), Read,
+      Error))
+      << "two pairs over two sites is well formed: " << Error;
+  expectSetRejected(shardOf(record({3, 0, 1, 1, 1, 1, 1}, {0}), 2, 12),
+                    "site count exceeds NumSites");
+  expectSetRejected(
+      shardOf(record({0}, {4, 0, 1, 1, 1, 1, 1, 1, 1}), 2, 3),
+      "pred count exceeds NumPredicates");
+  expectSetRejected(shardOf(record({0}, {99999999, 0, 1}), 2, 3),
+                    "absurd count");
+}
+
+TEST(ReportSetTest, DeserializeRejectsOutOfRangeIds) {
+  ReportSet Read;
+  std::string Error;
+  ASSERT_TRUE(readCorpus(
+      corpusOfShard(shardOf(record({1, 1, 1}, {1, 11, 1}), 2, 12)), Read,
+      Error))
+      << "the last site and predicate ids are in range: " << Error;
+  ASSERT_EQ(Read.size(), 1u);
+  EXPECT_TRUE(Read[0].observedTrue(11));
+  expectSetRejected(shardOf(record({1, 2, 1}, {0}), 2, 12),
+                    "site id == NumSites");
+  expectSetRejected(shardOf(record({0}, {1, 12, 1}), 2, 12),
+                    "pred id == NumPredicates");
+  expectSetRejected(shardOf(record({0}, {1, 99, 1}), 2, 12),
+                    "pred id way out of range");
+  expectSetRejected(shardOf(record({0}, {2, 5, 1, 7, 1}), 2, 12),
+                    "second pred id past the end by its gap");
+}
+
+TEST(ReportSetTest, DeserializeRejectsDuplicateAndUnsortedEntries) {
+  // On disk a later id is a gap >= 1 from its predecessor, so a duplicate
+  // is a zero gap and a descending id cannot be written at all.
+  expectSetRejected(shardOf(record({0}, {2, 5, 1, 0, 1}), 4, 12),
+                    "duplicate predicate entry");
+  expectSetRejected(shardOf(record({2, 3, 1, 0, 2}, {0}), 4, 12),
+                    "duplicate site entry");
+  ReportSet Unsorted(4, 12);
+  Unsorted.add(makeReport(true, {}, {{7, 1}, {5, 1}}));
+  std::string Error;
+  EXPECT_FALSE(writeCorpus(Unsorted, freshDir("set-unsorted"), 4, Error));
+  EXPECT_NE(Error.find("ascending"), std::string::npos) << Error;
+}
+
+TEST(ReportSetTest, DeserializeRejectsMalformedPairs) {
+  expectSetRejected(shardOf(record({0}, {1, 5}), 4, 12), "missing count");
+  expectSetRejected(shardOf(record({0}, {1, 5, 0}), 4, 12), "zero count");
+  expectSetRejected(shardOf(record({0}, {1, uint64_t(1) << 40, 1}), 4, 12),
+                    "id overflowing uint32");
+  expectSetRejected(shardOf(record({0}, {1, 5, uint64_t(1) << 32}), 4, 12),
+                    "count overflowing uint32");
+  expectSetRejected(shardOf(record({0}, {1}) + "\x85", 4, 12),
+                    "unterminated varint");
 }
 
 } // namespace

@@ -83,218 +83,3 @@ TEST(ReportSetTest, Counting) {
   EXPECT_EQ(Set.numSites(), 10u);
   EXPECT_EQ(Set.numPredicates(), 60u);
 }
-
-TEST(ReportSetTest, SerializeRoundTrip) {
-  ReportSet Set(4, 24);
-  FeedbackReport A = makeReport(true, {{0, 2}, {3, 1}}, {{5, 1}, {20, 9}});
-  A.Trap = TrapKind::NullDeref;
-  A.ExitCode = 0;
-  A.StackSignature = "f@3>main@10";
-  A.BugMask = FeedbackReport::bugBit(2);
-  Set.add(A);
-  FeedbackReport B = makeReport(false, {{1, 1}}, {});
-  Set.add(B);
-
-  std::string Text = Set.serialize();
-  ReportSet Out;
-  ASSERT_TRUE(ReportSet::deserialize(Text, Out));
-  ASSERT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Out.numSites(), 4u);
-  EXPECT_EQ(Out.numPredicates(), 24u);
-  EXPECT_TRUE(Out[0].Failed);
-  EXPECT_EQ(Out[0].Trap, TrapKind::NullDeref);
-  EXPECT_EQ(Out[0].StackSignature, "f@3>main@10");
-  EXPECT_TRUE(Out[0].hasBug(2));
-  EXPECT_EQ(Out[0].Counts.SiteObservations, A.Counts.SiteObservations);
-  EXPECT_EQ(Out[0].Counts.TruePredicates, A.Counts.TruePredicates);
-  EXPECT_FALSE(Out[1].Failed);
-  EXPECT_TRUE(Out[1].StackSignature.empty());
-}
-
-TEST(ReportSetTest, SerializeEmptySet) {
-  ReportSet Set(0, 0);
-  ReportSet Out;
-  ASSERT_TRUE(ReportSet::deserialize(Set.serialize(), Out));
-  EXPECT_EQ(Out.size(), 0u);
-}
-
-TEST(ReportSetTest, DeserializeRejectsGarbage) {
-  ReportSet Out;
-  EXPECT_FALSE(ReportSet::deserialize("", Out));
-  EXPECT_FALSE(ReportSet::deserialize("not a report file", Out));
-  EXPECT_FALSE(ReportSet::deserialize("SBI-REPORTS v1\n", Out));
-  EXPECT_FALSE(ReportSet::deserialize(
-      "SBI-REPORTS v1\n1 1 1\nR bogus\n", Out));
-}
-
-TEST(ReportSetTest, DeserializeRejectsTruncated) {
-  ReportSet Set(2, 12);
-  Set.add(makeReport(true, {{0, 1}}, {{3, 1}}));
-  std::string Text = Set.serialize();
-  ReportSet Out;
-  EXPECT_FALSE(
-      ReportSet::deserialize(Text.substr(0, Text.size() / 2), Out));
-}
-
-TEST(ReportSetTest, DeserializeFailureLeavesOutputUntouched) {
-  ReportSet Out(7, 8);
-  Out.add(makeReport(true, {}, {}));
-  EXPECT_FALSE(ReportSet::deserialize("garbage", Out));
-  EXPECT_EQ(Out.size(), 1u);
-  EXPECT_EQ(Out.numSites(), 7u);
-}
-
-namespace {
-
-/// A two-report set exercising every serialized field, for malformed-input
-/// fuzzing.
-ReportSet fuzzFixture() {
-  ReportSet Set(6, 30);
-  FeedbackReport A = makeReport(true, {{0, 2}, {3, 1}}, {{5, 1}, {20, 9}});
-  A.StackSignature = "f@3>main@10";
-  A.BugMask = FeedbackReport::bugBit(2);
-  Set.add(A);
-  Set.add(makeReport(false, {{1, 1}, {4, 2}}, {{7, 3}}));
-  return Set;
-}
-
-/// deserialize must fail AND leave the output exactly as it was.
-void expectRejected(const std::string &Text, const char *What) {
-  ReportSet Out(7, 8);
-  Out.add(makeReport(true, {{2, 1}}, {{3, 1}}));
-  EXPECT_FALSE(ReportSet::deserialize(Text, Out)) << What;
-  EXPECT_EQ(Out.size(), 1u) << What;
-  EXPECT_EQ(Out.numSites(), 7u) << What;
-  EXPECT_EQ(Out.numPredicates(), 8u) << What;
-  EXPECT_EQ(Out[0].Counts.SiteObservations,
-            (std::vector<std::pair<uint32_t, uint32_t>>{{2, 1}}))
-      << What;
-}
-
-} // namespace
-
-TEST(ReportSetTest, DeserializeRejectsTruncationAtEveryLineBoundary) {
-  std::string Text = fuzzFixture().serialize();
-  // Cut after each newline except the final one: every proper line-prefix
-  // of a report file is malformed.
-  for (size_t Pos = Text.find('\n'); Pos != std::string::npos && Pos + 1 < Text.size();
-       Pos = Text.find('\n', Pos + 1))
-    expectRejected(Text.substr(0, Pos + 1),
-                   ("truncated at byte " + std::to_string(Pos + 1)).c_str());
-}
-
-TEST(ReportSetTest, DeserializeRejectsMidTokenTruncation) {
-  std::string Text = fuzzFixture().serialize();
-  expectRejected(Text.substr(0, Text.size() / 4), "quarter");
-  expectRejected(Text.substr(0, Text.size() / 2), "half");
-  expectRejected(Text.substr(0, (3 * Text.size()) / 4), "three quarters");
-}
-
-TEST(ReportSetTest, DeserializeRejectsCountsExceedingSpace) {
-  // An S/P entry count larger than the number of sites/predicates cannot
-  // be a valid sorted duplicate-free list (and used to drive a huge
-  // reserve()).
-  expectRejected("SBI-REPORTS v1\n2 12 1\nR 1 0 0 0 -\nS 3 0:1 1:1 2:1\nP 0\n",
-                 "site count exceeds NumSites");
-  expectRejected("SBI-REPORTS v1\n2 3 1\nR 1 0 0 0 -\nS 0\nP 4 0:1 1:1 2:1 3:1\n",
-                 "pred count exceeds NumPredicates");
-  expectRejected("SBI-REPORTS v1\n2 3 1\nR 1 0 0 0 -\nS 0\nP 99999999 0:1\n",
-                 "absurd count");
-}
-
-TEST(ReportSetTest, DeserializeRejectsOutOfRangeIds) {
-  expectRejected("SBI-REPORTS v1\n2 12 1\nR 1 0 0 0 -\nS 1 2:1\nP 0\n",
-                 "site id == NumSites");
-  expectRejected("SBI-REPORTS v1\n2 12 1\nR 1 0 0 0 -\nS 0\nP 1 12:1\n",
-                 "pred id == NumPredicates");
-  expectRejected("SBI-REPORTS v1\n2 12 1\nR 1 0 0 0 -\nS 0\nP 1 99:1\n",
-                 "pred id way out of range");
-}
-
-TEST(ReportSetTest, DeserializeRejectsDuplicateAndUnsortedEntries) {
-  expectRejected("SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 2 5:1 5:1\n",
-                 "duplicate predicate entry");
-  expectRejected("SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 2 7:1 5:1\n",
-                 "unsorted predicate entries");
-  expectRejected("SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 2 3:1 3:2\nP 0\n",
-                 "duplicate site entry");
-}
-
-TEST(ReportSetTest, DeserializeRejectsMalformedPairs) {
-  expectRejected("SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 1 5\n",
-                 "missing colon");
-  expectRejected("SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 1 :1\n",
-                 "missing id");
-  expectRejected("SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 1 5:\n",
-                 "missing count");
-  expectRejected("SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 1 x:1\n",
-                 "non-numeric id");
-  expectRejected("SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 1 -1:1\n",
-                 "negative id");
-  // std::stoul would have thrown std::out_of_range here and crashed.
-  expectRejected(
-      "SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 1 99999999999999999999:1\n",
-      "id overflowing uint32");
-  expectRejected(
-      "SBI-REPORTS v1\n4 12 1\nR 1 0 0 0 -\nS 0\nP 1 5:99999999999999999999\n",
-      "count overflowing uint32");
-}
-
-TEST(ReportSetTest, DeserializeAcceptsCampaignShapedRoundTrip) {
-  // Round-trip of a set with every field populated and multiple sorted
-  // entries per line must keep working after the validation tightening.
-  ReportSet Set = fuzzFixture();
-  ReportSet Out;
-  ASSERT_TRUE(ReportSet::deserialize(Set.serialize(), Out));
-  ASSERT_EQ(Out.size(), Set.size());
-  for (size_t I = 0; I < Set.size(); ++I) {
-    EXPECT_EQ(Out[I].Failed, Set[I].Failed);
-    EXPECT_EQ(Out[I].BugMask, Set[I].BugMask);
-    EXPECT_EQ(Out[I].StackSignature, Set[I].StackSignature);
-    EXPECT_EQ(Out[I].Counts.SiteObservations, Set[I].Counts.SiteObservations);
-    EXPECT_EQ(Out[I].Counts.TruePredicates, Set[I].Counts.TruePredicates);
-  }
-}
-
-TEST(ReportSetTest, SerializeDropsZeroCountPairs) {
-  // Zero-count entries mean "present in the sparse list but never
-  // observed"; observedTrue/siteObserved already treat them as absent, so
-  // serialize must too — otherwise a set round-trips into one that
-  // compares unequal and bloats the file with dead pairs.
-  ReportSet Set(5, 9);
-  Set.add(makeReport(true, {{0, 2}, {1, 0}, {4, 1}}, {{2, 0}, {3, 7}}));
-  Set.add(makeReport(false, {{2, 0}}, {{0, 0}, {8, 0}}));
-
-  std::string Text = Set.serialize();
-  EXPECT_NE(Text.find("S 2 0:2 4:1\n"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("P 1 3:7\n"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("S 0\n"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("P 0\n"), std::string::npos) << Text;
-
-  ReportSet Out;
-  ASSERT_TRUE(ReportSet::deserialize(Text, Out));
-  ASSERT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Out[0].Counts.SiteObservations,
-            (std::vector<std::pair<uint32_t, uint32_t>>{{0, 2}, {4, 1}}));
-  EXPECT_EQ(Out[0].Counts.TruePredicates,
-            (std::vector<std::pair<uint32_t, uint32_t>>{{3, 7}}));
-  EXPECT_TRUE(Out[1].Counts.SiteObservations.empty());
-  EXPECT_TRUE(Out[1].Counts.TruePredicates.empty());
-  // A second round trip is a fixed point: normalization already happened.
-  EXPECT_EQ(Out.serialize(), Text);
-}
-
-TEST(ReportSetTest, SerializeSortsHandAssembledEntries) {
-  // deserialize rejects unsorted pair lists, so a hand-assembled set with
-  // out-of-order entries must not produce an unreadable file.
-  ReportSet Set(6, 6);
-  Set.add(makeReport(true, {{3, 1}, {0, 2}}, {{5, 1}, {1, 4}, {2, 0}}));
-
-  ReportSet Out;
-  ASSERT_TRUE(ReportSet::deserialize(Set.serialize(), Out));
-  ASSERT_EQ(Out.size(), 1u);
-  EXPECT_EQ(Out[0].Counts.SiteObservations,
-            (std::vector<std::pair<uint32_t, uint32_t>>{{0, 2}, {3, 1}}));
-  EXPECT_EQ(Out[0].Counts.TruePredicates,
-            (std::vector<std::pair<uint32_t, uint32_t>>{{1, 4}, {5, 1}}));
-}

@@ -321,7 +321,7 @@ TEST(CampaignTest, TelemetryRecordsRealizedSamplingRates) {
 
 TEST(CampaignTest, RunLoopAgreesAcrossModesAndThreadCounts) {
   // The one run loop over {in memory, spilled} x {1, 3 workers}: every cell
-  // must produce the same reports (serialized, or as shard bytes), ground
+  // must produce the same reports (as the bytes of their corpus), ground
   // truth, failure count and sampling-rate gauges. 130 runs in shards of
   // 16 leave a short last shard and an uneven split over three workers.
   const std::string Dir = freshTestDir();
@@ -341,7 +341,6 @@ TEST(CampaignTest, RunLoopAgreesAcrossModesAndThreadCounts) {
   ASSERT_TRUE(Reference.Error.empty()) << Reference.Error;
   ASSERT_EQ(Reference.Reports.size(), 130u);
   ASSERT_GT(Reference.numFailing(), 0u);
-  const std::string ReferenceText = Reference.Reports.serialize();
   std::string Error;
   ASSERT_TRUE(writeCorpus(Reference.Reports, Dir + "/reference",
                           Options.SpillShardReports, Error))
@@ -366,7 +365,11 @@ TEST(CampaignTest, RunLoopAgreesAcrossModesAndThreadCounts) {
         EXPECT_EQ(Cell.SpilledReports, 130u) << What;
         EXPECT_EQ(corpusBytes(Options.SpillDir), ReferenceShards) << What;
       } else {
-        EXPECT_EQ(Cell.Reports.serialize(), ReferenceText) << What;
+        std::string CellDir = Dir + "/memory-t" + std::to_string(Threads);
+        ASSERT_TRUE(writeCorpus(Cell.Reports, CellDir,
+                                Options.SpillShardReports, Error))
+            << What << ": " << Error;
+        EXPECT_EQ(corpusBytes(CellDir), ReferenceShards) << What;
       }
       EXPECT_EQ(Cell.numFailing(), Reference.numFailing()) << What;
       ASSERT_EQ(Cell.Bugs.size(), Reference.Bugs.size()) << What;
@@ -390,6 +393,35 @@ TEST(CampaignTest, RunLoopAgreesAcrossModesAndThreadCounts) {
             << What << ": " << Scheme;
       }
     }
+}
+
+TEST(CampaignTest, SpillReplacesTheCorpusAlreadyInItsDirectory) {
+  // A second, smaller campaign spilled into the same directory must leave
+  // only its own shards: none of the first campaign's may be read back.
+  // A file that is not a shard stays.
+  const std::string Dir = freshTestDir();
+  CampaignOptions Options = smallOptions(60);
+  Options.SpillShardReports = 8;
+  Options.SpillDir = Dir + "/corpus";
+  ASSERT_TRUE(runCampaign(ccryptSubject(), Options).Error.empty());
+  ASSERT_EQ(listCorpusShards(Options.SpillDir).size(), 8u);
+  std::ofstream(Options.SpillDir + "/notes.txt") << "kept\n";
+
+  Options.NumRuns = 20;
+  Options.Seed = 7;
+  CampaignResult Second = runCampaign(ccryptSubject(), Options);
+  ASSERT_TRUE(Second.Error.empty()) << Second.Error;
+  EXPECT_EQ(listCorpusShards(Options.SpillDir).size(), 3u);
+  RunProfiles Runs;
+  std::string Error;
+  ASSERT_TRUE(ingestCorpus(Options.SpillDir, Runs, 1, Error)) << Error;
+  EXPECT_EQ(Runs.size(), 20u);
+  EXPECT_EQ(Runs.numFailing(), Second.numFailing());
+  EXPECT_TRUE(std::filesystem::exists(Options.SpillDir + "/notes.txt"));
+
+  Options.SpillDir = Dir + "/expected";
+  runCampaign(ccryptSubject(), Options);
+  EXPECT_EQ(corpusBytes(Dir + "/corpus"), corpusBytes(Options.SpillDir));
 }
 
 TEST(CampaignTest, SpillErrorWhenTheDirectoryCannotBeCreated) {

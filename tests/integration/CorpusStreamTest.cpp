@@ -14,8 +14,8 @@
 //
 // Together these close the loop: campaign -> shards on disk -> streamed
 // ingestion -> analysis gives the same answer as the all-in-memory
-// pipeline, which is what lets `sbi analyze --corpus=DIR` replace
-// `sbi analyze --in=FILE` without changing any result.
+// pipeline, which is what lets a corpus be `sbi`'s only report format:
+// `sbi analyze --in=DIR` prints what the in-memory `sbi analyze` prints.
 //
 //===----------------------------------------------------------------------===//
 

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analysis.h"
+#include "feedback/Corpus.h"
 #include "harness/Campaign.h"
 #include "harness/Tables.h"
 #include "logreg/LogReg.h"
@@ -151,8 +152,8 @@ TEST(EndToEndTest, EliminationBeatsLogRegAtBugSeparation) {
   CauseIsolator Isolator(Result.Sites, Result.Reports);
   AnalysisResult Analysis = Isolator.run();
 
-  LogRegModel Model =
-      trainForSparsity(Result.Reports, 40, {0.02, 0.01, 0.005});
+  LogRegModel Model = trainForSparsity(RunProfiles::fromReports(Result.Reports),
+                                       40, {0.02, 0.01, 0.005});
 
   auto distinctDominantBugs = [&](const std::vector<uint32_t> &Preds) {
     std::set<int> Bugs;
@@ -184,10 +185,14 @@ TEST(EndToEndTest, EliminationBeatsLogRegAtBugSeparation) {
 }
 
 TEST(EndToEndTest, ReportsSurviveSerializationForAnalysis) {
+  // A report set's on-disk form is a corpus; reading it back in full must
+  // not change the analysis.
   CampaignResult Result = campaign(ccryptSubject(), 300);
-  std::string Text = Result.Reports.serialize();
+  const std::string Dir = ::testing::TempDir() + "sbi-end-to-end-corpus";
+  std::string Error;
+  ASSERT_TRUE(writeCorpus(Result.Reports, Dir, 64, Error)) << Error;
   ReportSet Restored;
-  ASSERT_TRUE(ReportSet::deserialize(Text, Restored));
+  ASSERT_TRUE(readCorpus(Dir, Restored, Error)) << Error;
 
   CauseIsolator Before(Result.Sites, Result.Reports);
   CauseIsolator After(Result.Sites, Restored);

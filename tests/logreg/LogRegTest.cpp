@@ -20,8 +20,8 @@ FeedbackReport makeRun(bool Failed, std::vector<uint32_t> TruePreds) {
 }
 
 /// Predicate 0 perfectly separates failures; predicates 1..4 are noise.
-ReportSet separableSet(int PerClass = 60) {
-  ReportSet Set(10, 10);
+RunProfiles separableRuns(int PerClass = 60) {
+  RunProfiles Runs(10, 10);
   for (int I = 0; I < PerClass; ++I) {
     std::vector<uint32_t> Noise;
     if (I % 2)
@@ -30,19 +30,19 @@ ReportSet separableSet(int PerClass = 60) {
       Noise.push_back(2);
     std::vector<uint32_t> Failing = Noise;
     Failing.push_back(0);
-    Set.add(makeRun(true, Failing));
-    Set.add(makeRun(false, Noise));
+    Runs.addReport(makeRun(true, Failing));
+    Runs.addReport(makeRun(false, Noise));
   }
-  return Set;
+  return Runs;
 }
 
 } // namespace
 
 TEST(LogRegTest, LearnsSeparablePredictor) {
-  ReportSet Set = separableSet();
+  RunProfiles Runs = separableRuns();
   LogRegOptions Options;
   Options.Lambda = 0.01;
-  LogRegModel Model = trainL1LogReg(Set, Options);
+  LogRegModel Model = trainL1LogReg(Runs, Options);
   ASSERT_EQ(Model.Weights.size(), 10u);
   EXPECT_GT(Model.Weights[0], 0.5) << "separating feature gets the weight";
   auto Top = Model.topByMagnitude(1);
@@ -51,8 +51,8 @@ TEST(LogRegTest, LearnsSeparablePredictor) {
 }
 
 TEST(LogRegTest, PredictionsSeparateClasses) {
-  ReportSet Set = separableSet();
-  LogRegModel Model = trainL1LogReg(Set, {0.01, 400, 1e-7});
+  RunProfiles Runs = separableRuns();
+  LogRegModel Model = trainL1LogReg(Runs, {0.01, 400, 1e-7});
   double FailP = Model.predict(makeRun(true, {0, 1}));
   double OkP = Model.predict(makeRun(false, {1}));
   EXPECT_GT(FailP, 0.8);
@@ -60,8 +60,8 @@ TEST(LogRegTest, PredictionsSeparateClasses) {
 }
 
 TEST(LogRegTest, L1DrivesNoiseWeightsToZero) {
-  ReportSet Set = separableSet();
-  LogRegModel Model = trainL1LogReg(Set, {0.05, 400, 1e-7});
+  RunProfiles Runs = separableRuns();
+  LogRegModel Model = trainL1LogReg(Runs, {0.05, 400, 1e-7});
   // Noise features 1 and 2 are uninformative; with a real penalty their
   // weights must be exactly zero (the soft-threshold operator zeroes them).
   EXPECT_DOUBLE_EQ(Model.Weights[1], 0.0);
@@ -70,7 +70,7 @@ TEST(LogRegTest, L1DrivesNoiseWeightsToZero) {
 }
 
 TEST(LogRegTest, SparsityGrowsWithLambda) {
-  ReportSet Set(20, 20);
+  RunProfiles Runs(20, 20);
   Rng R(5);
   for (int I = 0; I < 300; ++I) {
     bool Failed = R.nextBernoulli(0.4);
@@ -80,11 +80,11 @@ TEST(LogRegTest, SparsityGrowsWithLambda) {
       if (R.nextBernoulli(Rate))
         True.push_back(P);
     }
-    Set.add(makeRun(Failed, True));
+    Runs.addReport(makeRun(Failed, True));
   }
   int PrevNonzero = 21;
   for (double Lambda : {0.001, 0.01, 0.05, 0.2}) {
-    LogRegModel Model = trainL1LogReg(Set, {Lambda, 300, 1e-8});
+    LogRegModel Model = trainL1LogReg(Runs, {Lambda, 300, 1e-8});
     EXPECT_LE(Model.numNonzero(), PrevNonzero)
         << "lambda = " << Lambda;
     PrevNonzero = Model.numNonzero();
@@ -92,34 +92,34 @@ TEST(LogRegTest, SparsityGrowsWithLambda) {
 }
 
 TEST(LogRegTest, HugeLambdaZeroesEverything) {
-  ReportSet Set = separableSet();
-  LogRegModel Model = trainL1LogReg(Set, {10.0, 200, 1e-8});
+  RunProfiles Runs = separableRuns();
+  LogRegModel Model = trainL1LogReg(Runs, {10.0, 200, 1e-8});
   EXPECT_EQ(Model.numNonzero(), 0);
 }
 
 TEST(LogRegTest, InterceptTracksBaseRate) {
   // With no informative features, the intercept should land near the
   // log-odds of the failure rate.
-  ReportSet Set(4, 4);
+  RunProfiles Runs(4, 4);
   for (int I = 0; I < 90; ++I)
-    Set.add(makeRun(false, {}));
+    Runs.addReport(makeRun(false, {}));
   for (int I = 0; I < 10; ++I)
-    Set.add(makeRun(true, {}));
-  LogRegModel Model = trainL1LogReg(Set, {0.01, 400, 1e-9});
+    Runs.addReport(makeRun(true, {}));
+  LogRegModel Model = trainL1LogReg(Runs, {0.01, 400, 1e-9});
   double P = 1.0 / (1.0 + std::exp(-Model.Intercept));
   EXPECT_NEAR(P, 0.1, 0.03);
 }
 
 TEST(LogRegTest, EmptySetYieldsEmptyModel) {
-  ReportSet Set(5, 5);
-  LogRegModel Model = trainL1LogReg(Set);
+  RunProfiles Runs(5, 5);
+  LogRegModel Model = trainL1LogReg(Runs);
   EXPECT_EQ(Model.numNonzero(), 0);
   EXPECT_DOUBLE_EQ(Model.Intercept, 0.0);
 }
 
 TEST(LogRegTest, TopByMagnitudeOrdersAndTruncates) {
-  ReportSet Set = separableSet();
-  LogRegModel Model = trainL1LogReg(Set, {0.002, 400, 1e-8});
+  RunProfiles Runs = separableRuns();
+  LogRegModel Model = trainL1LogReg(Runs, {0.002, 400, 1e-8});
   auto Top = Model.topByMagnitude(3);
   EXPECT_LE(Top.size(), 3u);
   for (size_t I = 1; I < Top.size(); ++I)
@@ -129,12 +129,12 @@ TEST(LogRegTest, TopByMagnitudeOrdersAndTruncates) {
 TEST(LogRegTest, TopPositiveExcludesNegativeWeights) {
   // Feature 0 predicts failure; feature 3 predicts success (present in
   // every successful run only) and should get a negative weight.
-  ReportSet Set(10, 10);
+  RunProfiles Runs(10, 10);
   for (int I = 0; I < 60; ++I) {
-    Set.add(makeRun(true, {0}));
-    Set.add(makeRun(false, {3}));
+    Runs.addReport(makeRun(true, {0}));
+    Runs.addReport(makeRun(false, {3}));
   }
-  LogRegModel Model = trainL1LogReg(Set, {0.01, 400, 1e-8});
+  LogRegModel Model = trainL1LogReg(Runs, {0.01, 400, 1e-8});
   EXPECT_LT(Model.Weights[3], 0.0);
   for (const auto &[Pred, Weight] : Model.topPositive(10)) {
     EXPECT_GT(Weight, 0.0);
@@ -146,18 +146,18 @@ TEST(LogRegTest, TopPositiveExcludesNegativeWeights) {
 }
 
 TEST(LogRegTest, TrainForSparsityRespectsCap) {
-  ReportSet Set = separableSet();
+  RunProfiles Runs = separableRuns();
   LogRegModel Model =
-      trainForSparsity(Set, /*MaxActive=*/2, {0.2, 0.05, 0.01, 0.001});
+      trainForSparsity(Runs, /*MaxActive=*/2, {0.2, 0.05, 0.01, 0.001});
   int Active = Model.numNonzero();
   EXPECT_GT(Active, 0);
   EXPECT_LE(Active, 2);
 }
 
 TEST(LogRegTest, DeterministicTraining) {
-  ReportSet Set = separableSet();
-  LogRegModel A = trainL1LogReg(Set, {0.01, 200, 1e-8});
-  LogRegModel B = trainL1LogReg(Set, {0.01, 200, 1e-8});
+  RunProfiles Runs = separableRuns();
+  LogRegModel A = trainL1LogReg(Runs, {0.01, 200, 1e-8});
+  LogRegModel B = trainL1LogReg(Runs, {0.01, 200, 1e-8});
   EXPECT_EQ(A.Weights, B.Weights);
   EXPECT_DOUBLE_EQ(A.Intercept, B.Intercept);
 }

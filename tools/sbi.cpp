@@ -9,31 +9,30 @@
 //       List the bundled study subjects and their seeded bugs.
 //
 //   sbi run --subject=NAME [--runs=N] [--seed=S]
-//           [--sampling=adaptive|none|uniform:RATE] [--out=FILE]
-//       Run a feedback-collection campaign; write the labeled reports to
-//       FILE (default: <subject>.reports).
+//           [--sampling=adaptive|none|uniform:RATE] [--out=DIR]
+//       Run a feedback-collection campaign; its workers write the labeled
+//       reports straight into an SBI-CORPUS v2 corpus (feedback/Corpus.h)
+//       at DIR (default: <subject>.corpus), replacing any corpus there.
 //
-//   sbi analyze --subject=NAME [--in=FILE] [--runs=N] [--seed=S]
+//   sbi analyze --subject=NAME [--in=DIR] [--runs=N] [--seed=S]
 //               [--policy=all|failing|relabel] [--top=K] [--affinity]
 //               [--bugs]
-//       Isolate causes. Reads reports from FILE if given, otherwise runs
-//       a fresh campaign. --bugs appends ground-truth columns (the seeded
-//       subjects record which bug actually occurred per run).
+//       Isolate causes. Reads the corpus at DIR if given, otherwise runs
+//       a fresh campaign in memory; both give the same output. --bugs
+//       appends ground-truth columns (the seeded subjects record which bug
+//       actually occurred per run).
 //
-//   sbi logreg --subject=NAME [--in=FILE] [--runs=N] [--top=K]
+//   sbi logreg --subject=NAME [--in=DIR] [--runs=N] [--top=K]
 //       The Section 4.4 baseline: l1-regularized logistic regression.
 //
-//   sbi report --subject=NAME [--in=FILE] [--runs=N] [--seed=S]
+//   sbi report --subject=NAME [--in=DIR] [--runs=N] [--seed=S]
 //              [--policy=all|failing|relabel] [--out=FILE] [--top=K]
 //              [--bugs]
 //       Write the analysis as a self-contained HTML page (the paper's
 //       "interactive version of our analysis tools").
 //
-//   sbi corpus <convert|info|merge|validate> ...
-//       Maintain SBI-CORPUS v2 binary sharded corpora (feedback/Corpus.h).
-//       `run --corpus=DIR` spills a campaign straight into shards;
-//       `analyze --corpus=DIR` streams them back without materializing a
-//       ReportSet.
+//   sbi corpus <info|merge|validate> ...
+//       Summarize, concatenate and fully decode corpora.
 //
 //   sbi lint [--subject=NAME] [--json]
 //       Static findings (src/sa) over one subject or all of them: dead
@@ -65,7 +64,6 @@
 #include "support/Thermometer.h"
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -79,11 +77,10 @@ namespace {
 
 struct CliArgs {
   std::string Command;
-  std::string SubCommand; // corpus verb: convert|info|merge|validate.
+  std::string SubCommand; // corpus verb: info|merge|validate.
   std::string SubjectName;
   std::string InFile;
   std::string OutFile;
-  std::string CorpusDir;
   std::string Sampling = "adaptive";
   double UniformRate = 0.01; // RATE of --sampling=uniform:RATE.
   std::string Policy = "all";
@@ -96,7 +93,7 @@ struct CliArgs {
   uint64_t Seed = 20050612;
   size_t Top = 20;
   size_t Threads = 0;            // 0 = one per hardware thread.
-  size_t ShardReports = 1024;    // Reports per shard for corpus writers.
+  size_t ShardReports = 128;     // Reports per shard for corpus writers.
   bool ShowAffinity = false;
   bool ShowBugs = false;
   bool Trace = false;
@@ -111,30 +108,31 @@ int usage() {
       "usage: sbi <command> [options]\n"
       "  subjects\n"
       "  run     --subject=NAME [--runs=N] [--seed=S]\n"
-      "          [--sampling=adaptive|none|uniform:RATE] [--out=FILE]\n"
-      "          [--static-prune] [--engine=interp|vm]\n"
-      "  analyze --subject=NAME [--in=FILE] [--runs=N] [--seed=S]\n"
+      "          [--sampling=adaptive|none|uniform:RATE] [--out=DIR]\n"
+      "          [--shard-reports=N] [--static-prune] [--engine=interp|vm]\n"
+      "  analyze --subject=NAME [--in=DIR] [--runs=N] [--seed=S]\n"
       "          [--policy=all|failing|relabel] [--top=K] [--affinity] "
       "[--bugs]\n"
       "          [--analysis-engine=rescan|incremental|bitset] "
       "[--static-prune]\n"
       "          [--trace] [--engine=interp|vm]\n"
-      "  logreg  --subject=NAME [--in=FILE] [--runs=N] [--top=K]\n"
-      "  report  --subject=NAME [--in=FILE] [--out=FILE] [--top=K] "
+      "  logreg  --subject=NAME [--in=DIR] [--runs=N] [--top=K]\n"
+      "  report  --subject=NAME [--in=DIR] [--out=FILE] [--top=K] "
       "[--bugs]\n"
       "          [--policy=all|failing|relabel]\n"
       "  lint    [--subject=NAME] [--json]\n"
       "  trace   summarize --in=FILE [--top=K] [--json]\n"
-      "  corpus  convert  --in=REPORTS --out=DIR [--shard-reports=N]\n"
-      "          info     DIR\n"
+      "  corpus  info     DIR\n"
       "          merge    --out=DIR DIR... [--shard-reports=N]\n"
       "          validate DIR\n"
-      "corpus options:\n"
-      "  --corpus=DIR       (run) spill reports into an SBI-CORPUS v2\n"
-      "                     shard directory instead of a v1 text file;\n"
-      "                     (analyze) stream reports back from DIR without\n"
-      "                     materializing them in memory\n"
-      "  --shard-reports=N  reports per shard when writing (default 1024)\n"
+      "corpus options (reports live in SBI-CORPUS v2 shard directories):\n"
+      "  --out=DIR          (run, corpus merge) the corpus to write; any\n"
+      "                     corpus already there is replaced (run default:\n"
+      "                     <subject>.corpus)\n"
+      "  --in=DIR           (analyze, logreg, report) read the runs from a\n"
+      "                     corpus instead of running a campaign\n"
+      "  --shard-reports=N  reports per shard when writing (default 128);\n"
+      "                     each run-loop worker writes whole shards\n"
       "common options (any command that runs a campaign):\n"
       "  --threads=N        worker threads for the run loop; 0 = one per\n"
       "                     hardware thread (default; results are\n"
@@ -196,7 +194,6 @@ bool parseArgs(int Argc, char **Argv, CliArgs &Args) {
     };
     if (valueOf("--subject=", Args.SubjectName) ||
         valueOf("--in=", Args.InFile) || valueOf("--out=", Args.OutFile) ||
-        valueOf("--corpus=", Args.CorpusDir) ||
         valueOf("--policy=", Args.Policy) ||
         valueOf("--analysis-engine=", Args.Engine) ||
         valueOf("--engine=", Args.ExecEngine) ||
@@ -280,25 +277,22 @@ bool parseArgs(int Argc, char **Argv, CliArgs &Args) {
   return true;
 }
 
-/// Refuses two flags \p Command cannot honour together, rather than
-/// silently ignoring one of them; returns the usage exit status.
-int conflictingFlags(const char *Command, const char *Flag,
-                     const char *Other) {
-  std::fprintf(stderr, "sbi: %s %s cannot be combined with %s\n", Command,
-               Flag, Other);
-  return 2;
+/// The subject --subject names, or null after saying it does not exist.
+const Subject *subjectOf(const CliArgs &Args) {
+  const Subject *Subj = findSubject(Args.SubjectName);
+  if (!Subj)
+    std::fprintf(stderr, "sbi: unknown subject '%s' (try 'sbi subjects')\n",
+                 Args.SubjectName.c_str());
+  return Subj;
 }
 
-/// One-line prune summary for a campaign that ran with --static-prune.
-void printPruneSummary(const CampaignResult &Result) {
-  if (!Result.StaticPruned)
-    return;
+/// One-line summary of a static prune.
+void printPruneSummary(const PruneResult &Prune) {
   std::fprintf(stderr,
                "sbi: static prune: %u/%u sites pruned "
                "(%u unreachable, %u constant-outcome, %u live)\n",
-               Result.Prune.numPruned(), Result.Prune.numSites(),
-               Result.Prune.numUnreachable(), Result.Prune.numConstant(),
-               Result.Prune.numLive());
+               Prune.numPruned(), Prune.numSites(), Prune.numUnreachable(),
+               Prune.numConstant(), Prune.numLive());
 }
 
 int cmdSubjects() {
@@ -354,103 +348,107 @@ bool configureCampaign(const CliArgs &Args, CampaignOptions &Options) {
   return true;
 }
 
-/// Runs a campaign or loads reports; either way yields a site table (from
-/// the subject's source, which is deterministic) and a report set.
-bool obtainReports(const CliArgs &Args, CampaignResult &Result) {
-  const Subject *Subj = findSubject(Args.SubjectName);
-  if (!Subj) {
-    std::fprintf(stderr, "sbi: unknown subject '%s' (try 'sbi subjects')\n",
-                 Args.SubjectName.c_str());
+/// What analyze, logreg and report read: the subject, the site table that
+/// names its predicates, and one run population.
+struct Population {
+  const Subject *Subj = nullptr;
+  std::unique_ptr<Program> Prog;
+  SiteTable Sites;
+  RunProfiles Runs;
+};
+
+/// The one read path. With --in=DIR it ingests the corpus at DIR and checks
+/// it against the subject; otherwise it runs the campaign in memory and
+/// converts the reports once. \p Counts, if given, also receives the runs'
+/// recorded counts (the campaign's reports, or the corpus read in full),
+/// which prune verification checks against.
+bool loadPopulation(const CliArgs &Args, Population &Out,
+                    ReportSet *Counts = nullptr) {
+  Out.Subj = subjectOf(Args);
+  if (!Out.Subj)
     return false;
-  }
   if (Args.InFile.empty()) {
     CampaignOptions Options;
     if (!configureCampaign(Args, Options))
       return false;
     std::fprintf(stderr, "sbi: running %zu '%s' inputs...\n", Args.Runs,
-                 Subj->Name.c_str());
-    Result = runCampaign(*Subj, Options);
-    printPruneSummary(Result);
+                 Out.Subj->Name.c_str());
+    CampaignResult Result = runCampaign(*Out.Subj, Options);
+    if (Result.StaticPruned)
+      printPruneSummary(Result.Prune);
+    Out.Prog = std::move(Result.Prog);
+    Out.Sites = std::move(Result.Sites);
+    Out.Runs = RunProfiles::fromReports(Result.Reports);
+    if (Counts)
+      *Counts = std::move(Result.Reports);
     return true;
   }
-  // Load reports; rebuild only the static site table.
-  Result.Subj = Subj;
-  Result.Prog = compileSubjectSource(Subj->Source, Subj->Name);
-  Result.Sites = SiteTable::build(*Result.Prog);
-  std::ifstream In(Args.InFile);
-  if (!In) {
-    std::fprintf(stderr, "sbi: cannot open '%s'\n", Args.InFile.c_str());
+  // Only the static site table is rebuilt; it comes from the subject's
+  // source, which is deterministic.
+  Out.Prog = compileSubjectSource(Out.Subj->Source, Out.Subj->Name);
+  Out.Sites = SiteTable::build(*Out.Prog);
+  CorpusIngestStats Stats;
+  std::string Error;
+  if (!ingestCorpus(Args.InFile, Out.Runs, Args.Threads, Error, &Stats)) {
+    std::fprintf(stderr, "sbi: cannot read corpus '%s': %s\n",
+                 Args.InFile.c_str(), Error.c_str());
     return false;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  if (!ReportSet::deserialize(Buffer.str(), Result.Reports)) {
-    std::fprintf(stderr, "sbi: '%s' is not a valid report file\n",
-                 Args.InFile.c_str());
-    return false;
-  }
-  if (Result.Reports.numSites() != Result.Sites.numSites() ||
-      Result.Reports.numPredicates() != Result.Sites.numPredicates()) {
+  if (Out.Runs.numSites() != Out.Sites.numSites() ||
+      Out.Runs.numPredicates() != Out.Sites.numPredicates()) {
     std::fprintf(stderr,
-                 "sbi: report file does not match subject '%s' (%u vs %u "
+                 "sbi: corpus does not match subject '%s' (%u vs %u "
                  "sites, %u vs %u predicates)\n",
-                 Subj->Name.c_str(), Result.Reports.numSites(),
-                 Result.Sites.numSites(), Result.Reports.numPredicates(),
-                 Result.Sites.numPredicates());
+                 Out.Subj->Name.c_str(), Out.Runs.numSites(),
+                 Out.Sites.numSites(), Out.Runs.numPredicates(),
+                 Out.Sites.numPredicates());
+    return false;
+  }
+  std::fprintf(stderr,
+               "sbi: ingested %llu reports from %llu shards "
+               "(%.2f MB in %.3fs, %.1f MB/s)\n",
+               static_cast<unsigned long long>(Stats.Reports),
+               static_cast<unsigned long long>(Stats.Shards),
+               static_cast<double>(Stats.Bytes) / 1e6, Stats.Seconds,
+               Stats.Seconds > 0.0
+                   ? static_cast<double>(Stats.Bytes) / 1e6 / Stats.Seconds
+                   : 0.0);
+  if (Counts && !readCorpus(Args.InFile, *Counts, Error)) {
+    std::fprintf(stderr, "sbi: cannot read corpus '%s': %s\n",
+                 Args.InFile.c_str(), Error.c_str());
     return false;
   }
   return true;
 }
 
+/// The one write path: the campaign's workers spill their reports straight
+/// into the corpus at --out; no ReportSet is ever materialized.
 int cmdRun(const CliArgs &Args) {
-  if (!Args.CorpusDir.empty()) {
-    if (!Args.OutFile.empty())
-      return conflictingFlags("run", "--corpus", "--out");
-    // Spill mode: workers flush completed reports straight into v2 shards;
-    // the full ReportSet is never materialized.
-    const Subject *Subj = findSubject(Args.SubjectName);
-    if (!Subj) {
-      std::fprintf(stderr,
-                   "sbi: unknown subject '%s' (try 'sbi subjects')\n",
-                   Args.SubjectName.c_str());
-      return 1;
-    }
-    CampaignOptions Options;
-    if (!configureCampaign(Args, Options))
-      return 1;
-    Options.SpillDir = Args.CorpusDir;
-    Options.SpillShardReports = Args.ShardReports;
-    std::fprintf(stderr, "sbi: running %zu '%s' inputs...\n", Args.Runs,
-                 Subj->Name.c_str());
-    CampaignResult Result = runCampaign(*Subj, Options);
-    if (!Result.Error.empty()) {
-      std::fprintf(stderr, "sbi: corpus spill failed: %s\n",
-                   Result.Error.c_str());
-      return 1;
-    }
-    printPruneSummary(Result);
-    std::printf("spilled %zu reports (%zu failing, %zu successful) into "
-                "%zu shards (%llu bytes) under %s\n",
-                Result.SpilledReports, Result.numFailing(),
-                Result.numSuccessful(), Result.SpilledShards,
-                static_cast<unsigned long long>(Result.SpilledBytes),
-                Args.CorpusDir.c_str());
-    return 0;
-  }
-  CampaignResult Result;
-  if (!obtainReports(Args, Result))
+  const Subject *Subj = subjectOf(Args);
+  if (!Subj)
     return 1;
-  std::string OutFile =
-      Args.OutFile.empty() ? Result.Subj->Name + ".reports" : Args.OutFile;
-  std::ofstream Out(OutFile);
-  if (!Out) {
-    std::fprintf(stderr, "sbi: cannot write '%s'\n", OutFile.c_str());
+  CampaignOptions Options;
+  if (!configureCampaign(Args, Options))
+    return 1;
+  Options.SpillDir =
+      Args.OutFile.empty() ? Subj->Name + ".corpus" : Args.OutFile;
+  Options.SpillShardReports = Args.ShardReports;
+  std::fprintf(stderr, "sbi: running %zu '%s' inputs...\n", Args.Runs,
+               Subj->Name.c_str());
+  CampaignResult Result = runCampaign(*Subj, Options);
+  if (!Result.Error.empty()) {
+    std::fprintf(stderr, "sbi: cannot write corpus: %s\n",
+                 Result.Error.c_str());
     return 1;
   }
-  Out << Result.Reports.serialize();
-  std::printf("wrote %zu reports (%zu failing, %zu successful) to %s\n",
-              Result.Reports.size(), Result.numFailing(),
-              Result.numSuccessful(), OutFile.c_str());
+  if (Result.StaticPruned)
+    printPruneSummary(Result.Prune);
+  std::printf("wrote %zu reports (%zu failing, %zu successful) into %zu "
+              "shards (%llu bytes) under %s\n",
+              Result.SpilledReports, Result.numFailing(),
+              Result.numSuccessful(), Result.SpilledShards,
+              static_cast<unsigned long long>(Result.SpilledBytes),
+              Options.SpillDir.c_str());
   return 0;
 }
 
@@ -484,114 +482,25 @@ bool configureAnalysis(const CliArgs &Args, AnalysisOptions &Options) {
   return true;
 }
 
-/// Shared tail of cmdAnalyze: renders the analysis over either source
-/// representation (the bug-column renderer is overloaded on it).
-template <typename SourceT>
-int printAnalysis(const CliArgs &Args, const SiteTable &Sites,
-                  const SourceT &Source, const Subject *Subj,
-                  size_t NumReports, size_t NumFailing,
-                  const AnalysisResult &Analysis) {
-  std::printf("%zu reports (%zu failing); %u predicates -> %zu survive "
-              "Increase>0 -> %zu selected\n\n",
-              NumReports, NumFailing, Sites.numPredicates(),
-              Analysis.PrunedSurvivors.size(), Analysis.Selected.size());
-
-  if (Args.Trace)
-    std::printf("%s\n", renderAuditTrail(Sites, Analysis).c_str());
-
-  std::vector<int> BugIds;
-  if (Args.ShowBugs && Subj)
-    for (const BugSpec &Bug : Subj->Bugs)
-      BugIds.push_back(Bug.Id);
-  std::printf("%s\n", renderSelectedList(Sites, Source, Analysis.Selected,
-                                         BugIds, Args.Top)
-                          .c_str());
-
-  if (Args.ShowAffinity)
-    for (size_t I = 0; I < Analysis.Selected.size() && I < Args.Top; ++I)
-      std::printf("%s", renderAffinity(Sites, Analysis.Selected[I]).c_str());
-  return 0;
-}
-
 int cmdAnalyze(const CliArgs &Args) {
   AnalysisOptions Options;
   if (!configureAnalysis(Args, Options))
     return usage();
-
-  if (!Args.CorpusDir.empty()) {
-    // Prune verification replays the reports in memory, which the
-    // streamed path never builds; and the reports come from DIR alone.
-    if (Args.StaticPrune)
-      return conflictingFlags("analyze", "--corpus", "--static-prune");
-    if (!Args.InFile.empty())
-      return conflictingFlags("analyze", "--corpus", "--in");
-    // Streamed path: shards decode in parallel into a compact profile
-    // store; no ReportSet is ever built. Results are bit-identical to the
-    // in-memory path (differential-tested).
-    const Subject *Subj = findSubject(Args.SubjectName);
-    if (!Subj) {
-      std::fprintf(stderr,
-                   "sbi: unknown subject '%s' (try 'sbi subjects')\n",
-                   Args.SubjectName.c_str());
-      return 1;
-    }
-    std::unique_ptr<Program> Prog =
-        compileSubjectSource(Subj->Source, Subj->Name);
-    SiteTable Sites = SiteTable::build(*Prog);
-    RunProfiles Runs;
-    CorpusIngestStats Stats;
-    std::string Error;
-    if (!ingestCorpus(Args.CorpusDir, Runs, Args.Threads, Error, &Stats)) {
-      std::fprintf(stderr, "sbi: cannot ingest corpus '%s': %s\n",
-                   Args.CorpusDir.c_str(), Error.c_str());
-      return 1;
-    }
-    if (Runs.numSites() != Sites.numSites() ||
-        Runs.numPredicates() != Sites.numPredicates()) {
-      std::fprintf(stderr,
-                   "sbi: corpus does not match subject '%s' (%u vs %u "
-                   "sites, %u vs %u predicates)\n",
-                   Subj->Name.c_str(), Runs.numSites(), Sites.numSites(),
-                   Runs.numPredicates(), Sites.numPredicates());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "sbi: ingested %llu reports from %llu shards "
-                 "(%.2f MB in %.3fs, %.1f MB/s)\n",
-                 static_cast<unsigned long long>(Stats.Reports),
-                 static_cast<unsigned long long>(Stats.Shards),
-                 static_cast<double>(Stats.Bytes) / 1e6, Stats.Seconds,
-                 Stats.Seconds > 0.0
-                     ? static_cast<double>(Stats.Bytes) / 1e6 / Stats.Seconds
-                     : 0.0);
-
-    CauseIsolator Isolator(Sites, Runs, Options);
-    AnalysisResult Analysis = Isolator.run();
-    return printAnalysis(Args, Sites, Runs, Subj, Runs.size(),
-                         Runs.numFailing(), Analysis);
-  }
-
-  CampaignResult Result;
-  if (!obtainReports(Args, Result))
+  Population Pop;
+  ReportSet Counts;
+  if (!loadPopulation(Args, Pop, Args.StaticPrune ? &Counts : nullptr))
     return 1;
 
   if (Args.StaticPrune) {
-    // Check the static claims against the dynamic record. With --in=FILE
-    // the reports typically come from an unpruned reference campaign, which
-    // is the strong direction: every pruned site must show zero (or
+    // Check the static claims against the recorded counts. With --in=DIR
+    // the runs typically come from an unpruned reference campaign, which is
+    // the strong direction: every pruned site must show zero (or
     // exactly-constant) counts even though it was fully instrumented.
-    const PruneResult Prune = Result.StaticPruned
-                                  ? Result.Prune
-                                  : computePrune(*Result.Prog, Result.Sites);
-    if (!Result.StaticPruned)
-      std::fprintf(stderr,
-                   "sbi: static prune: %u/%u sites pruned "
-                   "(%u unreachable, %u constant-outcome, %u live)\n",
-                   Prune.numPruned(), Prune.numSites(),
-                   Prune.numUnreachable(), Prune.numConstant(),
-                   Prune.numLive());
+    const PruneResult Prune = computePrune(*Pop.Prog, Pop.Sites);
+    if (!Args.InFile.empty())
+      printPruneSummary(Prune);
     PruneVerification Verified =
-        verifyPruneAgainstReports(Prune, Result.Sites, Result.Reports);
+        verifyPruneAgainstReports(Prune, Pop.Sites, Counts);
     if (!Verified.Ok) {
       std::fprintf(stderr, "sbi: prune verification FAILED: %s\n",
                    Verified.FirstError.c_str());
@@ -605,25 +514,45 @@ int cmdAnalyze(const CliArgs &Args) {
                      Verified.ConstantObservationsChecked));
   }
 
-  CauseIsolator Isolator(Result.Sites, Result.Reports, Options);
+  CauseIsolator Isolator(Pop.Sites, Pop.Runs, Options);
   AnalysisResult Analysis = Isolator.run();
-  return printAnalysis(Args, Result.Sites, Result.Reports, Result.Subj,
-                       Result.Reports.size(), Result.numFailing(), Analysis);
+  std::printf("%zu reports (%zu failing); %u predicates -> %zu survive "
+              "Increase>0 -> %zu selected\n\n",
+              Pop.Runs.size(), Pop.Runs.numFailing(),
+              Pop.Sites.numPredicates(), Analysis.PrunedSurvivors.size(),
+              Analysis.Selected.size());
+
+  if (Args.Trace)
+    std::printf("%s\n", renderAuditTrail(Pop.Sites, Analysis).c_str());
+
+  std::vector<int> BugIds;
+  if (Args.ShowBugs)
+    for (const BugSpec &Bug : Pop.Subj->Bugs)
+      BugIds.push_back(Bug.Id);
+  std::printf("%s\n", renderSelectedList(Pop.Sites, Pop.Runs,
+                                         Analysis.Selected, BugIds, Args.Top)
+                          .c_str());
+
+  if (Args.ShowAffinity)
+    for (size_t I = 0; I < Analysis.Selected.size() && I < Args.Top; ++I)
+      std::printf("%s",
+                  renderAffinity(Pop.Sites, Analysis.Selected[I]).c_str());
+  return 0;
 }
 
 int cmdLogReg(const CliArgs &Args) {
-  CampaignResult Result;
-  if (!obtainReports(Args, Result))
+  Population Pop;
+  if (!loadPopulation(Args, Pop))
     return 1;
   LogRegModel Model = trainForSparsity(
-      Result.Reports, /*MaxActive=*/static_cast<int>(Args.Top) * 3,
+      Pop.Runs, /*MaxActive=*/static_cast<int>(Args.Top) * 3,
       {0.05, 0.02, 0.01, 0.005, 0.002});
   std::printf("trained: %d nonzero weights (%d iterations)\n\n",
               Model.numNonzero(), Model.Iterations);
   std::printf("%-12s %s\n", "Coefficient", "Predicate");
   for (const auto &[Pred, Weight] : Model.topByMagnitude(Args.Top))
     std::printf("%12.6f %s\n", Weight,
-                predicateLabel(Result.Sites, Pred).c_str());
+                predicateLabel(Pop.Sites, Pred).c_str());
   return 0;
 }
 
@@ -631,19 +560,20 @@ int cmdReport(const CliArgs &Args) {
   AnalysisOptions AnalyzeOptions;
   if (!configureAnalysis(Args, AnalyzeOptions))
     return usage();
-  CampaignResult Result;
-  if (!obtainReports(Args, Result))
+  Population Pop;
+  if (!loadPopulation(Args, Pop))
     return 1;
-  CauseIsolator Isolator(Result.Sites, Result.Reports, AnalyzeOptions);
+  CauseIsolator Isolator(Pop.Sites, Pop.Runs, AnalyzeOptions);
   AnalysisResult Analysis = Isolator.run();
 
   HtmlReportOptions Options;
   Options.TopK = Args.Top;
   Options.ShowGroundTruth = Args.ShowBugs;
-  std::string Html = renderHtmlReport(Result, Analysis, Options);
+  std::string Html =
+      renderHtmlReport(*Pop.Subj, Pop.Sites, Pop.Runs, Analysis, Options);
 
   std::string OutFile = Args.OutFile.empty()
-                            ? Result.Subj->Name + ".report.html"
+                            ? Pop.Subj->Name + ".report.html"
                             : Args.OutFile;
   std::ofstream Out(OutFile);
   if (!Out) {
@@ -656,56 +586,13 @@ int cmdReport(const CliArgs &Args) {
   return 0;
 }
 
-/// `sbi corpus convert --in=REPORTS --out=DIR`: SBI-REPORTS v1 text to an
-/// SBI-CORPUS v2 shard directory.
-int cmdCorpusConvert(const CliArgs &Args) {
-  if (Args.InFile.empty() || Args.OutFile.empty()) {
-    std::fprintf(stderr,
-                 "sbi: corpus convert needs --in=REPORTS and --out=DIR\n");
-    return usage();
-  }
-  std::ifstream In(Args.InFile);
-  if (!In) {
-    std::fprintf(stderr, "sbi: cannot open '%s'\n", Args.InFile.c_str());
-    return 1;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  ReportSet Set;
-  if (!ReportSet::deserialize(Buffer.str(), Set)) {
-    std::fprintf(stderr, "sbi: '%s' is not a valid report file\n",
-                 Args.InFile.c_str());
-    return 1;
-  }
-  std::string Error;
-  if (!writeCorpus(Set, Args.OutFile,
-                   static_cast<uint32_t>(Args.ShardReports), Error)) {
-    std::fprintf(stderr, "sbi: cannot write corpus '%s': %s\n",
-                 Args.OutFile.c_str(), Error.c_str());
-    return 1;
-  }
-  size_t Shards = listCorpusShards(Args.OutFile).size();
-  std::printf("converted %zu reports (%zu failing) into %zu shards under "
-              "%s\n",
-              Set.size(), Set.numFailing(), Shards, Args.OutFile.c_str());
-  return 0;
-}
-
-/// The corpus directory a corpus verb operates on: its positional operand,
-/// or --corpus=DIR.
-std::string corpusOperand(const CliArgs &Args) {
-  if (!Args.Inputs.empty())
-    return Args.Inputs.front();
-  return Args.CorpusDir;
-}
-
 /// `sbi corpus info DIR`: per-shard and whole-corpus summary.
 int cmdCorpusInfo(const CliArgs &Args) {
-  std::string Dir = corpusOperand(Args);
-  if (Dir.empty()) {
+  if (Args.Inputs.empty()) {
     std::fprintf(stderr, "sbi: corpus info needs a corpus directory\n");
     return usage();
   }
+  const std::string &Dir = Args.Inputs.front();
   std::vector<std::string> Shards = listCorpusShards(Dir);
   if (Shards.empty()) {
     std::fprintf(stderr, "sbi: no shard files in '%s'\n", Dir.c_str());
@@ -738,8 +625,9 @@ int cmdCorpusInfo(const CliArgs &Args) {
 }
 
 /// `sbi corpus merge --out=DIR DIR...`: streams every input corpus, in
-/// argument then shard order, into a freshly numbered output corpus.
-/// Memory stays bounded by one shard; dimensions must agree throughout.
+/// argument then shard order, into a freshly numbered output corpus that
+/// replaces any corpus already at DIR. Memory stays bounded by one shard;
+/// dimensions must agree throughout.
 int cmdCorpusMerge(const CliArgs &Args) {
   if (Args.OutFile.empty() || Args.Inputs.empty()) {
     std::fprintf(stderr,
@@ -747,16 +635,25 @@ int cmdCorpusMerge(const CliArgs &Args) {
                  "corpus directory\n");
     return usage();
   }
-  std::error_code DirEc;
-  std::filesystem::create_directories(Args.OutFile, DirEc);
-  if (DirEc) {
-    std::fprintf(stderr, "sbi: cannot create '%s': %s\n",
-                 Args.OutFile.c_str(), DirEc.message().c_str());
+  // Replacing the output corpus would delete an input that is the same
+  // directory before it is read; refuse before writing anything.
+  for (const std::string &Dir : Args.Inputs) {
+    std::error_code Ec;
+    if (std::filesystem::equivalent(Args.OutFile, Dir, Ec)) {
+      std::fprintf(stderr,
+                   "sbi: corpus merge --out='%s' is also an input; merge "
+                   "into another directory\n",
+                   Args.OutFile.c_str());
+      return 2;
+    }
+  }
+  std::string Error;
+  if (!clearCorpusDir(Args.OutFile, Error)) {
+    std::fprintf(stderr, "sbi: %s\n", Error.c_str());
     return 1;
   }
 
   CorpusWriter Writer;
-  std::string Error;
   uint32_t OutShard = 0;
   uint64_t Written = 0;
   uint32_t NumSites = 0, NumPredicates = 0;
@@ -836,11 +733,11 @@ int cmdCorpusMerge(const CliArgs &Args) {
 /// `sbi corpus validate DIR`: full decode of every record of every shard;
 /// malformed input is reported, never crashes.
 int cmdCorpusValidate(const CliArgs &Args) {
-  std::string Dir = corpusOperand(Args);
-  if (Dir.empty()) {
+  if (Args.Inputs.empty()) {
     std::fprintf(stderr, "sbi: corpus validate needs a corpus directory\n");
     return usage();
   }
+  const std::string &Dir = Args.Inputs.front();
   std::vector<std::string> Shards = listCorpusShards(Dir);
   if (Shards.empty()) {
     std::fprintf(stderr, "sbi: no shard files in '%s'\n", Dir.c_str());
@@ -878,12 +775,9 @@ int cmdCorpusValidate(const CliArgs &Args) {
 int cmdLint(const CliArgs &Args) {
   std::vector<const Subject *> Subjects;
   if (!Args.SubjectName.empty()) {
-    const Subject *Subj = findSubject(Args.SubjectName);
-    if (!Subj) {
-      std::fprintf(stderr, "sbi: unknown subject '%s' (try 'sbi subjects')\n",
-                   Args.SubjectName.c_str());
+    const Subject *Subj = subjectOf(Args);
+    if (!Subj)
       return 1;
-    }
     Subjects.push_back(Subj);
   } else {
     Subjects = allSubjects();
@@ -948,8 +842,6 @@ int cmdTrace(const CliArgs &Args) {
 }
 
 int cmdCorpus(const CliArgs &Args) {
-  if (Args.SubCommand == "convert")
-    return cmdCorpusConvert(Args);
   if (Args.SubCommand == "info")
     return cmdCorpusInfo(Args);
   if (Args.SubCommand == "merge")
