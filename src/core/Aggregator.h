@@ -28,6 +28,7 @@
 #include "feedback/RunProfiles.h"
 #include "instrument/Sites.h"
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -67,12 +68,16 @@ public:
   /// The four-count bundle for predicate \p PredId; \p Sites maps the
   /// predicate to its enclosing site.
   PredicateCounts counts(uint32_t PredId, const SiteTable &Sites) const {
-    const PredicateInfo &Pred = Sites.predicate(PredId);
+    return counts(PredId, Sites.predicate(PredId).Site);
+  }
+
+  /// counts() for a caller that already knows the predicate's \p Site.
+  PredicateCounts counts(uint32_t PredId, uint32_t Site) const {
     PredicateCounts Counts;
     Counts.F = PredTrue[PredId][0];
     Counts.S = PredTrue[PredId][1];
-    Counts.FObs = SiteObs[Pred.Site][0];
-    Counts.SObs = SiteObs[Pred.Site][1];
+    Counts.FObs = SiteObs[Site][0];
+    Counts.SObs = SiteObs[Site][1];
     return Counts;
   }
 
@@ -94,6 +99,35 @@ private:
   friend class DeltaAggregates;
   friend class BitsetIndex;
   friend class BitsetState;
+};
+
+/// The sites and predicates whose counts changed since the last clear():
+/// one byte per id, over the id space of the bitset engine's transposed
+/// rows, predicates [0, P) then sites [P, P + S). The live engines
+/// (DeltaAggregates, BitsetState) mark every count they change, so the
+/// elimination loop re-derives the scores of only those candidates whose
+/// own mark or whose site's mark is set. Marking is a plain byte store,
+/// with no read of the word it lands in.
+class ChangeMarks {
+public:
+  ChangeMarks(uint32_t NumSites, uint32_t NumPredicates)
+      : NumPreds(NumPredicates), Marked(size_t(NumPredicates) + NumSites) {}
+
+  void markPred(uint32_t Pred) { Marked[Pred] = 1; }
+  void markSite(uint32_t Site) { Marked[size_t(NumPreds) + Site] = 1; }
+  /// Marks \p Id of the predicates-then-sites id space.
+  void markId(size_t Id) { Marked[Id] = 1; }
+
+  /// Did predicate \p Pred's counts, or those of its \p Site, change?
+  bool changed(uint32_t Pred, uint32_t Site) const {
+    return (Marked[Pred] | Marked[size_t(NumPreds) + Site]) != 0;
+  }
+
+  void clear() { std::fill(Marked.begin(), Marked.end(), 0); }
+
+private:
+  uint32_t NumPreds;
+  std::vector<uint8_t> Marked;
 };
 
 } // namespace sbi

@@ -7,6 +7,8 @@
 #include "obs/Tracer.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -144,62 +146,163 @@ rankAggregated(const Aggregates &Agg, const SiteTable &Sites,
   return Ranked;
 }
 
-/// The entry a full sort would surface first among predicates with F > 0.
+/// Affinity drops as (predicate, Importance drop) pairs.
+using DropList = std::vector<std::pair<uint32_t, double>>;
+
+/// Keeps the \p TopK (> 0) largest drops, largest first with the
+/// predicate id as tiebreak — a total order, so every engine keeps the
+/// same entries in the same order.
+void keepTopDrops(DropList &Drops, int TopK) {
+  const size_t Keep = std::min(Drops.size(), static_cast<size_t>(TopK));
+  std::partial_sort(Drops.begin(), Drops.begin() + Keep, Drops.end(),
+                    [](const auto &A, const auto &B) {
+                      if (A.second != B.second)
+                        return A.second > B.second;
+                      return A.first < B.first;
+                    });
+  Drops.resize(Keep);
+}
+
+/// What one scoring pass did, in candidates: scored from their counts, or
+/// skipped because their bound could not reach the best; and the positive
+/// affinity drops it collected.
+struct PassWork {
+  uint64_t Rescored = 0;
+  uint64_t BoundSkipped = 0;
+  uint64_t AffinityDrops = 0;
+
+  PassWork &operator+=(const PassWork &Other) {
+    Rescored += Other.Rescored;
+    BoundSkipped += Other.BoundSkipped;
+    AffinityDrops += Other.AffinityDrops;
+    return *this;
+  }
+};
+
+/// The entry a full sort would surface first among predicates with
+/// positive Importance.
 struct BestCandidate {
   bool Found = false;
   uint32_t Pred = 0;
-  PredicateScores Scores;
+  uint32_t F = 0;
   double Importance = 0.0;
 };
 
-/// One scoring pass of the incremental engine: evaluates every candidate
-/// against the delta-maintained counts, records Importance(P) into
-/// \p ImportanceByPred (indexed by predicate id), and returns the maximum
-/// under (Importance desc, F desc, Pred asc) restricted to F > 0 — exactly
-/// the entry the rescan engine's sorted ranking selects. Skipping the sort,
-/// the per-predicate confidence intervals, and the hash map keeps the pass
-/// O(|Candidates|) with small constants; the doubles computed are the same,
-/// so selection and affinity stay bit-identical across engines.
-BestCandidate scoreCandidates(const Aggregates &Agg, const SiteTable &Sites,
-                              const std::vector<uint32_t> &Candidates,
-                              std::vector<double> &ImportanceByPred) {
-  // One logarithm per pass: log(NumF) is the same for every candidate.
-  const double LogNumF = PredicateScores::logNumFailing(Agg.numFailing());
-  BestCandidate Best;
-  for (uint32_t Pred : Candidates) {
-    PredicateScores Scores = Agg.scores(Pred, Sites);
-    double Importance = Scores.importanceFromLog(LogNumF);
-    ImportanceByPred[Pred] = Importance;
-    if (Scores.counts().F == 0 || Importance <= 0.0)
-      continue;
-    bool Better =
-        !Best.Found || Importance > Best.Importance ||
-        (Importance == Best.Importance &&
-         (Scores.counts().F > Best.Scores.counts().F ||
-          (Scores.counts().F == Best.Scores.counts().F && Pred < Best.Pred)));
-    if (Better) {
-      Best.Found = true;
-      Best.Pred = Pred;
-      Best.Scores = Scores;
-      Best.Importance = Importance;
+/// The live engines' candidates in id order, each with what its last
+/// scoring left behind. Increase = failure() - context() and F are exact
+/// for the current counts until a change mark says the counts moved; Key
+/// is Importance x log NumF at the candidate's last evaluation, rounded
+/// up to a float (still a bound, in half the bytes).
+///
+/// With Increase and F fixed, Importance can only rise as log NumF falls
+/// (PredicateScores::importanceOf), and by no more than in proportion:
+/// the harmonic mean h of Increase I and sensitivity s satisfies
+/// h(I, s r) <= r h(I, s) for r >= 1. So an unmarked candidate's
+/// Importance now is at most Key / log NumF now, and a pass can skip it
+/// without arithmetic once a scored candidate beats that bound. Every
+/// score a pass does compute comes from the same operations on the same
+/// integers as a fresh ranking's, which keeps the live engines
+/// bit-identical to rank().
+class CandidateTable {
+public:
+  CandidateTable(const std::vector<uint32_t> &Preds, const SiteTable &Sites,
+                 const Aggregates &Agg) {
+    Rows.reserve(Preds.size());
+    uint64_t MaxF = 0;
+    for (uint32_t Pred : Preds) {
+      Rows.push_back({Pred, Sites.predicate(Pred).Site, 0, 0.0f, 0.0});
+      MaxF = std::max(MaxF, Agg.counts(Pred, Sites).F);
     }
+    // No policy ever raises a failing count, so every F the loop will see
+    // is at most its initial value. The same call on the same value as
+    // importanceFromLog's log F, so a lookup is bit-identical to it.
+    // LogF[0] never decides a score: F = 0 makes Increase <= 0.
+    LogF.resize(MaxF + 1, 0.0);
+    for (uint64_t K = 1; K <= MaxF; ++K)
+      LogF[K] = std::log(static_cast<double>(K));
   }
-  return Best;
-}
 
-/// Orders affinity drops largest-first with the predicate id as tiebreak —
-/// a total order, so both engines produce identical lists — and keeps the
-/// top \p TopK.
-void sortAndCapDrops(std::vector<std::pair<uint32_t, double>> &Drops,
-                     int TopK) {
-  std::sort(Drops.begin(), Drops.end(), [](const auto &A, const auto &B) {
-    if (A.second != B.second)
-      return A.second > B.second;
-    return A.first < B.first;
-  });
-  if (static_cast<int>(Drops.size()) > TopK)
-    Drops.resize(static_cast<size_t>(TopK));
-}
+  /// One scoring pass in id order over a population with log NumF =
+  /// \p LogNow, reached from one with log NumF = \p LogBefore by a
+  /// discard that changed the counts \p Marks names; a null \p Marks
+  /// means every row may have changed. Re-derives every marked row from
+  /// \p Agg, scores the unmarked rows whose bound could still reach the
+  /// best from their cache, and returns the best. With \p Drops, appends
+  /// the positive Importance drops of every predicate but \p Selected.
+  BestCandidate pass(const Aggregates &Agg, const ChangeMarks *Marks,
+                     double LogBefore, double LogNow, uint32_t Selected,
+                     DropList *Drops, PassWork &Work) {
+    // Rounding slack of the bound: far above the few ulps its operations
+    // can err by, far below any gap between two real Importance values.
+    constexpr double Slack = 1.0 + 1e-9;
+    BestCandidate Best;
+    double Threshold = 0.0; // Best.Importance * LogNow.
+    for (CandidateRow &Row : Rows) {
+      double Now;
+      if (!Marks || Marks->changed(Row.Pred, Row.Site)) {
+        // The cache still holds the counts before the discard, so the
+        // Importance before it is recomputed, not stored.
+        const double Before =
+            Drops ? PredicateScores::importanceOf(Row.Increase, LogF[Row.F],
+                                                  LogBefore)
+                  : 0.0;
+        const PredicateScores Scores(Agg.counts(Row.Pred, Row.Site));
+        Row.Increase = Scores.failure() - Scores.context();
+        Row.F = static_cast<uint32_t>(Scores.counts().F);
+        Now = PredicateScores::importanceOf(Row.Increase, LogF[Row.F],
+                                            LogNow);
+        if (Drops && Before - Now > 0.0 && Row.Pred != Selected)
+          Drops->emplace_back(Row.Pred, Before - Now);
+      } else if (Row.Key * Slack < Threshold) {
+        // Unmarked: its Importance did not fall, so it has no drop either.
+        ++Work.BoundSkipped;
+        continue;
+      } else {
+        Now = PredicateScores::importanceOf(Row.Increase, LogF[Row.F],
+                                            LogNow);
+      }
+      ++Work.Rescored;
+      Row.Key = roundedUp(Now * LogNow);
+      // The (Importance desc, F desc, id asc) maximum. A candidate that
+      // could tie the best is never skipped above, so ties break exactly
+      // as in a full sort.
+      if (Now > 0.0 &&
+          (!Best.Found || Now > Best.Importance ||
+           (Now == Best.Importance &&
+            (Row.F > Best.F || (Row.F == Best.F && Row.Pred < Best.Pred))))) {
+        Best = {true, Row.Pred, Row.F, Now};
+        Threshold = Now * LogNow;
+      }
+    }
+    if (Drops)
+      Work.AffinityDrops += Drops->size();
+    return Best;
+  }
+
+private:
+  /// 24 bytes. F fits 32 bits: the live engines' indexes hold run ids in
+  /// 32 bits.
+  struct CandidateRow {
+    uint32_t Pred;
+    uint32_t Site;
+    uint32_t F;
+    float Key;
+    double Increase;
+  };
+
+  /// The least float >= \p Key (>= 0): the next representation up when
+  /// the conversion rounded down.
+  static float roundedUp(double Key) {
+    const float Rounded = static_cast<float>(Key);
+    return Rounded < Key ? std::bit_cast<float>(
+                               std::bit_cast<uint32_t>(Rounded) + 1)
+                         : Rounded;
+  }
+
+  std::vector<CandidateRow> Rows;
+  /// LogF[K] = log(K) for every F a candidate can reach.
+  std::vector<double> LogF;
+};
 
 } // namespace
 
@@ -327,8 +430,9 @@ AnalysisResult CauseIsolator::run() const {
     Engine = AnalysisEngine::Incremental;
   const bool Incremental = Engine == AnalysisEngine::Incremental;
   const bool Bitset = Engine == AnalysisEngine::Bitset;
-  // Both live engines share the sort-free scoring path; they differ only
-  // in how the counts are kept current after each selection.
+  // Both live engines share the candidate table; they differ only in how
+  // the counts, and the marks of what changed, are kept current after
+  // each selection.
   const bool Live = Incremental || Bitset;
 
   AnalysisResult Result;
@@ -354,6 +458,12 @@ AnalysisResult CauseIsolator::run() const {
   // below instead of serializing in front of it; the "index_build" span
   // then measures only the residual join wait.
   std::thread IndexBuilder;
+  // Under policies (2)/(3) every predicate with F(P) > 0 is a candidate,
+  // and the engines mark what each discard changes so a pass re-derives
+  // only those. Policy (1)'s candidates are the Increase survivors, few
+  // enough that re-deriving them all costs less than marking every
+  // posting of every discarded run, successes included.
+  const bool TrackChanges = Options.Policy != DiscardPolicy::DiscardAllRuns;
 
   if (Incremental) {
     if (Options.SharedIndex) {
@@ -392,14 +502,14 @@ AnalysisResult CauseIsolator::run() const {
           BitsetIndex::build(Runs, Sites, Options.IndexThreads));
       BIndex = &*OwnedBitset;
     }
-    BState.emplace(*BIndex, Options.IndexThreads);
+    BState.emplace(*BIndex, Options.IndexThreads, TrackChanges);
   }
 
   // Initial (full-population) scores, shown as the "initial thermometer".
   // The bitset build already fused this scan into its counting pass.
   std::optional<ScopedSpan> ScanSpan(std::in_place, "initial_scan", "analysis");
   if (Incremental)
-    Delta.emplace(Runs, View);
+    Delta.emplace(Runs, View, TrackChanges);
   Aggregates InitialAgg = Bitset        ? BIndex->initialAggregates()
                           : Incremental ? Delta->aggregates()
                                         : Aggregates::compute(Runs, View);
@@ -423,27 +533,49 @@ AnalysisResult CauseIsolator::run() const {
   auto liveAgg = [&]() -> const Aggregates & {
     return Bitset ? BState->aggregates() : Delta->aggregates();
   };
+  // The counts the last discard changed (null: untracked, so any), and
+  // the reset after each pass.
+  auto liveChanges = [&] {
+    return Bitset ? BState->changes() : Delta->changes();
+  };
+  auto clearChanges = [&] {
+    if (Bitset)
+      BState->clearChanges();
+    else
+      Delta->clearChanges();
+  };
 
   // Rescan engine: the paper-literal fully sorted ranking, rebuilt from a
-  // full aggregation pass per iteration. Live engines: one importance
-  // value per predicate (all affinity needs) plus the would-be-first entry,
-  // both maintained by a single sort-free scoring pass per iteration.
+  // full aggregation pass per iteration. Live engines: the candidate table,
+  // whose one pass per iteration re-derives what the discard changed and
+  // bounds the rest.
   std::vector<RankedPredicate> Ranked;
-  std::vector<double> CurImportance, NextImportance;
+  std::optional<CandidateTable> Table;
   BestCandidate Best;
+  double LogNumF = 0.0;
+  // Counted on every run, flushed to the metrics registry only when
+  // telemetry is on.
+  PassWork Work;
+  size_t NumCandidates = Candidates.size();
   if (Live) {
-    CurImportance.resize(Runs.numPredicates());
-    NextImportance.resize(Runs.numPredicates());
-    Best = scoreCandidates(liveAgg(), Sites, Candidates, CurImportance);
+    Table.emplace(Candidates, Sites, liveAgg());
+    std::vector<uint32_t>().swap(Candidates); // The table holds them now.
+    LogNumF = PredicateScores::logNumFailing(liveAgg().numFailing());
+    Best = Table->pass(liveAgg(), /*Marks=*/nullptr, LogNumF, LogNumF,
+                       /*Selected=*/0, /*Drops=*/nullptr, Work);
   } else {
     Ranked = rank(Candidates, View);
+    Work.Rescored = Candidates.size();
   }
+  EliminationSpan.arg("rescored", Work.Rescored);
+  // A cap of zero or less keeps no affinity entries, so none are collected.
+  const bool WantDrops = Options.ComputeAffinity && Options.AffinityTopK > 0;
 
   for (int Iteration = 0; Iteration < Options.MaxSelections; ++Iteration) {
     // One span per elimination iteration, shared by all three engines:
     // the loop body is common, only the count-maintenance differs.
     ScopedSpan IterSpan("elimination_iter", "analysis");
-    IterSpan.arg("candidates", Candidates.size());
+    IterSpan.arg("candidates", NumCandidates);
     // Under relabeling every run stays active, so active = F + S in every
     // engine; the live counts give the totals without a view scan.
     uint64_t ActiveRuns = Live ? liveAgg().numFailing() +
@@ -452,7 +584,7 @@ AnalysisResult CauseIsolator::run() const {
     uint64_t FailingRuns =
         Live ? liveAgg().numFailing() : View.numActiveFailing();
     IterSpan.arg("active_runs", ActiveRuns);
-    if (Candidates.empty() || FailingRuns == 0)
+    if (NumCandidates == 0 || FailingRuns == 0)
       break;
 
     // Select the top-ranked predicate that still covers at least one
@@ -469,7 +601,7 @@ AnalysisResult CauseIsolator::run() const {
       if (!Best.Found)
         break;
       Selected.Pred = Best.Pred;
-      Selected.EffectiveScores = Best.Scores;
+      Selected.EffectiveScores = liveAgg().scores(Best.Pred, Sites);
       Selected.EffectiveImportance = Best.Importance;
     } else {
       const RankedPredicate *Top = nullptr;
@@ -494,9 +626,13 @@ AnalysisResult CauseIsolator::run() const {
         : Incremental ? applyPolicyIncremental(View, Selected.Pred, *Index,
                                                *Delta)
                       : applyPolicy(View, Selected.Pred);
-    Candidates.erase(
-        std::remove(Candidates.begin(), Candidates.end(), Selected.Pred),
-        Candidates.end());
+    // The live table keeps the selected row: every policy took its F(P) to
+    // 0, so it can never score again.
+    --NumCandidates;
+    if (!Live)
+      Candidates.erase(
+          std::remove(Candidates.begin(), Candidates.end(), Selected.Pred),
+          Candidates.end());
 
     // The audit-trail entry for this iteration: selection rationale plus
     // the policy's effect, derived entirely from engine-shared counts so
@@ -509,33 +645,33 @@ AnalysisResult CauseIsolator::run() const {
     Trace.ActiveRuns = ActiveRuns;
     Trace.FailingRuns = FailingRuns;
     Trace.RunsDiscarded = RunsDiscarded;
-    Trace.SurvivingCandidates = Candidates.size();
+    Trace.SurvivingCandidates = NumCandidates;
     Result.Trail.push_back(Trace);
 
     // Affinity(P -> Q): how much Q's Importance fell when P's runs were
     // removed. Large drops indicate Q predicts (a subset of) P's bug.
+    PassWork Pass;
+    DropList Drops;
     if (Live) {
-      Best = scoreCandidates(liveAgg(), Sites, Candidates, NextImportance);
-      if (Options.ComputeAffinity) {
-        std::vector<std::pair<uint32_t, double>> Drops;
-        for (uint32_t Pred : Candidates) {
-          double Drop = CurImportance[Pred] - NextImportance[Pred];
-          if (Drop > 0.0)
-            Drops.emplace_back(Pred, Drop);
-        }
-        sortAndCapDrops(Drops, Options.AffinityTopK);
-        Selected.Affinity = std::move(Drops);
-      }
-      std::swap(CurImportance, NextImportance);
+      // The selection had F(P) >= 2 and the policy took those failing
+      // runs, so log NumF fell and no unmarked candidate lost Importance.
+      // The one exception: once NumF <= 1 every Importance is 0, and one
+      // pass over every row collects the drops and finds no best.
+      const double LogBefore = LogNumF;
+      LogNumF = PredicateScores::logNumFailing(liveAgg().numFailing());
+      Best = Table->pass(liveAgg(), LogNumF > 0.0 ? liveChanges() : nullptr,
+                         LogBefore, LogNumF, Selected.Pred,
+                         WantDrops ? &Drops : nullptr, Pass);
+      clearChanges();
     } else {
       std::vector<RankedPredicate> NextRanked = rank(Candidates, View);
-      if (Options.ComputeAffinity) {
+      Pass.Rescored = Candidates.size();
+      if (WantDrops) {
         std::unordered_map<uint32_t, double> After;
         After.reserve(NextRanked.size());
         for (const RankedPredicate &Entry : NextRanked)
           After.emplace(Entry.Pred, Entry.Importance);
 
-        std::vector<std::pair<uint32_t, double>> Drops;
         for (const RankedPredicate &Entry : Ranked) {
           auto It = After.find(Entry.Pred);
           if (It == After.end())
@@ -544,14 +680,33 @@ AnalysisResult CauseIsolator::run() const {
           if (Drop > 0.0)
             Drops.emplace_back(Entry.Pred, Drop);
         }
-        sortAndCapDrops(Drops, Options.AffinityTopK);
-        Selected.Affinity = std::move(Drops);
+        Pass.AffinityDrops = Drops.size();
       }
       Ranked = std::move(NextRanked);
     }
+    if (WantDrops) {
+      keepTopDrops(Drops, Options.AffinityTopK);
+      Selected.Affinity = std::move(Drops);
+    }
+    IterSpan.arg("rescored", Pass.Rescored);
+    IterSpan.arg("bound_skipped", Pass.BoundSkipped);
+    IterSpan.arg("affinity_drops", Pass.AffinityDrops);
+    Work += Pass;
 
     Result.Selected.push_back(std::move(Selected));
   }
 
+  if (Telemetry::enabled()) {
+    MetricsRegistry &Metrics = Telemetry::metrics();
+    static Counter &Rescored =
+        Metrics.registerCounter("analysis.candidates_rescored_total");
+    static Counter &BoundSkipped =
+        Metrics.registerCounter("analysis.candidates_bound_skipped_total");
+    static Counter &AffinityDrops =
+        Metrics.registerCounter("analysis.affinity_drops_total");
+    Rescored.add(Work.Rescored);
+    BoundSkipped.add(Work.BoundSkipped);
+    AffinityDrops.add(Work.AffinityDrops);
+  }
   return Result;
 }

@@ -67,7 +67,8 @@ struct AnalysisOptions {
   AnalysisEngine Engine = AnalysisEngine::Incremental;
   /// Hard cap on elimination iterations (each selects one predicate).
   int MaxSelections = 60;
-  /// How many affinity entries to keep per selected predicate.
+  /// How many affinity entries to keep per selected predicate; zero or
+  /// less keeps none.
   int AffinityTopK = 10;
   bool ComputeAffinity = true;
   /// Worker threads for the one-time inverted-index or bit-matrix build

@@ -305,7 +305,8 @@ bool BitsetIndex::preferIncremental(const RunProfiles &Runs,
 
 // --- BitsetState ----------------------------------------------------------
 
-BitsetState::BitsetState(const BitsetIndex &Index, size_t Threads)
+BitsetState::BitsetState(const BitsetIndex &Index, size_t Threads,
+                         bool TrackChanges)
     : Index(Index), Threads(Threads), Agg(Index.InitialAgg),
       ActiveFail(onesMask(Index.FailM.numCols(),
                           Index.FailM.numBlocks() * BW)),
@@ -315,6 +316,8 @@ BitsetState::BitsetState(const BitsetIndex &Index, size_t Threads)
   DMaskS.resize(ActiveAll.size());
   RowDeltaF.resize(Index.FullM.numRows());
   RowDeltaS.resize(Index.FullM.numRows());
+  if (TrackChanges)
+    Marks.emplace(Index.NumSites, Index.numPredicates());
 }
 
 void BitsetState::sweepRows(const BitMatrix &M, bool WithSuccess) {
@@ -393,9 +396,13 @@ uint64_t BitsetState::discardCoveredRuns(uint32_t Pred) {
     if (R < Index.FullPredRows) {
       Agg.PredTrue[Id][0] -= DF;
       Agg.PredTrue[Id][1] -= DS;
+      if (Marks)
+        Marks->markPred(Id);
     } else {
       Agg.SiteObs[Id][0] -= DF;
       Agg.SiteObs[Id][1] -= DS;
+      if (Marks)
+        Marks->markSite(Id);
     }
   }
   Agg.NumF -= TotF;
@@ -440,7 +447,8 @@ uint64_t BitsetState::applyFailingOnly(uint32_t Pred, bool Relabel) {
 
   // Walk each discarded run's transposed bit-row: per-iteration work is
   // proportional to the discarded postings, and the set-bit scan
-  // decrements counts in ascending id order.
+  // decrements counts in ascending id order. The row's id space is the
+  // change marks'.
   const uint32_t NumPreds = static_cast<uint32_t>(Index.PredFailRow.size());
   const size_t RW = Index.FailTRowWords;
   for (uint32_t Col : DiscardedCols) {
@@ -451,6 +459,8 @@ uint64_t BitsetState::applyFailingOnly(uint32_t Pred, bool Relabel) {
         const uint32_t Id = static_cast<uint32_t>(W * 64) +
                             static_cast<uint32_t>(countr_zero64(Bits));
         Bits &= Bits - 1;
+        if (Marks)
+          Marks->markId(Id);
         auto &Counts = Id < NumPreds ? Agg.PredTrue[Id]
                                      : Agg.SiteObs[Id - NumPreds];
         Counts[0] -= 1;

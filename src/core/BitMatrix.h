@@ -64,6 +64,7 @@
 #include "instrument/Sites.h"
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace sbi {
@@ -203,13 +204,26 @@ private:
 /// Mutable per-run() state of the bitset engine (the analog of
 /// DeltaAggregates): live Aggregates plus the active-column masks. The
 /// current counts are always exactly what Aggregates::compute would return
-/// for the equivalently mutated RunView.
+/// for the equivalently mutated RunView. With \p TrackChanges, every site
+/// and predicate whose counts a policy changes is also marked in
+/// changes().
 class BitsetState {
 public:
-  BitsetState(const BitsetIndex &Index, size_t Threads = 0);
+  BitsetState(const BitsetIndex &Index, size_t Threads = 0,
+              bool TrackChanges = false);
 
   /// The live counts, interface-compatible with a fresh full scan.
   const Aggregates &aggregates() const { return Agg; }
+
+  /// The sites and predicates whose counts changed since clearChanges():
+  /// under policies (2)/(3) the set bits of the discarded runs' transposed
+  /// rows, under policy (1) the survivor-matrix rows with a nonzero delta.
+  /// Null unless constructed with TrackChanges.
+  const ChangeMarks *changes() const { return Marks ? &*Marks : nullptr; }
+  void clearChanges() {
+    if (Marks)
+      Marks->clear();
+  }
 
   /// The three Section 5 policies, applied for selected predicate \p Pred:
   /// each computes the discarded-run set by AND-ing the predicate's row
@@ -234,6 +248,7 @@ private:
   const BitsetIndex &Index;
   size_t Threads;
   Aggregates Agg;
+  std::optional<ChangeMarks> Marks;
 
   std::vector<uint64_t> ActiveFail; ///< Failing-column space (policies 2/3).
   std::vector<uint64_t> ActiveAll;  ///< Full-column space (policy 1).

@@ -85,6 +85,7 @@ void DeltaAggregates::removeRun(size_t Run, bool Failed) {
     --Agg.SiteObs[Site][LabelIdx];
   for (uint32_t Pred : Runs.preds(Run))
     --Agg.PredTrue[Pred][LabelIdx];
+  markRun(Run);
 }
 
 void DeltaAggregates::relabelRunAsSuccess(size_t Run) {
@@ -98,4 +99,14 @@ void DeltaAggregates::relabelRunAsSuccess(size_t Run) {
     --Agg.PredTrue[Pred][0];
     ++Agg.PredTrue[Pred][1];
   }
+  markRun(Run);
+}
+
+void DeltaAggregates::markRun(size_t Run) {
+  if (!Marks)
+    return;
+  for (uint32_t Site : Runs.sites(Run))
+    Marks->markSite(Site);
+  for (uint32_t Pred : Runs.preds(Run))
+    Marks->markPred(Pred);
 }

@@ -87,22 +87,39 @@ private:
 /// Aggregate counts kept live under run discarding/relabeling. Starts as a
 /// full-scan Aggregates snapshot and is mutated one run at a time; the
 /// current state is always exactly what Aggregates::compute would return
-/// for the mutated RunView.
+/// for the mutated RunView. With \p TrackChanges, every site and predicate
+/// a mutation touches is also marked in changes().
 class DeltaAggregates {
 public:
   /// Runs off a profile store directly (no copies; \p Runs must outlive
   /// the aggregates).
-  DeltaAggregates(const RunProfiles &Runs, const RunView &View)
-      : Runs(Runs), Agg(Aggregates::compute(Runs, View)) {}
+  DeltaAggregates(const RunProfiles &Runs, const RunView &View,
+                  bool TrackChanges = false)
+      : Runs(Runs), Agg(Aggregates::compute(Runs, View)) {
+    if (TrackChanges)
+      Marks.emplace(Runs.numSites(), Runs.numPredicates());
+  }
 
   /// Convenience for ReportSet callers: converts (and owns) a profile
   /// copy, then behaves exactly like the RunProfiles constructor.
-  DeltaAggregates(const ReportSet &Set, const RunView &View)
+  DeltaAggregates(const ReportSet &Set, const RunView &View,
+                  bool TrackChanges = false)
       : Owned(RunProfiles::fromReports(Set)), Runs(*Owned),
-        Agg(Aggregates::compute(*Owned, View)) {}
+        Agg(Aggregates::compute(*Owned, View)) {
+    if (TrackChanges)
+      Marks.emplace(Runs.numSites(), Runs.numPredicates());
+  }
 
   /// The live counts, interface-compatible with a fresh full scan.
   const Aggregates &aggregates() const { return Agg; }
+
+  /// The sites and predicates whose counts changed since clearChanges();
+  /// null unless constructed with TrackChanges.
+  const ChangeMarks *changes() const { return Marks ? &*Marks : nullptr; }
+  void clearChanges() {
+    if (Marks)
+      Marks->clear();
+  }
 
   /// Subtracts run \p Run's contributions. \p Failed must be the label the
   /// run currently has in the view (which may differ from the report's own
@@ -115,9 +132,13 @@ public:
   void relabelRunAsSuccess(size_t Run);
 
 private:
+  /// Marks run \p Run's sites and predicates, when tracking changes.
+  void markRun(size_t Run);
+
   std::optional<RunProfiles> Owned; ///< Before Runs: bound in init order.
   const RunProfiles &Runs;
   Aggregates Agg;
+  std::optional<ChangeMarks> Marks;
 };
 
 } // namespace sbi

@@ -21,15 +21,23 @@ double PredicateScores::importanceFromLog(double LogNumF) const {
   // failure() - context() is bit-for-bit increase().Value; computing it
   // directly skips the interval's sqrt, which dominates the ranking loops.
   double Inc = failure() - context();
-  // The harmonic mean is undefined when either term is nonpositive; the
-  // paper defines Importance as 0 in that case. Testing Increase first
-  // skips the logarithm for every predicate that cannot score.
+  // Testing Increase first skips the logarithm for every predicate that
+  // cannot score, F(P) = 0 among them.
   if (Inc <= 0.0)
     return 0.0;
-  double Sens = sensitivityFromLog(LogNumF);
+  return importanceOf(Inc, std::log(static_cast<double>(Counts.F)), LogNumF);
+}
+
+double PredicateScores::importanceOf(double Increase, double LogF,
+                                     double LogNumF) {
+  // The harmonic mean is undefined when either term is nonpositive; the
+  // paper defines Importance as 0 in that case.
+  if (Increase <= 0.0 || LogNumF <= 0.0)
+    return 0.0;
+  double Sens = LogF / LogNumF;
   if (Sens <= 0.0)
     return 0.0;
-  return 2.0 / (1.0 / Inc + 1.0 / Sens);
+  return 2.0 / (1.0 / Increase + 1.0 / Sens);
 }
 
 ScoreInterval PredicateScores::importanceInterval(uint64_t NumF) const {

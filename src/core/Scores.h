@@ -98,6 +98,14 @@ public:
   /// importance() given \p LogNumF = logNumFailing(NumF).
   double importanceFromLog(double LogNumF) const;
 
+  /// Importance from its three inputs: \p Increase = failure() - context(),
+  /// \p LogF = log(F(P)) and \p LogNumF. importanceFromLog computes exactly
+  /// this, and the elimination loop calls it on cached inputs, so a cached
+  /// score is bit-identical to a fresh one. With Increase and log F fixed,
+  /// the result never falls as \p LogNumF falls: every IEEE operation on
+  /// the way is monotone.
+  static double importanceOf(double Increase, double LogF, double LogNumF);
+
   /// Delta-method 95% interval for Importance (Section 3.3's suggestion).
   ScoreInterval importanceInterval(uint64_t NumF) const;
 

@@ -31,7 +31,7 @@
 /// registry's phase table alike. It reads both switches once at
 /// construction; with both off it does nothing more. Otherwise it reads
 /// the clock at construction and destruction, appends one complete event
-/// (begin + duration, one 64-byte store on the owning thread's buffer)
+/// (begin + duration, one event-sized store on the owning thread's buffer)
 /// when tracing is on, and adds one count and the same duration to the
 /// phase named after the span when telemetry is on.
 ///
@@ -51,8 +51,12 @@
 
 namespace sbi {
 
-/// One recorded event. 64 bytes; copied into the owning thread's buffer.
+/// One recorded event. 120 bytes; copied into the owning thread's buffer.
 struct TraceEvent {
+  /// The most u64 arguments one event holds: the widest span, one
+  /// elimination iteration, carries five work counts.
+  static constexpr uint8_t MaxArgs = 5;
+
   /// Span or instant name (string literal).
   const char *Name = nullptr;
   /// Category (string literal): "harness", "analysis", "feedback", "vm"...
@@ -61,9 +65,9 @@ struct TraceEvent {
   uint64_t StartNs = 0;
   /// Span duration; 0 for instants.
   uint64_t DurNs = 0;
-  /// Up to two u64 arguments with literal names.
-  const char *ArgName[2] = {nullptr, nullptr};
-  uint64_t ArgVal[2] = {0, 0};
+  /// Up to MaxArgs u64 arguments with literal names.
+  const char *ArgName[MaxArgs] = {};
+  uint64_t ArgVal[MaxArgs] = {};
   uint8_t NumArgs = 0;
   /// True for instant events (rendered as "i" phase, not "X").
   bool Instant = false;
@@ -179,11 +183,11 @@ public:
   ScopedSpan(const ScopedSpan &) = delete;
   ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-  /// Attaches a u64 argument to the trace event (at most two; extras are
-  /// ignored). \p Name must be a string literal. Callable any time before
-  /// destruction.
+  /// Attaches a u64 argument to the trace event (at most
+  /// TraceEvent::MaxArgs; extras are ignored). \p Name must be a string
+  /// literal. Callable any time before destruction.
   void arg(const char *Name, uint64_t Val) {
-    if (!Buf || Ev.NumArgs >= 2)
+    if (!Buf || Ev.NumArgs >= TraceEvent::MaxArgs)
       return;
     Ev.ArgName[Ev.NumArgs] = Name;
     Ev.ArgVal[Ev.NumArgs] = Val;

@@ -259,3 +259,30 @@ TEST(SbiCliTest, ACorpusReadsLikeTheInMemoryCampaign) {
                           "<tr><td>#3</td>"})
     EXPECT_NE(Read.find(Bug, Truth), std::string::npos) << Bug;
 }
+
+TEST(SbiCliTest, AnalyzeWithoutAffinityPrintsTheSameRanking) {
+  // analyze computes affinity lists only for --affinity, which prints them
+  // after everything else; without it, stdout is exactly that output's
+  // head, under every engine.
+  const std::string Dir = freshDir("sbi-cli-affinity");
+  const std::string Sbi = std::string(SBI_PATH) + " ";
+  const std::string Corpus = Dir + "/exif.corpus";
+  CliResult Made = runCommand(Sbi + "run --subject=exif --runs=300 --seed=11 "
+                                    "--out=" + Corpus);
+  ASSERT_EQ(Made.Status, 0) << Made.Output;
+  for (const char *Engine : {"incremental", "bitset", "rescan"}) {
+    const std::string Analyze = Sbi + "analyze --subject=exif --bugs "
+                                      "--trace --in=" + Corpus +
+                                " --analysis-engine=" + Engine;
+    CliResult Without = runCommand(Analyze, false);
+    CliResult With = runCommand(Analyze + " --affinity", false);
+    EXPECT_EQ(Without.Status, 0) << Engine;
+    EXPECT_EQ(With.Status, 0) << Engine;
+    EXPECT_NE(With.Output.find("affinity of "), std::string::npos) << Engine;
+    EXPECT_EQ(Without.Output.find("affinity of "), std::string::npos)
+        << Engine;
+    EXPECT_EQ(With.Output.compare(0, Without.Output.size(), Without.Output),
+              0)
+        << Engine << ":\n" << Without.Output;
+  }
+}

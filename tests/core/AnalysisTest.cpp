@@ -6,10 +6,12 @@
 #include "core/InvertedIndex.h"
 
 #include "SyntheticWorld.h"
+#include "obs/Tracer.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 using namespace sbi;
@@ -569,6 +571,374 @@ TEST(EngineDifferentialTest, AffinityDepthAndCapRespected) {
   ASSERT_FALSE(Result.Selected.empty());
   for (const SelectedPredicate &Entry : Result.Selected)
     EXPECT_LE(Entry.Affinity.size(), 3u);
+}
+
+// --- Candidate-table edge paths --------------------------------------------
+//
+// The live engines rescore only what a discard changed and bound the rest
+// (core/Analysis.cpp, CandidateTable). Each population below steers the
+// elimination loop down one edge of that design; every one must stay
+// bit-identical to the rescan engine under all three policies.
+
+namespace {
+
+constexpr DiscardPolicy AllPolicies[] = {DiscardPolicy::DiscardAllRuns,
+                                         DiscardPolicy::DiscardFailingRuns,
+                                         DiscardPolicy::RelabelFailingRuns};
+
+/// Appends \p Count runs labeled \p Failed that observe \p Observed and
+/// have the first predicate of each site in \p TrueAt true. Unlike
+/// SyntheticWorld::makeReport, a true predicate's site need not be among
+/// the observed ones.
+void addRuns(RunProfiles &Runs, const SyntheticWorld &World, int Count,
+             bool Failed, std::vector<uint32_t> Observed,
+             std::vector<uint32_t> TrueAt) {
+  std::sort(Observed.begin(), Observed.end());
+  std::vector<uint32_t> Preds;
+  for (uint32_t Site : TrueAt)
+    Preds.push_back(World.predOf(Site));
+  std::sort(Preds.begin(), Preds.end());
+  for (int I = 0; I < Count; ++I) {
+    Runs.beginRun(Failed);
+    for (uint32_t Site : Observed)
+      Runs.addSite(Site);
+    for (uint32_t Pred : Preds)
+      Runs.addPred(Pred);
+  }
+}
+
+/// Analyzes \p Runs with every engine under every policy (with affinity
+/// on, whatever \p Options says otherwise) and expects both live engines
+/// bit-identical to rescan. Returns the rescan results in AllPolicies
+/// order.
+std::vector<AnalysisResult> expectEnginesAgree(const SiteTable &Sites,
+                                               const RunProfiles &Runs,
+                                               AnalysisOptions Options = {}) {
+  std::vector<AnalysisResult> Reference;
+  Options.ComputeAffinity = true;
+  for (DiscardPolicy Policy : AllPolicies) {
+    Options.Policy = Policy;
+    Options.Engine = AnalysisEngine::Rescan;
+    AnalysisResult Rescan = CauseIsolator(Sites, Runs, Options).run();
+    for (AnalysisEngine Engine :
+         {AnalysisEngine::Incremental, AnalysisEngine::Bitset}) {
+      Options.Engine = Engine;
+      EXPECT_TRUE(bitIdentical(Rescan, CauseIsolator(Sites, Runs, Options).run()))
+          << analysisEngineName(Engine) << ", " << discardPolicyName(Policy);
+    }
+    EXPECT_FALSE(Rescan.Selected.empty()) << discardPolicyName(Policy);
+    Reference.push_back(std::move(Rescan));
+  }
+  return Reference;
+}
+
+/// Position of \p Pred in \p Result's selections, or -1.
+int selectionIndex(const AnalysisResult &Result, uint32_t Pred) {
+  for (size_t I = 0; I < Result.Selected.size(); ++I)
+    if (Result.Selected[I].Pred == Pred)
+      return static_cast<int>(I);
+  return -1;
+}
+
+} // namespace
+
+TEST(CandidateTableTest, NumFReachingOneEndsTheLoopWithEveryDrop) {
+  // X covers all failing runs but one. Once X's runs go, NumF = 1, every
+  // Importance is 0, and Z, which rode along in half of X's runs, has
+  // dropped to 0 from a positive score.
+  SyntheticWorld World(8);
+  RunProfiles Runs(World.Sites.numSites(), World.Sites.numPredicates());
+  addRuns(Runs, World, 10, true, {0, 1, 2}, {0, 1});
+  addRuns(Runs, World, 10, true, {0, 1, 2}, {0});
+  addRuns(Runs, World, 1, true, {0, 1, 2}, {2});
+  addRuns(Runs, World, 2, false, {0, 1, 2}, {1});
+  addRuns(Runs, World, 30, false, {0, 1, 2}, {});
+  for (const AnalysisResult &Result :
+       expectEnginesAgree(World.Sites, Runs)) {
+    const char *Policy = discardPolicyName(Result.Policy);
+    ASSERT_EQ(Result.Selected.size(), 1u) << Policy;
+    EXPECT_EQ(Result.Selected[0].Pred, World.predOf(0)) << Policy;
+    EXPECT_EQ(Result.Trail[0].FailingRuns - Result.Trail[0].RunsDiscarded,
+              1u)
+        << Policy;
+    const auto &Affinity = Result.Selected[0].Affinity;
+    ASSERT_FALSE(Affinity.empty()) << Policy;
+    EXPECT_EQ(Affinity[0].first, World.predOf(1)) << Policy;
+  }
+}
+
+TEST(CandidateTableTest, PredicateTrueWhereItsSiteIsUnlisted) {
+  // Q (site 3) is true in half of X's failing runs without site 3 being
+  // listed there, as a corpus may hold. Discarding X's runs changes Q's
+  // own counts and none of its site's, so only Q's own change mark says
+  // to rescore it; a stale score would rank Q above W.
+  SyntheticWorld World(8);
+  RunProfiles Runs(World.Sites.numSites(), World.Sites.numPredicates());
+  addRuns(Runs, World, 20, true, {0, 4}, {0, 3});
+  addRuns(Runs, World, 20, true, {0, 4}, {0});
+  addRuns(Runs, World, 12, true, {0, 3, 4}, {3});
+  addRuns(Runs, World, 25, true, {0, 3, 4}, {4});
+  addRuns(Runs, World, 100, false, {0, 3, 4}, {});
+  addRuns(Runs, World, 8, false, {0, 3, 4}, {3, 4});
+  const uint32_t Q = World.predOf(3);
+  size_t OffSite = 0;
+  for (size_t Run = 0; Run < Runs.size(); ++Run) {
+    IdSpan Sites = Runs.sites(Run);
+    OffSite += Runs.observedTrue(Run, Q) &&
+               !std::binary_search(Sites.begin(), Sites.end(), 3u);
+  }
+  ASSERT_EQ(OffSite, 20u) << "Q must be true off its site";
+  for (const AnalysisResult &Result :
+       expectEnginesAgree(World.Sites, Runs)) {
+    const char *Policy = discardPolicyName(Result.Policy);
+    ASSERT_GE(Result.Selected.size(), 2u) << Policy;
+    EXPECT_EQ(Result.Selected[0].Pred, World.predOf(0)) << Policy;
+    EXPECT_EQ(Result.Selected[1].Pred, World.predOf(4)) << Policy;
+  }
+}
+
+TEST(CandidateTableTest, UntouchedCandidateOvertakesAsLogNumFFalls) {
+  // Five disjoint bugs B1..B5 (sites 0-4) outrank U (site 5): U has the
+  // better Increase but only F(U) = 4. M (site 7) rides along in half of
+  // every bug's failing runs, so each discard rescores it. No discard
+  // touches U's runs or its site, yet as NumF falls U's Importance rises
+  // past M's, and U is selected with the counts it started with.
+  SyntheticWorld World(8);
+  RunProfiles Runs(World.Sites.numSites(), World.Sites.numPredicates());
+  const std::vector<uint32_t> All = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<uint32_t> NotU = {0, 1, 2, 3, 4, 6, 7};
+  for (uint32_t Bug = 0; Bug < 5; ++Bug) {
+    addRuns(Runs, World, 18, true, NotU, {Bug, 7});
+    addRuns(Runs, World, 18, true, NotU, {Bug});
+  }
+  addRuns(Runs, World, 4, true, All, {5});
+  addRuns(Runs, World, 16, true, NotU, {6});
+  addRuns(Runs, World, 36, false, All, {});
+  addRuns(Runs, World, 30, false, NotU, {7});
+  addRuns(Runs, World, 234, false, NotU, {6});
+
+  const uint32_t U = World.predOf(5), M = World.predOf(7);
+  std::vector<RankedPredicate> Ranked =
+      CauseIsolator(World.Sites, Runs).rank({U, M}, RunView::allOf(Runs));
+  ASSERT_EQ(Ranked[0].Pred, M) << "U must start below M";
+
+  auto boundSkipped = [] {
+    const Counter *C = Telemetry::metrics().findCounter(
+        "analysis.candidates_bound_skipped_total");
+    return C ? C->value() : 0;
+  };
+  const uint64_t SkippedBefore = boundSkipped();
+  Telemetry::setEnabled(true);
+  std::vector<AnalysisResult> Results =
+      expectEnginesAgree(World.Sites, Runs);
+  Telemetry::setEnabled(false);
+  EXPECT_GT(boundSkipped(), SkippedBefore) << "the bound never skipped";
+
+  for (const AnalysisResult &Result : Results) {
+    const char *Policy = discardPolicyName(Result.Policy);
+    int At = selectionIndex(Result, U);
+    ASSERT_EQ(At, 5) << Policy;
+    const SelectedPredicate &Entry = Result.Selected[At];
+    const PredicateCounts &Now = Entry.EffectiveScores.counts(),
+                          &Then = Entry.InitialScores.counts();
+    EXPECT_EQ(Now.F, Then.F) << Policy;
+    EXPECT_EQ(Now.S, Then.S) << Policy;
+    EXPECT_EQ(Now.FObs, Then.FObs) << Policy;
+    EXPECT_EQ(Now.SObs, Then.SObs) << Policy;
+    EXPECT_GT(Entry.EffectiveImportance, Entry.InitialImportance) << Policy;
+  }
+}
+
+TEST(CandidateTableTest, BoundIsTakenAtTheCurrentLogNumF) {
+  // B's discard takes NumF from 200 to 20 and touches neither V (site 1)
+  // nor U (site 2). V outranks U before it and U outranks V after: U's
+  // low F gains more from the smaller log NumF. In the pass after the
+  // discard V is scored first and sets the bar; U's cached bound clears
+  // it only when both are taken at the current log NumF.
+  SyntheticWorld World(8);
+  RunProfiles Runs(World.Sites.numSites(), World.Sites.numPredicates());
+  addRuns(Runs, World, 180, true, {0}, {0});
+  addRuns(Runs, World, 10, true, {0, 1}, {1});
+  addRuns(Runs, World, 6, true, {0, 1}, {});
+  addRuns(Runs, World, 4, true, {0, 2}, {2});
+  addRuns(Runs, World, 2, false, {0, 1}, {1});
+  addRuns(Runs, World, 24, false, {0, 1}, {});
+  addRuns(Runs, World, 36, false, {0, 2}, {});
+  addRuns(Runs, World, 100, false, {0}, {});
+  const uint32_t V = World.predOf(1), U = World.predOf(2);
+  CauseIsolator Isolator(World.Sites, Runs);
+  ASSERT_EQ(Isolator.rank({U, V}, RunView::allOf(Runs))[0].Pred, V)
+      << "V must start above U";
+  for (const AnalysisResult &Result :
+       expectEnginesAgree(World.Sites, Runs)) {
+    const char *Policy = discardPolicyName(Result.Policy);
+    ASSERT_GE(Result.Selected.size(), 3u) << Policy;
+    EXPECT_EQ(Result.Selected[0].Pred, World.predOf(0)) << Policy;
+    EXPECT_EQ(Result.Selected[1].Pred, U) << Policy;
+    EXPECT_EQ(Result.Selected[2].Pred, V) << Policy;
+  }
+}
+
+TEST(CandidateTableTest, EqualImportanceAndEqualFBreakTowardTheSmallerId) {
+  // T1 (site 2) and T2 (site 3) have identical profiles, so identical
+  // counts: the same Importance and the same F. T1 wins on id, and T2,
+  // whose failing runs the discard takes, tops T1's affinity list.
+  SyntheticWorld World(8);
+  RunProfiles Runs(World.Sites.numSites(), World.Sites.numPredicates());
+  const std::vector<uint32_t> All = {0, 1, 2, 3};
+  addRuns(Runs, World, 30, true, All, {0});
+  addRuns(Runs, World, 12, true, All, {2, 3});
+  addRuns(Runs, World, 9, true, All, {1});
+  addRuns(Runs, World, 80, false, All, {});
+  addRuns(Runs, World, 5, false, All, {1, 2, 3});
+  const uint32_t T1 = World.predOf(2), T2 = World.predOf(3);
+  for (const AnalysisResult &Result :
+       expectEnginesAgree(World.Sites, Runs)) {
+    const char *Policy = discardPolicyName(Result.Policy);
+    ASSERT_GE(Result.Selected.size(), 2u) << Policy;
+    EXPECT_EQ(Result.Selected[1].Pred, T1) << Policy;
+    EXPECT_EQ(selectionIndex(Result, T2), -1) << Policy;
+    const auto &Affinity = Result.Selected[1].Affinity;
+    ASSERT_FALSE(Affinity.empty()) << Policy;
+    EXPECT_EQ(Affinity[0].first, T2) << Policy;
+  }
+}
+
+TEST(CandidateTableTest, TopKBelowTiedDropsKeepsTheSmallestIds) {
+  // Five identical riders (sites 2-6) share X's failing runs, so X's
+  // discard drops all five by the same amount; a cap of 3 keeps the three
+  // smallest ids.
+  SyntheticWorld World(8);
+  RunProfiles Runs(World.Sites.numSites(), World.Sites.numPredicates());
+  const std::vector<uint32_t> All = {0, 1, 2, 3, 4, 5, 6};
+  addRuns(Runs, World, 30, true, All, {0, 2, 3, 4, 5, 6});
+  addRuns(Runs, World, 20, true, All, {1});
+  addRuns(Runs, World, 40, false, All, {});
+  addRuns(Runs, World, 10, false, All, {2, 3, 4, 5, 6});
+  AnalysisOptions Options;
+  Options.AffinityTopK = 3;
+  for (const AnalysisResult &Result :
+       expectEnginesAgree(World.Sites, Runs, Options)) {
+    const char *Policy = discardPolicyName(Result.Policy);
+    ASSERT_FALSE(Result.Selected.empty()) << Policy;
+    ASSERT_EQ(Result.Selected[0].Pred, World.predOf(0)) << Policy;
+    const auto &Affinity = Result.Selected[0].Affinity;
+    ASSERT_EQ(Affinity.size(), 3u) << Policy;
+    for (uint32_t I = 0; I < 3; ++I) {
+      EXPECT_EQ(Affinity[I].first, World.predOf(2 + I)) << Policy;
+      EXPECT_EQ(Affinity[I].second, Affinity[0].second) << Policy;
+    }
+  }
+}
+
+TEST(CandidateTableTest, NonPositiveTopKKeepsNoAffinity) {
+  // A cap of zero or less keeps no entries (no partial sort past the end
+  // of the list); everything else is what an uncapped run finds.
+  SyntheticWorld World(16);
+  RunProfiles Runs = RunProfiles::fromReports(multiBugSet(World, 404));
+  std::vector<AnalysisResult> Full = expectEnginesAgree(World.Sites, Runs);
+  for (AnalysisResult &Result : Full)
+    for (SelectedPredicate &Entry : Result.Selected)
+      Entry.Affinity.clear();
+  for (int TopK : {0, -1}) {
+    AnalysisOptions Options;
+    Options.AffinityTopK = TopK;
+    std::vector<AnalysisResult> Capped =
+        expectEnginesAgree(World.Sites, Runs, Options);
+    for (size_t P = 0; P < Capped.size(); ++P)
+      EXPECT_TRUE(bitIdentical(Capped[P], Full[P])) << "top-K " << TopK;
+  }
+}
+
+// --- Elimination work counters ---------------------------------------------
+
+namespace {
+
+/// Elimination work, by the names the counters and span args share.
+struct ElimWork {
+  uint64_t Rescored = 0, BoundSkipped = 0, AffinityDrops = 0;
+  bool operator==(const ElimWork &) const = default;
+};
+
+/// The work the recorded elimination spans carry as args: the initial
+/// pass on "elimination", each later pass on its "elimination_iter".
+ElimWork spanWork() {
+  ElimWork Work;
+  for (const TraceBuffer *Buffer : Tracer::instance().buffers())
+    for (size_t I = 0; I < Buffer->size(); ++I) {
+      const TraceEvent &Ev = Buffer->event(I);
+      for (uint8_t A = 0; A < Ev.NumArgs; ++A) {
+        const std::string Name = Ev.ArgName[A];
+        if (Name == "rescored")
+          Work.Rescored += Ev.ArgVal[A];
+        else if (Name == "bound_skipped")
+          Work.BoundSkipped += Ev.ArgVal[A];
+        else if (Name == "affinity_drops")
+          Work.AffinityDrops += Ev.ArgVal[A];
+      }
+    }
+  return Work;
+}
+
+ElimWork counterWork() {
+  auto value = [](const char *Name) -> uint64_t {
+    const Counter *C = Telemetry::metrics().findCounter(Name);
+    return C ? C->value() : 0;
+  };
+  return {value("analysis.candidates_rescored_total"),
+          value("analysis.candidates_bound_skipped_total"),
+          value("analysis.affinity_drops_total")};
+}
+
+} // namespace
+
+TEST(EliminationCountersTest, TelemetryChangesNoCountAndNoResult) {
+  // The counts are kept on every run: tracing shows them per pass, and
+  // telemetry's once-per-run flush adds up to the same totals without
+  // changing a count or a result bit.
+  SyntheticWorld World(16);
+  ReportSet Set = multiBugSet(World, 202);
+  for (DiscardPolicy Policy : AllPolicies)
+    for (AnalysisEngine Engine :
+         {AnalysisEngine::Rescan, AnalysisEngine::Incremental,
+          AnalysisEngine::Bitset}) {
+      AnalysisOptions Options;
+      Options.Policy = Policy;
+      Options.Engine = Engine;
+      const std::string What = std::string(analysisEngineName(Engine)) +
+                               ", " + discardPolicyName(Policy);
+      AnalysisResult Off = CauseIsolator(World.Sites, Set, Options).run();
+
+      Tracer::instance().reset();
+      Tracer::setEnabled(true);
+      AnalysisResult Traced = CauseIsolator(World.Sites, Set, Options).run();
+      Tracer::setEnabled(false);
+      const ElimWork FromSpans = spanWork();
+
+      Tracer::instance().reset();
+      const ElimWork Before = counterWork();
+      Telemetry::setEnabled(true);
+      Tracer::setEnabled(true);
+      AnalysisResult Counted = CauseIsolator(World.Sites, Set, Options).run();
+      Tracer::setEnabled(false);
+      Telemetry::setEnabled(false);
+      const ElimWork After = counterWork();
+      const ElimWork FromCounters = {After.Rescored - Before.Rescored,
+                                     After.BoundSkipped - Before.BoundSkipped,
+                                     After.AffinityDrops -
+                                         Before.AffinityDrops};
+      EXPECT_EQ(spanWork(), FromSpans) << What;
+      Tracer::instance().reset();
+
+      EXPECT_TRUE(bitIdentical(Off, Traced)) << What;
+      EXPECT_TRUE(bitIdentical(Off, Counted)) << What;
+      EXPECT_EQ(FromCounters, FromSpans) << What;
+      EXPECT_GT(FromSpans.Rescored, 0u) << What;
+      EXPECT_GT(FromSpans.AffinityDrops, 0u) << What;
+      if (Engine == AnalysisEngine::Rescan) {
+        EXPECT_EQ(FromSpans.BoundSkipped, 0u) << What;
+      }
+    }
 }
 
 // --- Ranking ---------------------------------------------------------------

@@ -229,6 +229,40 @@ TEST(BitsetStateTest, DiscardCoveredMatchesViewRescanOnSurvivorRows) {
   }
 }
 
+TEST(BitsetStateTest, ChangeMarksNameExactlyTheChangedCounts) {
+  // Under every policy, the marks after a selection name exactly the
+  // predicates and sites whose live counts the selection changed (policy
+  // 1 keeps counts only for the survivor rows, and marks only those).
+  SyntheticWorld World(16);
+  ReportSet Set = multiBugSet(World, 31);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  BitsetIndex Index = BitsetIndex::build(Runs, World.Sites);
+  ASSERT_GE(Index.survivors().size(), 2u);
+  EXPECT_EQ(BitsetState(Index).changes(), nullptr);
+  for (int Policy = 0; Policy < 3; ++Policy) {
+    BitsetState State(Index, /*Threads=*/1, /*TrackChanges=*/true);
+    ASSERT_NE(State.changes(), nullptr);
+    for (uint32_t Pred :
+         {Index.survivors().front(), Index.survivors().back()}) {
+      const Aggregates Before = State.aggregates();
+      uint64_t Touched = Policy == 0   ? State.discardCoveredRuns(Pred)
+                         : Policy == 1 ? State.discardFailingRuns(Pred)
+                                       : State.relabelFailingRuns(Pred);
+      EXPECT_GT(Touched, 0u) << "trivial fixture, policy " << Policy;
+      for (uint32_t P = 0; P < World.Sites.numPredicates(); ++P) {
+        PredicateCounts A = Before.counts(P, World.Sites);
+        PredicateCounts B = State.aggregates().counts(P, World.Sites);
+        bool Changed = A.F != B.F || A.S != B.S || A.FObs != B.FObs ||
+                       A.SObs != B.SObs;
+        ASSERT_EQ(State.changes()->changed(P, World.Sites.predicate(P).Site),
+                  Changed)
+            << "policy " << Policy << " pred " << P;
+      }
+      State.clearChanges();
+    }
+  }
+}
+
 // --- Density fallback heuristic ---------------------------------------------
 
 TEST(BitsetIndexTest, PreferIncrementalThresholds) {

@@ -213,3 +213,41 @@ TEST(DeltaAggregatesTest, MixedMutationSequenceMatchesRecompute) {
   }
   expectMatchesRecompute(World, Set, View, Delta.aggregates());
 }
+
+TEST(DeltaAggregatesTest, ChangeMarksNameExactlyTheChangedCounts) {
+  // The elimination loop rescores a candidate only when its own counts or
+  // its site's are marked, so every mutation must mark what it changed;
+  // marking nothing else keeps the rescoring to what changed.
+  SyntheticWorld World(12);
+  ReportSet Set = randomSet(World, 80, 41);
+  RunView View = RunView::allOf(Set);
+  EXPECT_EQ(DeltaAggregates(Set, View).changes(), nullptr);
+  DeltaAggregates Delta(Set, View, /*TrackChanges=*/true);
+  ASSERT_NE(Delta.changes(), nullptr);
+
+  Rng R(17);
+  size_t Mutations = 0;
+  for (size_t Run = 0; Run < Set.size(); ++Run) {
+    const Aggregates Before = Delta.aggregates();
+    if (R.nextBernoulli(0.4)) {
+      Delta.removeRun(Run, View.Failed[Run]);
+    } else if (View.Failed[Run]) {
+      Delta.relabelRunAsSuccess(Run);
+    } else {
+      continue;
+    }
+    ++Mutations;
+    for (uint32_t Pred = 0; Pred < Set.numPredicates(); ++Pred) {
+      PredicateCounts A = Before.counts(Pred, World.Sites);
+      PredicateCounts B = Delta.aggregates().counts(Pred, World.Sites);
+      bool Changed = A.F != B.F || A.S != B.S || A.FObs != B.FObs ||
+                     A.SObs != B.SObs;
+      ASSERT_EQ(Delta.changes()->changed(
+                    Pred, World.Sites.predicate(Pred).Site),
+                Changed)
+          << "run " << Run << " pred " << Pred;
+    }
+    Delta.clearChanges();
+  }
+  EXPECT_GT(Mutations, 20u) << "trivial fixture";
+}

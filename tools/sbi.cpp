@@ -486,6 +486,8 @@ int cmdAnalyze(const CliArgs &Args) {
   AnalysisOptions Options;
   if (!configureAnalysis(Args, Options))
     return usage();
+  // Only --affinity prints the lists; `report` always renders them.
+  Options.ComputeAffinity = Args.ShowAffinity;
   Population Pop;
   ReportSet Counts;
   if (!loadPopulation(Args, Pop, Args.StaticPrune ? &Counts : nullptr))
