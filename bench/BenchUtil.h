@@ -10,7 +10,8 @@
 /// the paper's tables: --runs=N, --seed=S and --threads=T scale each
 /// experiment, and SBI_BENCH_RUNS / SBI_BENCH_SEED / SBI_BENCH_THREADS do
 /// the same from the environment (so `for b in build/bench/*; do $b; done`
-/// can be scaled globally). A malformed value exits with status 2.
+/// can be scaled globally). A malformed value, or any other argument,
+/// exits with status 2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,6 +67,10 @@ inline BenchConfig parseBenchConfig(int Argc, char **Argv,
       Config.Seed = benchNumber("--seed", Argv[I] + 7);
     else if (std::strncmp(Argv[I], "--threads=", 10) == 0)
       Config.Threads = benchNumber("--threads", Argv[I] + 10);
+    else {
+      std::fprintf(stderr, "unknown option '%s'\n", Argv[I]);
+      std::exit(2);
+    }
   }
   if (Config.Runs == 0)
     Config.Runs = DefaultRuns;

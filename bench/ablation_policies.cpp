@@ -41,6 +41,7 @@ int main(int Argc, char **Argv) {
   std::printf("runs: %zu successful, %zu failing\n\n",
               Result.numSuccessful(), Result.numFailing());
 
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
   std::vector<int> BugIds = {1, 2, 3, 4, 5, 6, 9};
 
   TextTable Table;
@@ -53,13 +54,13 @@ int main(int Argc, char **Argv) {
     AnalysisOptions Opts;
     Opts.Policy = Policy;
     Opts.ComputeAffinity = false;
-    CauseIsolator Isolator(Result.Sites, Result.Reports, Opts);
+    CauseIsolator Isolator(Result.Sites, Runs, Opts);
     AnalysisResult Analysis = Isolator.run();
 
     size_t Covered = 0;
     for (int Bug : BugIds)
       for (const SelectedPredicate &Entry : Analysis.Selected)
-        if (failingRunsWithPredAndBug(Result.Reports, Entry.Pred, Bug) > 0) {
+        if (failingRunsWithPredAndBug(Runs, Entry.Pred, Bug) > 0) {
           ++Covered;
           break;
         }
@@ -68,7 +69,7 @@ int main(int Argc, char **Argv) {
                   format("%zu of %zu", Covered, BugIds.size())});
 
     std::printf("-- %s: top selections --\n", discardPolicyName(Policy));
-    std::printf("%s\n", renderSelectedList(Result.Sites, Result.Reports,
+    std::printf("%s\n", renderSelectedList(Result.Sites, Runs,
                                            Analysis.Selected, BugIds,
                                            /*TopK=*/8)
                             .c_str());

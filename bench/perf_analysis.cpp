@@ -607,14 +607,15 @@ bool smokeCheck() {
 
 void BM_Aggregation(benchmark::State &State) {
   const SyntheticWorld &World = worldFor(State.range(0));
-  RunView View = RunView::allOf(World.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(World.Reports);
+  RunView View = RunView::allOf(Runs);
   for (auto _ : State) {
-    Aggregates Agg = Aggregates::compute(World.Reports, View);
+    Aggregates Agg = Aggregates::compute(Runs, View);
     benchmark::DoNotOptimize(Agg.numFailing());
   }
   State.counters["preds"] =
       static_cast<double>(World.Sites.numPredicates());
-  State.counters["runs"] = static_cast<double>(World.Reports.size());
+  State.counters["runs"] = static_cast<double>(Runs.size());
 }
 
 void BM_IndexBuild(benchmark::State &State) {

@@ -36,9 +36,10 @@ int main(int Argc, char **Argv) {
   Options.Threads = Config.Threads;
   CampaignResult Result = runCampaign(mossSubject(), Options);
 
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   std::vector<uint32_t> Survivors = Isolator.prune();
-  RunView View = RunView::allOf(Result.Reports);
+  RunView View = RunView::allOf(Runs);
   std::vector<RankedPredicate> Ranked = Isolator.rank(Survivors, View);
   uint64_t NumF = Result.numFailing();
 

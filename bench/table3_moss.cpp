@@ -54,11 +54,12 @@ int main(int Argc, char **Argv) {
   }
   std::printf("\n");
 
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
 
   std::vector<int> BugIds = {1, 2, 3, 4, 5, 6, 7, 9};
-  std::printf("%s\n", renderSelectedList(Result.Sites, Result.Reports,
+  std::printf("%s\n", renderSelectedList(Result.Sites, Runs,
                                          Analysis.Selected, BugIds,
                                          /*TopK=*/21)
                           .c_str());

@@ -32,10 +32,11 @@ int main(int Argc, char **Argv) {
   std::printf("runs: %zu successful, %zu failing\n\n",
               Result.numSuccessful(), Result.numFailing());
 
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
 
-  std::printf("%s\n", renderSelectedList(Result.Sites, Result.Reports,
+  std::printf("%s\n", renderSelectedList(Result.Sites, Runs,
                                          Analysis.Selected, {1})
                           .c_str());
   for (const SelectedPredicate &Entry : Analysis.Selected)

@@ -38,10 +38,11 @@ int main(int Argc, char **Argv) {
                 Stats.BugId, Stats.Triggered, Stats.TriggeredAndFailed);
   std::printf("\n");
 
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
 
-  std::printf("%s\n", renderSelectedList(Result.Sites, Result.Reports,
+  std::printf("%s\n", renderSelectedList(Result.Sites, Runs,
                                          Analysis.Selected, {1, 2})
                           .c_str());
   for (const SelectedPredicate &Entry : Analysis.Selected)

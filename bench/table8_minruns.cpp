@@ -43,18 +43,17 @@ int main(int Argc, char **Argv) {
     Options.Threads = Config.Threads;
     CampaignResult Result = runCampaign(*Subj, Options);
 
-    CauseIsolator Isolator(Result.Sites, Result.Reports);
+    RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+    CauseIsolator Isolator(Result.Sites, Runs);
     AnalysisResult Analysis = Isolator.run();
 
     std::vector<int> BugIds;
     for (const BugSpec &Bug : Subj->Bugs)
       BugIds.push_back(Bug.Id);
-    auto Predictors =
-        choosePredictorPerBug(Result.Reports, Analysis.Selected, BugIds);
+    auto Predictors = choosePredictorPerBug(Runs, Analysis.Selected, BugIds);
 
-    auto Grid = defaultMinRunsGrid(Result.Reports.size());
-    auto Rows = computeMinimumRuns(Result.Sites, Result.Reports, Predictors,
-                                   Grid);
+    auto Grid = defaultMinRunsGrid(Runs.size());
+    auto Rows = computeMinimumRuns(Result.Sites, Runs, Predictors, Grid);
     for (const MinRunsRow &Row : Rows) {
       Table.addRow({Subj->Name, format("#%d", Row.BugId),
                     Result.Sites.predicate(Row.Pred).Text,

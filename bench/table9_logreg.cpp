@@ -40,8 +40,8 @@ int main(int Argc, char **Argv) {
   CampaignResult Result = runCampaign(mossSubject(), Options);
 
   std::vector<double> LambdaPath = {0.05, 0.02, 0.01, 0.005, 0.002, 0.001};
-  LogRegModel Model = trainForSparsity(RunProfiles::fromReports(Result.Reports),
-                                       /*MaxActive=*/40, LambdaPath);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  LogRegModel Model = trainForSparsity(Runs, /*MaxActive=*/40, LambdaPath);
   std::printf("trained: %d nonzero weights, %d iterations, objective "
               "%.5f\n\n",
               Model.numNonzero(), Model.Iterations, Model.FinalObjective);
@@ -53,8 +53,8 @@ int main(int Argc, char **Argv) {
   std::vector<size_t> BugFailTotals;
   for (int Bug : BugIds) {
     size_t N = 0;
-    for (const FeedbackReport &Report : Result.Reports.reports())
-      if (Report.Failed && Report.hasBug(Bug))
+    for (size_t Run = 0; Run < Runs.size(); ++Run)
+      if (Runs.failed(Run) && Runs.hasBug(Run, Bug))
         ++N;
     BugFailTotals.push_back(N);
   }
@@ -66,14 +66,14 @@ int main(int Argc, char **Argv) {
     for (const auto &[Pred, Weight] : Picks) {
     // Ground-truth coverage of this predicate's failing runs.
     size_t TotalF = 0;
-    for (const FeedbackReport &Report : Result.Reports.reports())
-      if (Report.Failed && Report.observedTrue(Pred))
+    for (size_t Run = 0; Run < Runs.size(); ++Run)
+      if (Runs.failed(Run) && Runs.observedTrue(Run, Pred))
         ++TotalF;
     size_t BugsTouched = 0;
     int DominantBug = 0;
     size_t DominantCount = 0;
     for (size_t I = 0; I < BugIds.size(); ++I) {
-      size_t N = failingRunsWithPredAndBug(Result.Reports, Pred, BugIds[I]);
+      size_t N = failingRunsWithPredAndBug(Runs, Pred, BugIds[I]);
       if (N > 0)
         ++BugsTouched;
       if (N > DominantCount) {

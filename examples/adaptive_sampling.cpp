@@ -64,19 +64,22 @@ int main() {
   // Practical consequence: observation counts for the rare bug-3
   // predicate under each plan.
   CampaignResult Uniform = runWith(SamplingMode::Uniform);
+  // Each campaign is converted once; its counts and its analysis read the
+  // same store.
+  RunProfiles AdaptiveRuns = RunProfiles::fromReports(Adaptive.Reports);
+  RunProfiles UniformRuns = RunProfiles::fromReports(Uniform.Reports);
 
-  auto observationsOf = [](const CampaignResult &Result,
+  auto observationsOf = [](const SiteTable &Sites, const RunProfiles &Runs,
                            const char *TextFragment) {
     uint64_t F = 0, Observed = 0;
-    for (uint32_t Pred = 0; Pred < Result.Sites.numPredicates(); ++Pred) {
-      if (Result.Sites.predicate(Pred).Text.find(TextFragment) ==
-          std::string::npos)
+    for (uint32_t Pred = 0; Pred < Sites.numPredicates(); ++Pred) {
+      if (Sites.predicate(Pred).Text.find(TextFragment) == std::string::npos)
         continue;
-      uint32_t Site = Result.Sites.predicate(Pred).Site;
-      for (const FeedbackReport &Report : Result.Reports.reports()) {
-        if (Report.observedTrue(Pred) && Report.Failed)
+      uint32_t Site = Sites.predicate(Pred).Site;
+      for (size_t Run = 0; Run < Runs.size(); ++Run) {
+        if (Runs.observedTrue(Run, Pred) && Runs.failed(Run))
           ++F;
-        if (Report.siteObserved(Site))
+        if (Runs.siteObserved(Run, Site))
           ++Observed;
       }
       break; // One representative predicate is enough.
@@ -84,10 +87,10 @@ int main() {
     return std::pair<uint64_t, uint64_t>(F, Observed);
   };
 
-  auto [AdaptiveF, AdaptiveObs] =
-      observationsOf(Adaptive, "(o + s) > mn_buf_size is TRUE");
-  auto [UniformF, UniformObs] =
-      observationsOf(Uniform, "(o + s) > mn_buf_size is TRUE");
+  auto [AdaptiveF, AdaptiveObs] = observationsOf(
+      Adaptive.Sites, AdaptiveRuns, "(o + s) > mn_buf_size is TRUE");
+  auto [UniformF, UniformObs] = observationsOf(
+      Uniform.Sites, UniformRuns, "(o + s) > mn_buf_size is TRUE");
   std::printf("the rare maker-note predicate (bug 3's smoking gun):\n");
   std::printf("  adaptive:      observed in %llu runs, true in %llu "
               "failing runs\n",
@@ -100,7 +103,8 @@ int main() {
 
   // And the end-to-end effect on isolation.
   for (const CampaignResult *Result : {&Adaptive, &Uniform}) {
-    CauseIsolator Isolator(Result->Sites, Result->Reports);
+    CauseIsolator Isolator(Result->Sites, Result == &Adaptive ? AdaptiveRuns
+                                                              : UniformRuns);
     AnalysisResult Analysis = Isolator.run();
     std::printf("%s: %zu predictors selected\n",
                 Result == &Adaptive ? "adaptive" : "uniform 1/100",

@@ -44,12 +44,13 @@ int main() {
                   Stats.Triggered, Stats.TriggeredAndFailed);
   std::printf("\n");
 
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
 
   std::printf("selected predictors (elimination order), with per-bug "
               "failing-run columns:\n\n");
-  std::printf("%s\n", renderSelectedList(Result.Sites, Result.Reports,
+  std::printf("%s\n", renderSelectedList(Result.Sites, Runs,
                                          Analysis.Selected,
                                          {1, 2, 3, 4, 5, 6, 7, 9},
                                          /*TopK=*/12)

@@ -6,17 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Turns a set of sparse feedback reports into the per-predicate counts
-/// F(P), S(P), F(P observed), S(P observed) that all scores derive from.
-/// The elimination algorithm re-aggregates after every selection over a
+/// Turns a run population into the per-predicate counts F(P), S(P),
+/// F(P observed), S(P observed) that all scores derive from. The
+/// elimination algorithm re-aggregates after every selection over a
 /// shrinking (or relabeled) run population, so aggregation is phrased over
 /// a RunView: an activity mask plus current failure labels.
 ///
-/// Aggregation accepts either source representation: a materialized
-/// ReportSet or the compact RunProfiles store the streamed-corpus path
-/// produces. Both consider an entry "observed" iff its count is positive,
-/// so the two overloads yield identical integer counts — the foundation of
-/// the in-memory vs. streamed bit-identity contract.
+/// The population is a RunProfiles store, which holds exactly what the
+/// counts read: each run's label, observed sites and true predicates. A
+/// campaign held in memory is converted once (RunProfiles::fromReports);
+/// a corpus on disk streams straight into one (feedback/Corpus.h). Every
+/// count, ranking and table therefore runs off the same integers whichever
+/// way the reports arrived.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +25,6 @@
 #define SBI_CORE_AGGREGATOR_H
 
 #include "core/Scores.h"
-#include "feedback/Report.h"
 #include "feedback/RunProfiles.h"
 #include "instrument/Sites.h"
 
@@ -41,7 +41,6 @@ struct RunView {
   std::vector<uint8_t> Active; ///< 1 = run participates.
   std::vector<uint8_t> Failed; ///< Current label (may differ from report's).
 
-  static RunView allOf(const ReportSet &Set);
   static RunView allOf(const RunProfiles &Runs);
 
   size_t numActive() const;
@@ -54,12 +53,7 @@ public:
   Aggregates(uint32_t NumSites, uint32_t NumPredicates)
       : SiteObs(NumSites), PredTrue(NumPredicates) {}
 
-  /// Aggregates \p Set under \p View.
-  static Aggregates compute(const ReportSet &Set, const RunView &View);
-
-  /// Aggregates a run-profile store under \p View; produces exactly the
-  /// counts the ReportSet overload would for the set the profiles came
-  /// from (zero-count entries are dropped at profile construction).
+  /// Aggregates \p Runs under \p View.
   static Aggregates compute(const RunProfiles &Runs, const RunView &View);
 
   uint64_t numFailing() const { return NumF; }

@@ -510,9 +510,15 @@ AnalysisResult CauseIsolator::run() const {
   std::optional<ScopedSpan> ScanSpan(std::in_place, "initial_scan", "analysis");
   if (Incremental)
     Delta.emplace(Runs, View, TrackChanges);
-  Aggregates InitialAgg = Bitset        ? BIndex->initialAggregates()
-                          : Incremental ? Delta->aggregates()
-                                        : Aggregates::compute(Runs, View);
+  // The bitset index keeps its initial counts unchanged, so they are read
+  // in place. The incremental engine copies its counts before the first
+  // discard changes them; the rescan engine's are a fresh scan.
+  std::optional<Aggregates> OwnedInitialAgg;
+  if (!Bitset)
+    OwnedInitialAgg.emplace(Incremental ? Delta->aggregates()
+                                        : Aggregates::compute(Runs, View));
+  const Aggregates &InitialAgg =
+      Bitset ? BIndex->initialAggregates() : *OwnedInitialAgg;
   uint64_t InitialNumF = InitialAgg.numFailing();
 
   Result.PrunedSurvivors =

@@ -53,7 +53,7 @@ const char *discardPolicyName(DiscardPolicy Policy);
 
 /// How run() re-aggregates counts after each selection.
 enum class AnalysisEngine {
-  Rescan,      ///< Full report-set scan per iteration (reference).
+  Rescan,      ///< Full population scan per iteration (reference).
   Incremental, ///< Inverted index + delta-updated counts (default).
   Bitset,      ///< Dense bit-matrices, word-AND + popcount per iteration.
 };
@@ -164,18 +164,18 @@ bool bitIdentical(const AnalysisResult &A, const AnalysisResult &B);
 /// only that trail field may differ.
 bool prunedRankingsMatch(const AnalysisResult &A, const AnalysisResult &B);
 
-/// Runs pruning + elimination + affinity over one run population, held
-/// either as a materialized ReportSet or as the compact RunProfiles store
-/// the streamed-corpus path produces. Both constructors feed the same
-/// engine code the same integers, so results (audit trail included) are
-/// bit-identical across the two representations.
+/// Runs pruning + elimination + affinity over one run population, a
+/// RunProfiles store.
 class CauseIsolator {
 public:
+  /// Converts \p Set once and analyzes the copy with the same code as the
+  /// RunProfiles constructor, so results (audit trail included) are
+  /// bit-identical to it. A caller that also renders tables converts once
+  /// itself and passes the one store to both.
   CauseIsolator(const SiteTable &Sites, const ReportSet &Set,
                 AnalysisOptions Options = {});
 
-  /// Analysis over a profile store directly (what `sbi` reads); \p Runs
-  /// must outlive the isolator.
+  /// Analysis over \p Runs, which must outlive the isolator.
   CauseIsolator(const SiteTable &Sites, const RunProfiles &Runs,
                 AnalysisOptions Options = {});
 

@@ -21,7 +21,7 @@
 ///   DeltaAggregates  mutable F/S/FObs/SObs counts, initialized by a single
 ///                    full scan and then updated by *subtracting* (or
 ///                    relabeling) one discarded run's sparse contributions
-///                    at a time, instead of rescanning the whole ReportSet.
+///                    at a time, instead of rescanning the whole population.
 ///
 /// All counts are integers, so subtract-then-score is bit-identical to
 /// recompute-then-score; the differential tests in tests/core and
@@ -33,7 +33,6 @@
 #define SBI_CORE_INVERTEDINDEX_H
 
 #include "core/Aggregator.h"
-#include "feedback/Report.h"
 #include "feedback/RunProfiles.h"
 
 #include <cstdint>
@@ -100,16 +99,6 @@ public:
       Marks.emplace(Runs.numSites(), Runs.numPredicates());
   }
 
-  /// Convenience for ReportSet callers: converts (and owns) a profile
-  /// copy, then behaves exactly like the RunProfiles constructor.
-  DeltaAggregates(const ReportSet &Set, const RunView &View,
-                  bool TrackChanges = false)
-      : Owned(RunProfiles::fromReports(Set)), Runs(*Owned),
-        Agg(Aggregates::compute(*Owned, View)) {
-    if (TrackChanges)
-      Marks.emplace(Runs.numSites(), Runs.numPredicates());
-  }
-
   /// The live counts, interface-compatible with a fresh full scan.
   const Aggregates &aggregates() const { return Agg; }
 
@@ -135,7 +124,6 @@ private:
   /// Marks run \p Run's sites and predicates, when tracking changes.
   void markRun(size_t Run);
 
-  std::optional<RunProfiles> Owned; ///< Before Runs: bound in init order.
   const RunProfiles &Runs;
   Aggregates Agg;
   std::optional<ChangeMarks> Marks;

@@ -11,8 +11,11 @@
 /// and whether it was observed to be true. This module stores reports
 /// sparsely, together with per-run provenance the experiments (but never
 /// the analysis) may consult: trap kind, stack signature, and the
-/// ground-truth set of bugs that actually occurred in the run. On disk a
-/// report set is an SBI-CORPUS v2 directory (feedback/Corpus.h).
+/// ground-truth set of bugs that actually occurred in the run. A ReportSet
+/// is what a campaign produces and what the corpus writer reads; on disk it
+/// is an SBI-CORPUS v2 directory (feedback/Corpus.h). The analysis reads
+/// neither counts nor provenance, only a RunProfiles store
+/// (feedback/RunProfiles.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,13 +47,6 @@ struct FeedbackReport {
   /// Bit n set iff ground-truth bug id n (1-based, 1 <= n <= 63)
   /// occurred. Bit 0 is never set: it is not a valid bug id.
   uint64_t BugMask = 0;
-
-  /// True iff predicate \p PredId was observed true at least once, i.e.
-  /// R(P) = 1.
-  bool observedTrue(uint32_t PredId) const;
-
-  /// True iff the site \p SiteId was sampled at least once ("P observed").
-  bool siteObserved(uint32_t SiteId) const;
 
   /// Mask bit for ground-truth bug id \p BugId. Bug ids are 1-based and at
   /// most 63; any id outside [1, 63] maps to no bit at all (0), so an

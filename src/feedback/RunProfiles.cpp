@@ -58,6 +58,11 @@ bool RunProfiles::observedTrue(size_t Run, uint32_t Pred) const {
   return std::binary_search(Span.begin(), Span.end(), Pred);
 }
 
+bool RunProfiles::siteObserved(size_t Run, uint32_t Site) const {
+  IdSpan Span = sites(Run);
+  return std::binary_search(Span.begin(), Span.end(), Site);
+}
+
 size_t RunProfiles::numFailing() const {
   size_t N = 0;
   for (uint8_t F : FailedBits)

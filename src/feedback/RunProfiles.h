@@ -18,12 +18,13 @@
 /// SBI-CORPUS v2 directory shard by shard instead of rebuilding
 /// FeedbackReports.
 ///
-/// Every aggregation engine (core/Aggregator, core/InvertedIndex,
-/// core/Analysis), the logistic-regression baseline and the HTML report
-/// run off this structure; ReportSet-based entry points convert via
-/// fromReports(), so a campaign analyzed in memory and the same campaign
-/// read back from its corpus execute the same code over the same integers
-/// and stay bit-identical.
+/// It is the one store every analysis reads: the aggregation engines
+/// (core/Aggregator, core/InvertedIndex, core/BitMatrix, core/Analysis),
+/// the logistic-regression baseline, the paper-table helpers
+/// (harness/Tables) and the HTML report. A campaign held in memory is
+/// converted once with fromReports(); a corpus streams into one. Either way
+/// the analysis executes the same code over the same integers, so the two
+/// stay bit-identical.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,9 +58,8 @@ public:
   RunProfiles(uint32_t NumSites, uint32_t NumPredicates)
       : NumSitesVal(NumSites), NumPredicatesVal(NumPredicates) {}
 
-  /// Converts a report set; entries with zero counts are dropped, matching
-  /// what observedTrue/siteObserved and Aggregates::compute consider
-  /// "observed".
+  /// Converts a report set. An entry counts as observed iff its count is
+  /// positive, so entries with zero counts are dropped.
   static RunProfiles fromReports(const ReportSet &Set);
 
   // --- Streaming construction --------------------------------------------
@@ -103,6 +103,9 @@ public:
 
   /// R(P) = 1 for run \p Run? Binary search over the run's sorted pred ids.
   bool observedTrue(size_t Run, uint32_t Pred) const;
+  /// Was site \p Site sampled at least once in run \p Run ("P observed"
+  /// for each of its predicates)? Binary search over the sorted site ids.
+  bool siteObserved(size_t Run, uint32_t Site) const;
 
   size_t numFailing() const;
   /// Total posting entries (sites + preds) across all runs.

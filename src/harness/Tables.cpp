@@ -57,15 +57,6 @@ std::string sbi::renderRankedList(const SiteTable &Sites,
   return Table.render();
 }
 
-size_t sbi::failingRunsWithPredAndBug(const ReportSet &Set, uint32_t PredId,
-                                      int BugId) {
-  size_t N = 0;
-  for (const FeedbackReport &Report : Set.reports())
-    if (Report.Failed && Report.hasBug(BugId) && Report.observedTrue(PredId))
-      ++N;
-  return N;
-}
-
 size_t sbi::failingRunsWithPredAndBug(const RunProfiles &Runs,
                                       uint32_t PredId, int BugId) {
   size_t N = 0;
@@ -76,13 +67,10 @@ size_t sbi::failingRunsWithPredAndBug(const RunProfiles &Runs,
   return N;
 }
 
-/// Shared body of the two renderSelectedList overloads; \p Source only
-/// feeds failingRunsWithPredAndBug for the bug columns.
-template <typename SourceT>
-static std::string
-renderSelectedListImpl(const SiteTable &Sites, const SourceT &Source,
-                       const std::vector<SelectedPredicate> &Selected,
-                       const std::vector<int> &BugIds, size_t TopK) {
+std::string
+sbi::renderSelectedList(const SiteTable &Sites, const RunProfiles &Runs,
+                        const std::vector<SelectedPredicate> &Selected,
+                        const std::vector<int> &BugIds, size_t TopK) {
   uint64_t MaxRuns = 1;
   for (const SelectedPredicate &Entry : Selected)
     MaxRuns = std::max(MaxRuns, Entry.InitialScores.counts().observedTrue());
@@ -110,24 +98,10 @@ renderSelectedListImpl(const SiteTable &Sites, const SourceT &Source,
         predicateLabel(Sites, Entry.Pred)};
     for (int Bug : BugIds)
       Row.push_back(
-          format("%zu", failingRunsWithPredAndBug(Source, Entry.Pred, Bug)));
+          format("%zu", failingRunsWithPredAndBug(Runs, Entry.Pred, Bug)));
     Table.addRow(std::move(Row));
   }
   return Table.render();
-}
-
-std::string
-sbi::renderSelectedList(const SiteTable &Sites, const ReportSet &Set,
-                        const std::vector<SelectedPredicate> &Selected,
-                        const std::vector<int> &BugIds, size_t TopK) {
-  return renderSelectedListImpl(Sites, Set, Selected, BugIds, TopK);
-}
-
-std::string
-sbi::renderSelectedList(const SiteTable &Sites, const RunProfiles &Runs,
-                        const std::vector<SelectedPredicate> &Selected,
-                        const std::vector<int> &BugIds, size_t TopK) {
-  return renderSelectedListImpl(Sites, Runs, Selected, BugIds, TopK);
 }
 
 std::string sbi::renderAffinity(const SiteTable &Sites,
@@ -172,7 +146,7 @@ std::string sbi::renderAuditTrail(const SiteTable &Sites,
 }
 
 std::vector<std::pair<int, uint32_t>>
-sbi::choosePredictorPerBug(const ReportSet &Set,
+sbi::choosePredictorPerBug(const RunProfiles &Runs,
                            const std::vector<SelectedPredicate> &Selected,
                            const std::vector<int> &BugIds) {
   std::vector<std::pair<int, uint32_t>> Result;
@@ -181,7 +155,7 @@ sbi::choosePredictorPerBug(const ReportSet &Set,
     size_t BestOverlap = 0;
     bool Found = false;
     for (const SelectedPredicate &Entry : Selected) {
-      size_t Overlap = failingRunsWithPredAndBug(Set, Entry.Pred, Bug);
+      size_t Overlap = failingRunsWithPredAndBug(Runs, Entry.Pred, Bug);
       if (Overlap > BestOverlap) {
         BestOverlap = Overlap;
         BestPred = Entry.Pred;
@@ -206,7 +180,7 @@ std::vector<size_t> sbi::defaultMinRunsGrid(size_t NumRuns) {
 }
 
 std::vector<MinRunsRow> sbi::computeMinimumRuns(
-    const SiteTable &Sites, const ReportSet &Set,
+    const SiteTable &Sites, const RunProfiles &Runs,
     const std::vector<std::pair<int, uint32_t>> &Predictors,
     const std::vector<size_t> &Grid, double Threshold) {
   // Incremental prefix aggregation: walk the runs once, checkpointing the
@@ -226,19 +200,19 @@ std::vector<MinRunsRow> sbi::computeMinimumRuns(
 
   uint64_t NumF = 0;
   size_t GridIdx = 0;
-  for (size_t Run = 0; Run < Set.size() && GridIdx < Grid.size(); ++Run) {
-    const FeedbackReport &Report = Set[Run];
-    if (Report.Failed)
+  for (size_t Run = 0; Run < Runs.size() && GridIdx < Grid.size(); ++Run) {
+    const bool Failed = Runs.failed(Run);
+    if (Failed)
       ++NumF;
     for (Tracker &T : Trackers) {
-      if (Report.siteObserved(T.Site)) {
-        if (Report.Failed)
+      if (Runs.siteObserved(Run, T.Site)) {
+        if (Failed)
           ++T.Counts.FObs;
         else
           ++T.Counts.SObs;
       }
-      if (Report.observedTrue(T.Pred)) {
-        if (Report.Failed)
+      if (Runs.observedTrue(Run, T.Pred)) {
+        if (Failed)
           ++T.Counts.F;
         else
           ++T.Counts.S;
@@ -254,8 +228,7 @@ std::vector<MinRunsRow> sbi::computeMinimumRuns(
   }
 
   // Full-population importance for each predictor.
-  RunView View = RunView::allOf(Set);
-  Aggregates Agg = Aggregates::compute(Set, View);
+  Aggregates Agg = Aggregates::compute(Runs, RunView::allOf(Runs));
 
   std::vector<MinRunsRow> Rows;
   for (Tracker &T : Trackers) {

@@ -10,7 +10,9 @@
 /// predicate lists with bug thermometers (Table 1), elimination output with
 /// initial/effective thermometers and ground-truth bug columns (Tables
 /// 3-7), the minimum-runs study (Table 8), and the stack-trace clustering
-/// study discussed in Section 6.
+/// study discussed in Section 6. Every count reads the RunProfiles store
+/// the analysis ran on; only the stack study reads a ReportSet, for the
+/// crash stacks a RunProfiles store does not keep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,15 +40,6 @@ std::string renderRankedList(const SiteTable &Sites,
 /// thermometers; when \p BugIds is nonempty, appends one column per bug
 /// counting failing runs that both exhibit the bug and observe the
 /// predicate true (Table 3's right-hand matrix).
-std::string renderSelectedList(const SiteTable &Sites, const ReportSet &Set,
-                               const std::vector<SelectedPredicate> &Selected,
-                               const std::vector<int> &BugIds,
-                               size_t TopK = 0);
-
-/// Same rendering over the compact RunProfiles store (what `sbi analyze`
-/// reads); profiles carry the failure labels, truth bits, and bug masks
-/// the bug columns need, so output is byte-identical to the ReportSet
-/// overload.
 std::string renderSelectedList(const SiteTable &Sites,
                                const RunProfiles &Runs,
                                const std::vector<SelectedPredicate> &Selected,
@@ -69,8 +62,6 @@ std::string renderAuditTrail(const SiteTable &Sites,
 
 /// Failing runs in which predicate \p PredId was observed true and bug
 /// \p BugId triggered.
-size_t failingRunsWithPredAndBug(const ReportSet &Set, uint32_t PredId,
-                                 int BugId);
 size_t failingRunsWithPredAndBug(const RunProfiles &Runs, uint32_t PredId,
                                  int BugId);
 
@@ -78,7 +69,7 @@ size_t failingRunsWithPredAndBug(const RunProfiles &Runs, uint32_t PredId,
 /// (the per-bug "natural" predictor of Section 4.3). Bugs with no covering
 /// selected predicate are omitted.
 std::vector<std::pair<int, uint32_t>>
-choosePredictorPerBug(const ReportSet &Set,
+choosePredictorPerBug(const RunProfiles &Runs,
                       const std::vector<SelectedPredicate> &Selected,
                       const std::vector<int> &BugIds);
 
@@ -95,7 +86,7 @@ struct MinRunsRow {
 };
 
 std::vector<MinRunsRow>
-computeMinimumRuns(const SiteTable &Sites, const ReportSet &Set,
+computeMinimumRuns(const SiteTable &Sites, const RunProfiles &Runs,
                    const std::vector<std::pair<int, uint32_t>> &Predictors,
                    const std::vector<size_t> &Grid, double Threshold = 0.2);
 

@@ -147,6 +147,7 @@ TEST(SbiCliTest, ExitStatusTable) {
       {"SBI_BENCH_THREADS=-1 " + Table, 2, {"'-1'", "SBI_BENCH_THREADS"}},
       {"SBI_BENCH_RUNS=abc " + Table, 2, {"'abc'", "SBI_BENCH_RUNS"}},
       {"SBI_BENCH_SEED=12x " + Table, 2, {"'12x'", "SBI_BENCH_SEED"}},
+      {Table + "--runz=40", 2, {"unknown option '--runz=40'"}},
       {Table + "--runs=40 --seed=12 --threads=1", 0, {"runs: 40, seed: 12"}},
       {Analyze + "--in=" + Cut, 1, {"'ccrypt'", "100 vs 253 sites"}},
       {LogReg + "--in=" + Cut, 1, {"'ccrypt'", "100 vs 253 sites"}},

@@ -13,7 +13,8 @@ TEST(RunViewTest, AllOfMirrorsLabels) {
   ReportSet Set = World.emptySet();
   Set.add(SyntheticWorld::makeReport(World.Sites, true, {0}));
   Set.add(SyntheticWorld::makeReport(World.Sites, false, {1}));
-  RunView View = RunView::allOf(Set);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  RunView View = RunView::allOf(Runs);
   EXPECT_EQ(View.numActive(), 2u);
   EXPECT_EQ(View.numActiveFailing(), 1u);
   EXPECT_EQ(View.Failed[0], 1);
@@ -29,8 +30,9 @@ TEST(AggregatorTest, CountsSplitByLabel) {
   Set.add(SyntheticWorld::makeReport(World.Sites, true, {0}));
   Set.add(SyntheticWorld::makeReport(World.Sites, false, {0}));
   Set.add(SyntheticWorld::makeReport(World.Sites, false, {}, {0}));
-  RunView View = RunView::allOf(Set);
-  Aggregates Agg = Aggregates::compute(Set, View);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  RunView View = RunView::allOf(Runs);
+  Aggregates Agg = Aggregates::compute(Runs, View);
 
   PredicateCounts Counts = Agg.counts(World.predOf(0), World.Sites);
   EXPECT_EQ(Counts.F, 2u);
@@ -46,9 +48,10 @@ TEST(AggregatorTest, InactiveRunsExcluded) {
   ReportSet Set = World.emptySet();
   Set.add(SyntheticWorld::makeReport(World.Sites, true, {0}));
   Set.add(SyntheticWorld::makeReport(World.Sites, true, {0}));
-  RunView View = RunView::allOf(Set);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  RunView View = RunView::allOf(Runs);
   View.Active[0] = 0;
-  Aggregates Agg = Aggregates::compute(Set, View);
+  Aggregates Agg = Aggregates::compute(Runs, View);
   EXPECT_EQ(Agg.counts(World.predOf(0), World.Sites).F, 1u);
   EXPECT_EQ(Agg.numFailing(), 1u);
 }
@@ -57,9 +60,10 @@ TEST(AggregatorTest, RelabeledRunsCountUnderNewLabel) {
   SyntheticWorld World(8);
   ReportSet Set = World.emptySet();
   Set.add(SyntheticWorld::makeReport(World.Sites, true, {0}));
-  RunView View = RunView::allOf(Set);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  RunView View = RunView::allOf(Runs);
   View.Failed[0] = 0; // Relabel as success (Section 5, proposal 3).
-  Aggregates Agg = Aggregates::compute(Set, View);
+  Aggregates Agg = Aggregates::compute(Runs, View);
   PredicateCounts Counts = Agg.counts(World.predOf(0), World.Sites);
   EXPECT_EQ(Counts.F, 0u);
   EXPECT_EQ(Counts.S, 1u);
@@ -69,8 +73,9 @@ TEST(AggregatorTest, SiteObservationSharedAcrossSitePredicates) {
   SyntheticWorld World(8);
   ReportSet Set = World.emptySet();
   Set.add(SyntheticWorld::makeReport(World.Sites, true, {0}));
-  RunView View = RunView::allOf(Set);
-  Aggregates Agg = Aggregates::compute(Set, View);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  RunView View = RunView::allOf(Runs);
+  Aggregates Agg = Aggregates::compute(Runs, View);
   const SiteInfo &Site = World.Sites.site(0);
   // Every predicate of site 0 shares FObs/SObs, but only the first is true.
   for (uint32_t P = 0; P < Site.NumPredicates; ++P) {
@@ -84,8 +89,9 @@ TEST(AggregatorTest, SiteObservationSharedAcrossSitePredicates) {
 TEST(AggregatorTest, EmptySet) {
   SyntheticWorld World(8);
   ReportSet Set = World.emptySet();
-  RunView View = RunView::allOf(Set);
-  Aggregates Agg = Aggregates::compute(Set, View);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  RunView View = RunView::allOf(Runs);
+  Aggregates Agg = Aggregates::compute(Runs, View);
   EXPECT_EQ(Agg.numFailing(), 0u);
   EXPECT_EQ(Agg.numSuccessful(), 0u);
   EXPECT_EQ(Agg.counts(0, World.Sites).observed(), 0u);

@@ -87,11 +87,11 @@ TEST(PruningTest, LowConfidencePredicateIsDiscarded) {
   for (int I = 0; I < 19; ++I)
     Set.add(SyntheticWorld::makeReport(World.Sites, false, {}, {3}));
   // Failure = 2/3 vs Context = 10/30: positive but uncertain.
-  RunView View = RunView::allOf(Set);
-  Aggregates Agg = Aggregates::compute(Set, View);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  Aggregates Agg = Aggregates::compute(Runs, RunView::allOf(Runs));
   PredicateScores Scores = Agg.scores(World.predOf(3), World.Sites);
   ASSERT_GT(Scores.increase().Value, 0.0);
-  CauseIsolator Isolator(World.Sites, Set);
+  CauseIsolator Isolator(World.Sites, Runs);
   for (uint32_t Survivor : Isolator.prune())
     EXPECT_NE(Survivor, World.predOf(3));
 }
@@ -239,23 +239,24 @@ TEST_P(LemmaCoverageTest, EveryCoveredBugGetsAPredictor) {
                                        {0, 1, 2, 3, 10}, Mask));
   }
 
-  CauseIsolator Isolator(World.Sites, Set);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  CauseIsolator Isolator(World.Sites, Runs);
   AnalysisResult Result = Isolator.run();
 
   // Lemma 3.1: each bug that causes at least one failing run where its
   // predictor is observed true must be covered by some selected predicate.
   for (int Bug = 1; Bug <= NumBugs; ++Bug) {
     size_t BugFailures = 0;
-    for (const FeedbackReport &Report : Set.reports())
-      if (Report.Failed && Report.hasBug(Bug))
+    for (size_t Run = 0; Run < Runs.size(); ++Run)
+      if (Runs.failed(Run) && Runs.hasBug(Run, Bug))
         ++BugFailures;
     if (BugFailures == 0)
       continue;
     bool Covered = false;
     for (const SelectedPredicate &Entry : Result.Selected)
-      for (const FeedbackReport &Report : Set.reports())
-        if (Report.Failed && Report.hasBug(Bug) &&
-            Report.observedTrue(Entry.Pred)) {
+      for (size_t Run = 0; Run < Runs.size(); ++Run)
+        if (Runs.failed(Run) && Runs.hasBug(Run, Bug) &&
+            Runs.observedTrue(Run, Entry.Pred)) {
           Covered = true;
           break;
         }
@@ -294,10 +295,9 @@ ReportSet antiCorrelatedSet(const SyntheticWorld &World) {
 
 TEST(PolicyTest, NotPInitiallyFailsThePruningTest) {
   SyntheticWorld World(8);
-  ReportSet Set = antiCorrelatedSet(World);
+  RunProfiles Runs = RunProfiles::fromReports(antiCorrelatedSet(World));
   uint32_t NotP = World.Sites.site(0).FirstPredicate + 3;
-  RunView View = RunView::allOf(Set);
-  Aggregates Agg = Aggregates::compute(Set, View);
+  Aggregates Agg = Aggregates::compute(Runs, RunView::allOf(Runs));
   // Overshadowed by the anti-correlated dominant bug (Section 5).
   EXPECT_LT(Agg.scores(NotP, World.Sites).increase().Value, 0.0);
 }
@@ -348,16 +348,16 @@ TEST(PolicyTest, ComplementIncreaseNonNegativeAfterSelection) {
   // proposal (when defined). Apply each policy's run-view transformation
   // for P by hand and check the complement's score.
   SyntheticWorld World(8);
-  ReportSet Set = antiCorrelatedSet(World);
+  RunProfiles Runs = RunProfiles::fromReports(antiCorrelatedSet(World));
   uint32_t P = World.Sites.site(0).FirstPredicate + 0;
   uint32_t NotP = World.Sites.site(0).FirstPredicate + 3;
 
   for (DiscardPolicy Policy :
        {DiscardPolicy::DiscardAllRuns, DiscardPolicy::DiscardFailingRuns,
         DiscardPolicy::RelabelFailingRuns}) {
-    RunView View = RunView::allOf(Set);
-    for (size_t Run = 0; Run < Set.size(); ++Run) {
-      if (!Set[Run].observedTrue(P))
+    RunView View = RunView::allOf(Runs);
+    for (size_t Run = 0; Run < Runs.size(); ++Run) {
+      if (!Runs.observedTrue(Run, P))
         continue;
       switch (Policy) {
       case DiscardPolicy::DiscardAllRuns:
@@ -373,7 +373,7 @@ TEST(PolicyTest, ComplementIncreaseNonNegativeAfterSelection) {
         break;
       }
     }
-    Aggregates Agg = Aggregates::compute(Set, View);
+    Aggregates Agg = Aggregates::compute(Runs, View);
     PredicateScores Scores = Agg.scores(NotP, World.Sites);
     if (Scores.counts().observed() > 0) {
       EXPECT_GE(Scores.increase().Value, -1e-12)
@@ -953,8 +953,9 @@ TEST(RankTest, OrdersByImportanceThenF) {
   for (int I = 0; I < 100; ++I)
     Set.add(SyntheticWorld::makeReport(World.Sites, false, {2}, {0, 1}));
 
-  CauseIsolator Isolator(World.Sites, Set);
-  RunView View = RunView::allOf(Set);
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  CauseIsolator Isolator(World.Sites, Runs);
+  RunView View = RunView::allOf(Runs);
   std::vector<uint32_t> Candidates = {World.predOf(0), World.predOf(1),
                                       World.predOf(2)};
   auto Ranked = Isolator.rank(Candidates, View);

@@ -59,12 +59,13 @@ std::vector<uint32_t> ids(IdSpan Span) {
 
 /// Asserts that \p Agg matches a from-scratch recomputation under \p View
 /// for every predicate.
-void expectMatchesRecompute(const SyntheticWorld &World, const ReportSet &Set,
-                            const RunView &View, const Aggregates &Agg) {
-  Aggregates Fresh = Aggregates::compute(Set, View);
+void expectMatchesRecompute(const SyntheticWorld &World,
+                            const RunProfiles &Runs, const RunView &View,
+                            const Aggregates &Agg) {
+  Aggregates Fresh = Aggregates::compute(Runs, View);
   ASSERT_EQ(Agg.numFailing(), Fresh.numFailing());
   ASSERT_EQ(Agg.numSuccessful(), Fresh.numSuccessful());
-  for (uint32_t Pred = 0; Pred < Set.numPredicates(); ++Pred) {
+  for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred) {
     PredicateCounts A = Agg.counts(Pred, World.Sites);
     PredicateCounts B = Fresh.counts(Pred, World.Sites);
     ASSERT_EQ(A.F, B.F) << "pred " << Pred;
@@ -85,13 +86,15 @@ TEST(InvertedIndexTest, PostingListsMatchReports) {
   ASSERT_EQ(Index.numPredicates(), Set.numPredicates());
   ASSERT_EQ(Index.numSites(), Set.numSites());
   ASSERT_EQ(Index.numRuns(), Set.size());
-  for (uint32_t Pred = 0; Pred < Set.numPredicates(); ++Pred) {
-    std::vector<uint32_t> Expected;
-    for (size_t Run = 0; Run < Set.size(); ++Run)
-      if (Set[Run].observedTrue(Pred))
-        Expected.push_back(static_cast<uint32_t>(Run));
-    EXPECT_EQ(ids(Index.runsWhereTrue(Pred)), Expected) << "pred " << Pred;
-  }
+  // Brute force from the reports' own entries: a positive count is R(P) = 1.
+  std::vector<std::vector<uint32_t>> Expected(Set.numPredicates());
+  for (size_t Run = 0; Run < Set.size(); ++Run)
+    for (const auto &[Pred, Count] : Set[Run].Counts.TruePredicates)
+      if (Count > 0)
+        Expected[Pred].push_back(static_cast<uint32_t>(Run));
+  for (uint32_t Pred = 0; Pred < Set.numPredicates(); ++Pred)
+    EXPECT_EQ(ids(Index.runsWhereTrue(Pred)), Expected[Pred])
+        << "pred " << Pred;
 }
 
 TEST(InvertedIndexTest, ZeroCountEntriesAreNotIndexed) {
@@ -154,54 +157,54 @@ TEST(InvertedIndexTest, TransposeMatchesBruteForceAtAnyChunkCount) {
 
 TEST(DeltaAggregatesTest, InitialStateMatchesFullScan) {
   SyntheticWorld World(12);
-  ReportSet Set = randomSet(World, 80, 11);
-  RunView View = RunView::allOf(Set);
-  DeltaAggregates Delta(Set, View);
-  expectMatchesRecompute(World, Set, View, Delta.aggregates());
+  RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 80, 11));
+  RunView View = RunView::allOf(Runs);
+  DeltaAggregates Delta(Runs, View);
+  expectMatchesRecompute(World, Runs, View, Delta.aggregates());
 }
 
 TEST(DeltaAggregatesTest, RemovalMatchesRecompute) {
   SyntheticWorld World(12);
-  ReportSet Set = randomSet(World, 80, 23);
-  RunView View = RunView::allOf(Set);
-  DeltaAggregates Delta(Set, View);
+  RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 80, 23));
+  RunView View = RunView::allOf(Runs);
+  DeltaAggregates Delta(Runs, View);
 
   Rng R(5);
-  for (size_t Run = 0; Run < Set.size(); ++Run) {
+  for (size_t Run = 0; Run < Runs.size(); ++Run) {
     if (!R.nextBernoulli(0.4))
       continue;
     Delta.removeRun(Run, View.Failed[Run]);
     View.Active[Run] = 0;
     // Compare after every mutation, not just at the end, so an
     // off-by-one-run bug cannot cancel out.
-    expectMatchesRecompute(World, Set, View, Delta.aggregates());
+    expectMatchesRecompute(World, Runs, View, Delta.aggregates());
   }
 }
 
 TEST(DeltaAggregatesTest, RelabelMatchesRecompute) {
   SyntheticWorld World(12);
-  ReportSet Set = randomSet(World, 80, 31);
-  RunView View = RunView::allOf(Set);
-  DeltaAggregates Delta(Set, View);
+  RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 80, 31));
+  RunView View = RunView::allOf(Runs);
+  DeltaAggregates Delta(Runs, View);
 
   Rng R(9);
-  for (size_t Run = 0; Run < Set.size(); ++Run) {
+  for (size_t Run = 0; Run < Runs.size(); ++Run) {
     if (!View.Failed[Run] || !R.nextBernoulli(0.5))
       continue;
     Delta.relabelRunAsSuccess(Run);
     View.Failed[Run] = 0;
-    expectMatchesRecompute(World, Set, View, Delta.aggregates());
+    expectMatchesRecompute(World, Runs, View, Delta.aggregates());
   }
 }
 
 TEST(DeltaAggregatesTest, MixedMutationSequenceMatchesRecompute) {
   SyntheticWorld World(12);
-  ReportSet Set = randomSet(World, 120, 77);
-  RunView View = RunView::allOf(Set);
-  DeltaAggregates Delta(Set, View);
+  RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 120, 77));
+  RunView View = RunView::allOf(Runs);
+  DeltaAggregates Delta(Runs, View);
 
   Rng R(13);
-  for (size_t Run = 0; Run < Set.size(); ++Run) {
+  for (size_t Run = 0; Run < Runs.size(); ++Run) {
     double Roll = R.nextDouble();
     if (Roll < 0.25) {
       Delta.removeRun(Run, View.Failed[Run]);
@@ -211,7 +214,7 @@ TEST(DeltaAggregatesTest, MixedMutationSequenceMatchesRecompute) {
       View.Failed[Run] = 0;
     }
   }
-  expectMatchesRecompute(World, Set, View, Delta.aggregates());
+  expectMatchesRecompute(World, Runs, View, Delta.aggregates());
 }
 
 TEST(DeltaAggregatesTest, ChangeMarksNameExactlyTheChangedCounts) {
@@ -219,15 +222,15 @@ TEST(DeltaAggregatesTest, ChangeMarksNameExactlyTheChangedCounts) {
   // its site's are marked, so every mutation must mark what it changed;
   // marking nothing else keeps the rescoring to what changed.
   SyntheticWorld World(12);
-  ReportSet Set = randomSet(World, 80, 41);
-  RunView View = RunView::allOf(Set);
-  EXPECT_EQ(DeltaAggregates(Set, View).changes(), nullptr);
-  DeltaAggregates Delta(Set, View, /*TrackChanges=*/true);
+  RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 80, 41));
+  RunView View = RunView::allOf(Runs);
+  EXPECT_EQ(DeltaAggregates(Runs, View).changes(), nullptr);
+  DeltaAggregates Delta(Runs, View, /*TrackChanges=*/true);
   ASSERT_NE(Delta.changes(), nullptr);
 
   Rng R(17);
   size_t Mutations = 0;
-  for (size_t Run = 0; Run < Set.size(); ++Run) {
+  for (size_t Run = 0; Run < Runs.size(); ++Run) {
     const Aggregates Before = Delta.aggregates();
     if (R.nextBernoulli(0.4)) {
       Delta.removeRun(Run, View.Failed[Run]);
@@ -237,7 +240,7 @@ TEST(DeltaAggregatesTest, ChangeMarksNameExactlyTheChangedCounts) {
       continue;
     }
     ++Mutations;
-    for (uint32_t Pred = 0; Pred < Set.numPredicates(); ++Pred) {
+    for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred) {
       PredicateCounts A = Before.counts(Pred, World.Sites);
       PredicateCounts B = Delta.aggregates().counts(Pred, World.Sites);
       bool Changed = A.F != B.F || A.S != B.S || A.FObs != B.FObs ||

@@ -644,6 +644,21 @@ TEST(RunProfilesTest, FromReportsDropsZeroCountsAndKeepsLabels) {
   EXPECT_EQ(Runs.numPostings(), 4u);
 }
 
+TEST(RunProfilesTest, SiteObserved) {
+  // A site counts as observed in a run iff it was sampled at least once
+  // there, whether or not any of its predicates was true.
+  ReportSet Set(12, 8);
+  Set.add(makeReport(true, {{2, 3}, {4, 0}, {9, 1}}, {}));
+  Set.add(makeReport(false, {}, {}));
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+  EXPECT_TRUE(Runs.siteObserved(0, 2));
+  EXPECT_TRUE(Runs.siteObserved(0, 9));
+  EXPECT_FALSE(Runs.siteObserved(0, 4)); // Zero count dropped.
+  EXPECT_FALSE(Runs.siteObserved(0, 5));
+  EXPECT_FALSE(Runs.siteObserved(0, 11));
+  EXPECT_FALSE(Runs.siteObserved(1, 2));
+}
+
 TEST(RunProfilesTest, AppendRebasesOffsets) {
   RunProfiles A(4, 4);
   A.beginRun(true, FeedbackReport::bugBit(1));
@@ -884,7 +899,7 @@ TEST(ReportSetTest, DeserializeRejectsOutOfRangeIds) {
       Error))
       << "the last site and predicate ids are in range: " << Error;
   ASSERT_EQ(Read.size(), 1u);
-  EXPECT_TRUE(Read[0].observedTrue(11));
+  EXPECT_TRUE(RunProfiles::fromReports(Read).observedTrue(0, 11));
   expectSetRejected(shardOf(record({1, 2, 1}, {0}), 2, 12),
                     "site id == NumSites");
   expectSetRejected(shardOf(record({0}, {1, 12, 1}), 2, 12),

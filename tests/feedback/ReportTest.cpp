@@ -20,29 +20,6 @@ FeedbackReport makeReport(bool Failed,
 
 } // namespace
 
-TEST(FeedbackReportTest, ObservedTrueBinarySearch) {
-  FeedbackReport Report =
-      makeReport(false, {{0, 1}}, {{3, 2}, {7, 1}, {100, 5}});
-  EXPECT_TRUE(Report.observedTrue(3));
-  EXPECT_TRUE(Report.observedTrue(7));
-  EXPECT_TRUE(Report.observedTrue(100));
-  EXPECT_FALSE(Report.observedTrue(0));
-  EXPECT_FALSE(Report.observedTrue(5));
-  EXPECT_FALSE(Report.observedTrue(101));
-}
-
-TEST(FeedbackReportTest, ZeroCountIsNotObservedTrue) {
-  FeedbackReport Report = makeReport(false, {}, {{4, 0}});
-  EXPECT_FALSE(Report.observedTrue(4));
-}
-
-TEST(FeedbackReportTest, SiteObserved) {
-  FeedbackReport Report = makeReport(false, {{2, 3}, {9, 1}}, {});
-  EXPECT_TRUE(Report.siteObserved(2));
-  EXPECT_TRUE(Report.siteObserved(9));
-  EXPECT_FALSE(Report.siteObserved(5));
-}
-
 TEST(FeedbackReportTest, BugMask) {
   FeedbackReport Report;
   Report.BugMask = FeedbackReport::bugBit(1) | FeedbackReport::bugBit(9);

@@ -2,6 +2,8 @@
 
 #include "harness/Tables.h"
 
+#include "core/SyntheticWorld.h"
+
 #include <gtest/gtest.h>
 
 using namespace sbi;
@@ -44,40 +46,41 @@ TEST(TablesTest, PredicateLabelContainsTextAndLocation) {
 
 TEST(TablesTest, FailingRunsWithPredAndBugCountsIntersection) {
   CampaignResult Result = smallCampaign(ccryptSubject());
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
   ASSERT_FALSE(Analysis.Selected.empty());
   uint32_t Pred = Analysis.Selected[0].Pred;
-  size_t WithBug = failingRunsWithPredAndBug(Result.Reports, Pred, 1);
-  size_t Failing = Result.Reports.numFailing();
+  size_t WithBug = failingRunsWithPredAndBug(Runs, Pred, 1);
+  size_t Failing = Runs.numFailing();
   EXPECT_GT(WithBug, 0u);
   EXPECT_LE(WithBug, Failing);
-  // Bug 99 never exists.
-  EXPECT_EQ(failingRunsWithPredAndBug(Result.Reports, Pred, 20), 0u);
+  // Bug 20 never exists.
+  EXPECT_EQ(failingRunsWithPredAndBug(Runs, Pred, 20), 0u);
 }
 
 TEST(TablesTest, ChoosePredictorPerBugPicksCoveringPredicate) {
   CampaignResult Result = smallCampaign(exifSubject(), 600);
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
-  auto Predictors =
-      choosePredictorPerBug(Result.Reports, Analysis.Selected, {1, 2, 3});
+  auto Predictors = choosePredictorPerBug(Runs, Analysis.Selected, {1, 2, 3});
   for (const auto &[Bug, Pred] : Predictors)
-    EXPECT_GT(failingRunsWithPredAndBug(Result.Reports, Pred, Bug), 0u);
+    EXPECT_GT(failingRunsWithPredAndBug(Runs, Pred, Bug), 0u);
 }
 
 TEST(TablesTest, MinimumRunsMonotoneInThreshold) {
   CampaignResult Result = smallCampaign(ccryptSubject(), 500);
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
-  auto Predictors =
-      choosePredictorPerBug(Result.Reports, Analysis.Selected, {1});
+  auto Predictors = choosePredictorPerBug(Runs, Analysis.Selected, {1});
   ASSERT_FALSE(Predictors.empty());
-  auto Grid = defaultMinRunsGrid(Result.Reports.size());
-  auto Strict = computeMinimumRuns(Result.Sites, Result.Reports, Predictors,
-                                   Grid, /*Threshold=*/0.05);
-  auto Loose = computeMinimumRuns(Result.Sites, Result.Reports, Predictors,
-                                  Grid, /*Threshold=*/0.5);
+  auto Grid = defaultMinRunsGrid(Runs.size());
+  auto Strict = computeMinimumRuns(Result.Sites, Runs, Predictors, Grid,
+                                   /*Threshold=*/0.05);
+  auto Loose = computeMinimumRuns(Result.Sites, Runs, Predictors, Grid,
+                                  /*Threshold=*/0.5);
   ASSERT_EQ(Strict.size(), 1u);
   ASSERT_EQ(Loose.size(), 1u);
   if (Strict[0].MinRuns != 0 && Loose[0].MinRuns != 0)
@@ -86,32 +89,96 @@ TEST(TablesTest, MinimumRunsMonotoneInThreshold) {
 
 TEST(TablesTest, MinimumRunsFAtNIsBoundedByN) {
   CampaignResult Result = smallCampaign(ccryptSubject(), 500);
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
-  auto Predictors =
-      choosePredictorPerBug(Result.Reports, Analysis.Selected, {1});
-  auto Grid = defaultMinRunsGrid(Result.Reports.size());
-  auto Rows =
-      computeMinimumRuns(Result.Sites, Result.Reports, Predictors, Grid);
+  auto Predictors = choosePredictorPerBug(Runs, Analysis.Selected, {1});
+  auto Grid = defaultMinRunsGrid(Runs.size());
+  auto Rows = computeMinimumRuns(Result.Sites, Runs, Predictors, Grid);
   for (const MinRunsRow &Row : Rows)
     if (Row.MinRuns > 0)
       EXPECT_LE(Row.FAtMinRuns, Row.MinRuns);
 }
 
+TEST(TablesTest, MinimumRunsAndPredictorsOnAHandBuiltPopulation) {
+  // Four identical blocks of ten runs, five of them failing. Predicate A
+  // (site 0) predicts bug 1 and B (site 1) bug 2. Several runs observe a
+  // site while its predicate is false, which counts toward FObs/SObs but
+  // not F/S, and two entries carry a zero count, which counts as not
+  // observed: site 1 in each block's first run, A in its sixth.
+  SyntheticWorld World(8);
+  const uint32_t A = World.predOf(0), B = World.predOf(1);
+  const uint64_t Bug1 = FeedbackReport::bugBit(1);
+  const uint64_t Bug2 = FeedbackReport::bugBit(2);
+  using Entries = std::vector<std::pair<uint32_t, uint32_t>>;
+  ReportSet Set = World.emptySet();
+  auto add = [&](bool Failed, uint64_t BugMask, Entries Sites,
+                 Entries Preds) {
+    FeedbackReport Report;
+    Report.Failed = Failed;
+    Report.BugMask = BugMask;
+    Report.Counts.SiteObservations = std::move(Sites);
+    Report.Counts.TruePredicates = std::move(Preds);
+    Set.add(std::move(Report));
+  };
+  for (int Block = 0; Block < 4; ++Block) {
+    add(true, Bug1, {{0, 2}, {1, 0}}, {{A, 1}});
+    add(true, Bug1, {{0, 1}, {1, 1}}, {{A, 3}});
+    add(true, Bug1 | Bug2, {{0, 1}, {1, 1}}, {{A, 1}, {B, 1}});
+    add(true, Bug2, {{0, 1}, {1, 2}}, {{B, 2}});
+    add(true, Bug2, {{1, 1}}, {{B, 1}});
+    add(false, 0, {{0, 1}, {1, 1}}, {{A, 0}});
+    add(false, 0, {{0, 1}}, {});
+    add(false, 0, {{0, 1}, {1, 1}}, {{B, 1}});
+    add(false, 0, {{0, 1}, {1, 1}}, {});
+    add(false, 0, {}, {});
+  }
+  RunProfiles Runs = RunProfiles::fromReports(Set);
+
+  // B is listed first, so a pick is the best overlap, not the first entry.
+  // Bug 3 never occurs and gets no predictor.
+  std::vector<SelectedPredicate> Selected(2);
+  Selected[0].Pred = B;
+  Selected[1].Pred = A;
+  auto Picks = choosePredictorPerBug(Runs, Selected, {1, 2, 3});
+  EXPECT_EQ(Picks, (std::vector<std::pair<int, uint32_t>>{{1, A}, {2, B}}));
+
+  // Per block A has F=3 S=0 FObs=4 SObs=4 and B has F=3 S=1 FObs=4
+  // SObs=3. Importance over the first 10/20/30 runs is 0.5772/0.6088/
+  // 0.6187 for A (0.6239 over all 40) and 0.2831/0.2905/0.2927 for B
+  // (0.2939), so a drop below 0.01 first holds at 30 and 20 runs.
+  auto Rows = computeMinimumRuns(World.Sites, Runs, Picks, {10, 20, 30, 40},
+                                 /*Threshold=*/0.01);
+  ASSERT_EQ(Rows.size(), 2u);
+  EXPECT_EQ(Rows[0].BugId, 1);
+  EXPECT_EQ(Rows[0].Pred, A);
+  EXPECT_EQ(Rows[0].MinRuns, 30u);
+  EXPECT_EQ(Rows[0].FAtMinRuns, 9u);
+  EXPECT_EQ(Rows[0].FullImportance,
+            PredicateScores(PredicateCounts{12, 0, 16, 16}).importance(20));
+  EXPECT_EQ(Rows[1].BugId, 2);
+  EXPECT_EQ(Rows[1].Pred, B);
+  EXPECT_EQ(Rows[1].MinRuns, 20u);
+  EXPECT_EQ(Rows[1].FAtMinRuns, 6u);
+  EXPECT_EQ(Rows[1].FullImportance,
+            PredicateScores(PredicateCounts{12, 4, 16, 12}).importance(20));
+}
+
 TEST(TablesTest, RenderersProduceNonEmptyOutput) {
   CampaignResult Result = smallCampaign(ccryptSubject());
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
   ASSERT_FALSE(Analysis.Selected.empty());
 
-  RunView View = RunView::allOf(Result.Reports);
+  RunView View = RunView::allOf(Runs);
   auto Ranked = Isolator.rank(Analysis.PrunedSurvivors, View);
-  std::string RankedText = renderRankedList(Result.Sites, Ranked, 5,
-                                            Result.Reports.numFailing());
+  std::string RankedText =
+      renderRankedList(Result.Sites, Ranked, 5, Runs.numFailing());
   EXPECT_NE(RankedText.find("Thermometer"), std::string::npos);
 
-  std::string SelectedText = renderSelectedList(
-      Result.Sites, Result.Reports, Analysis.Selected, {1});
+  std::string SelectedText =
+      renderSelectedList(Result.Sites, Runs, Analysis.Selected, {1});
   EXPECT_NE(SelectedText.find("Initial"), std::string::npos);
   EXPECT_NE(SelectedText.find("#1"), std::string::npos);
 

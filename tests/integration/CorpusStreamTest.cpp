@@ -126,6 +126,7 @@ TEST(CorpusStreamTest, StreamedAnalysisIsBitIdenticalAcrossPoliciesAndEngines) {
   std::vector<int> BugIds;
   for (const CampaignResult::BugStats &Bug : Result.Bugs)
     BugIds.push_back(Bug.BugId);
+  const RunProfiles InMemory = RunProfiles::fromReports(Result.Reports);
 
   for (DiscardPolicy Policy :
        {DiscardPolicy::DiscardAllRuns, DiscardPolicy::DiscardFailingRuns,
@@ -151,9 +152,9 @@ TEST(CorpusStreamTest, StreamedAnalysisIsBitIdenticalAcrossPoliciesAndEngines) {
                 renderAuditTrail(Result.Sites, FromProfiles))
           << What;
       // The full Table 3-style rendering, bug columns included, must not
-      // care which store backs it.
-      EXPECT_EQ(renderSelectedList(Result.Sites, Result.Reports,
-                                   FromSet.Selected, BugIds),
+      // care whether its store was converted in memory or streamed.
+      EXPECT_EQ(renderSelectedList(Result.Sites, InMemory, FromSet.Selected,
+                                   BugIds),
                 renderSelectedList(Result.Sites, Streamed,
                                    FromProfiles.Selected, BugIds))
           << What;

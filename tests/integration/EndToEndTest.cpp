@@ -73,13 +73,14 @@ TEST(EndToEndTest, BcPredictorAtCauseNotCrashSite) {
 
 TEST(EndToEndTest, ExifIsolatesThreeBugs) {
   CampaignResult Result = campaign(exifSubject(), 4000);
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
   // Each of the three bugs gets a predictor among the selections.
   for (int Bug : {1, 2, 3}) {
     bool Covered = false;
     for (const SelectedPredicate &Entry : Analysis.Selected)
-      if (failingRunsWithPredAndBug(Result.Reports, Entry.Pred, Bug) > 0)
+      if (failingRunsWithPredAndBug(Runs, Entry.Pred, Bug) > 0)
         Covered = true;
     EXPECT_TRUE(Covered) << "exif bug " << Bug;
   }
@@ -87,15 +88,15 @@ TEST(EndToEndTest, ExifIsolatesThreeBugs) {
 
 TEST(EndToEndTest, MossCoversEveryFailingBug) {
   CampaignResult Result = campaign(mossSubject(), 1200);
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
   for (const auto &Stats : Result.Bugs) {
     if (Stats.TriggeredAndFailed < 8)
       continue; // Too rare at this scale to demand coverage.
     bool Covered = false;
     for (const SelectedPredicate &Entry : Analysis.Selected)
-      if (failingRunsWithPredAndBug(Result.Reports, Entry.Pred,
-                                    Stats.BugId) > 0)
+      if (failingRunsWithPredAndBug(Runs, Entry.Pred, Stats.BugId) > 0)
         Covered = true;
     EXPECT_TRUE(Covered) << "moss bug " << Stats.BugId << " with "
                          << Stats.TriggeredAndFailed << " failures";
@@ -104,13 +105,14 @@ TEST(EndToEndTest, MossCoversEveryFailingBug) {
 
 TEST(EndToEndTest, RhythmboxSeparatesTheTwoBugs) {
   CampaignResult Result = campaign(rhythmboxSubject(), 700);
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
   ASSERT_GE(Analysis.Selected.size(), 2u);
   // The two top predictors specialize: each dominated by a different bug.
   auto dominant = [&](uint32_t Pred) {
-    size_t One = failingRunsWithPredAndBug(Result.Reports, Pred, 1);
-    size_t Two = failingRunsWithPredAndBug(Result.Reports, Pred, 2);
+    size_t One = failingRunsWithPredAndBug(Runs, Pred, 1);
+    size_t Two = failingRunsWithPredAndBug(Runs, Pred, 2);
     return One > Two ? 1 : 2;
   };
   EXPECT_NE(dominant(Analysis.Selected[0].Pred),
@@ -148,12 +150,12 @@ TEST(EndToEndTest, EliminationBeatsLogRegAtBugSeparation) {
   // The Section 4.4 comparison, quantified: count distinct bugs dominated
   // by the top-5 picks of each method.
   CampaignResult Result = campaign(mossSubject(), 900);
+  RunProfiles Runs = RunProfiles::fromReports(Result.Reports);
 
-  CauseIsolator Isolator(Result.Sites, Result.Reports);
+  CauseIsolator Isolator(Result.Sites, Runs);
   AnalysisResult Analysis = Isolator.run();
 
-  LogRegModel Model = trainForSparsity(RunProfiles::fromReports(Result.Reports),
-                                       40, {0.02, 0.01, 0.005});
+  LogRegModel Model = trainForSparsity(Runs, 40, {0.02, 0.01, 0.005});
 
   auto distinctDominantBugs = [&](const std::vector<uint32_t> &Preds) {
     std::set<int> Bugs;
@@ -161,7 +163,7 @@ TEST(EndToEndTest, EliminationBeatsLogRegAtBugSeparation) {
       int Best = 0;
       size_t BestCount = 0;
       for (int Bug : {1, 2, 3, 4, 5, 6, 7, 9}) {
-        size_t N = failingRunsWithPredAndBug(Result.Reports, Pred, Bug);
+        size_t N = failingRunsWithPredAndBug(Runs, Pred, Bug);
         if (N > BestCount) {
           BestCount = N;
           Best = Bug;
