@@ -150,7 +150,7 @@ RunProfiles buildProfilesWorld(const SiteTable &Sites, size_t NumRuns,
                                double TriggerScale) {
   uint32_t NumSites = Sites.numSites();
   RunProfiles Runs(NumSites, Sites.numPredicates());
-  Runs.reserveRuns(NumRuns);
+  Runs.reserve(NumRuns);
 
   Rng R(0xabcdefULL);
   const double TriggerRates[] = {0.02, 0.012, 0.008, 0.005, 0.003};

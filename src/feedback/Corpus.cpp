@@ -13,8 +13,11 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string_view>
 #include <thread>
+
+#include <sys/stat.h>
 
 using namespace sbi;
 
@@ -48,14 +51,16 @@ int64_t zigzagDecode(uint64_t V) {
   return static_cast<int64_t>(V >> 1) ^ -static_cast<int64_t>(V & 1);
 }
 
+constexpr uint32_t Fnv1aBasis = 2166136261u;
+constexpr uint32_t Fnv1aPrime = 16777619u;
+
 uint32_t fnv1a(uint32_t Hash, const char *Data, size_t Size) {
   for (size_t I = 0; I < Size; ++I) {
     Hash ^= static_cast<uint8_t>(Data[I]);
-    Hash *= 16777619u;
+    Hash *= Fnv1aPrime;
   }
   return Hash;
 }
-constexpr uint32_t Fnv1aBasis = 2166136261u;
 
 uint32_t readU32(const char *Data) {
   uint32_t V = 0;
@@ -69,23 +74,6 @@ uint64_t readU64(const char *Data) {
   for (int I = 7; I >= 0; --I)
     V = (V << 8) | static_cast<uint8_t>(Data[I]);
   return V;
-}
-
-/// Bounded LEB128 decode; false on truncation or > 64 bits.
-bool readVarint(std::string_view Data, size_t &Pos, uint64_t &Out) {
-  Out = 0;
-  for (int Shift = 0; Shift < 64; Shift += 7) {
-    if (Pos >= Data.size())
-      return false;
-    uint8_t Byte = static_cast<uint8_t>(Data[Pos++]);
-    uint64_t Bits = Byte & 0x7f;
-    if (Shift == 63 && Bits > 1)
-      return false; // Overflows 64 bits.
-    Out |= Bits << Shift;
-    if (!(Byte & 0x80))
-      return true;
-  }
-  return false; // Continuation bit set past 10 bytes.
 }
 
 constexpr uint8_t RecordFailedBit = 1u << 0;
@@ -245,91 +233,302 @@ bool CorpusWriter::finalize(std::string &Error) {
   return Ok;
 }
 
-// --- CorpusReader ----------------------------------------------------------
-
-bool CorpusReader::open(const std::string &Path, std::string &Error) {
-  std::FILE *In = std::fopen(Path.c_str(), "rb");
-  if (!In) {
-    Error = format("cannot open '%s'", Path.c_str());
-    return false;
-  }
-  std::string Bytes;
-  char Buffer[1 << 16];
-  size_t Got;
-  while ((Got = std::fread(Buffer, 1, sizeof(Buffer), In)) > 0)
-    Bytes.append(Buffer, Got);
-  bool ReadOk = !std::ferror(In);
-  std::fclose(In);
-  if (!ReadOk) {
-    Error = format("read error on '%s'", Path.c_str());
-    return false;
-  }
-
-  auto reject = [&](const char *Why) {
-    Error = format("'%s' is not a valid SBI-CORPUS v2 shard: %s",
-                   Path.c_str(), Why);
-    return false;
-  };
-  if (Bytes.size() < CorpusHeaderSize + CorpusTrailerSize)
-    return reject("file shorter than header + trailer");
-  if (std::memcmp(Bytes.data(), CorpusMagic, sizeof(CorpusMagic)) != 0)
-    return reject("bad magic");
-  if (readU32(Bytes.data() + 8) != CorpusVersion)
-    return reject("unsupported version");
-
-  CorpusShardHeader NewHeader;
-  NewHeader.ShardId = readU32(Bytes.data() + 16);
-  NewHeader.NumSites = readU32(Bytes.data() + 20);
-  NewHeader.NumPredicates = readU32(Bytes.data() + 24);
-  NewHeader.NumReports = readU32(Bytes.data() + 28);
-
-  const char *Trailer = Bytes.data() + Bytes.size() - CorpusTrailerSize;
-  if (std::memcmp(Trailer + 16, CorpusFooterMagic,
-                  sizeof(CorpusFooterMagic)) != 0)
-    return reject("bad footer magic (truncated shard?)");
-  uint64_t NewFooterStart = readU64(Trailer);
-  uint32_t FooterReports = readU32(Trailer + 8);
-  uint32_t ExpectedHash = readU32(Trailer + 12);
-  if (FooterReports != NewHeader.NumReports)
-    return reject("header/footer record counts disagree");
-  if (NewFooterStart < CorpusHeaderSize ||
-      NewFooterStart + 8ull * FooterReports + CorpusTrailerSize !=
-          Bytes.size())
-    return reject("footer index does not match file size");
-  if (fnv1a(Fnv1aBasis, Bytes.data() + CorpusHeaderSize,
-            NewFooterStart - CorpusHeaderSize) != ExpectedHash)
-    return reject("record region hash mismatch");
-
-  std::vector<uint64_t> NewOffsets(FooterReports);
-  for (uint32_t I = 0; I < FooterReports; ++I) {
-    NewOffsets[I] = readU64(Bytes.data() + NewFooterStart + 8ull * I);
-    uint64_t Lo = I == 0 ? CorpusHeaderSize : NewOffsets[I - 1];
-    if (NewOffsets[I] < Lo || (I == 0 && NewOffsets[I] != CorpusHeaderSize) ||
-        (I > 0 && NewOffsets[I] <= NewOffsets[I - 1]) ||
-        NewOffsets[I] >= NewFooterStart)
-      return reject("footer offsets out of order or out of bounds");
-  }
-  if (FooterReports == 0 && NewFooterStart != CorpusHeaderSize)
-    return reject("empty shard with nonempty record region");
-
-  Header = NewHeader;
-  Data = std::move(Bytes);
-  Offsets = std::move(NewOffsets);
-  FooterStart = NewFooterStart;
-  Cursor = 0;
-  return true;
-}
-
-bool CorpusReader::seek(uint32_t Record) {
-  if (Record > Header.NumReports)
-    return false;
-  Cursor = Record;
-  return true;
-}
+// --- The validating pass ---------------------------------------------------
+//
+// Every reader of a shard goes through one pass: one read of the file into
+// a buffer sized from it, the structural checks of header, trailer and
+// footer, then one decode of every record in which each byte the decoder
+// consumes is folded into the FNV-1a hash. The hash is compared with the
+// trailer's after the last record. CorpusReader::open runs the pass with no
+// sink, ingestCorpus runs it into a shard's id arrays, and neither hands
+// out a record of a shard the pass has not accepted.
 
 namespace {
 
-/// Sink materializing a full FeedbackReport (conversion paths).
+/// A file read whole. Its buffer only grows, so a worker that reads one
+/// shard after another into the same FileBytes reuses that memory.
+struct FileBytes {
+  std::unique_ptr<char[]> Data;
+  size_t Size = 0;
+  size_t Capacity = 0;
+};
+
+/// Reads the file at \p Path whole, with one read into a buffer sized from
+/// the file. A file that shrinks while it is read is an error, not a
+/// shorter shard.
+bool readWholeFile(const std::string &Path, FileBytes &Out,
+                   std::string &Error) {
+  std::FILE *In = std::fopen(Path.c_str(), "rb");
+  if (!In) {
+    Error = format("cannot open '%s': %s", Path.c_str(), std::strerror(errno));
+    return false;
+  }
+  struct stat Info;
+  if (fstat(fileno(In), &Info) != 0) {
+    Error = format("cannot size '%s': %s", Path.c_str(), std::strerror(errno));
+    std::fclose(In);
+    return false;
+  }
+  Out.Size = static_cast<size_t>(Info.st_size);
+  if (Out.Size > Out.Capacity) {
+    Out.Data = std::make_unique_for_overwrite<char[]>(Out.Size);
+    Out.Capacity = Out.Size;
+  }
+  size_t Got = std::fread(Out.Data.get(), 1, Out.Size, In);
+  int Cause = errno;
+  bool Failed = std::ferror(In);
+  std::fclose(In);
+  if (Got == Out.Size)
+    return true;
+  Error = Failed ? format("read error on '%s': %s", Path.c_str(),
+                          std::strerror(Cause))
+                 : format("read error on '%s': %zu of %zu bytes before the "
+                          "end of the file (it shrank while being read)",
+                          Path.c_str(), Got, Out.Size);
+  return false;
+}
+
+/// What the header and trailer of a shard say, once the structural checks
+/// accepted them.
+struct ShardLayout {
+  CorpusShardHeader Header;
+  uint64_t FooterStart = 0;
+  uint32_t Hash = 0; // The trailer's FNV-1a of the record region.
+};
+
+/// The structural checks of a shard read whole: magic, version, trailer,
+/// record counts and the footer's extent. No record byte is read. Returns
+/// why the shard is malformed, or null.
+const char *checkLayout(const char *Bytes, size_t Size, ShardLayout &Out) {
+  if (Size < CorpusHeaderSize + CorpusTrailerSize)
+    return "file shorter than header + trailer";
+  if (std::memcmp(Bytes, CorpusMagic, sizeof(CorpusMagic)) != 0)
+    return "bad magic";
+  if (readU32(Bytes + 8) != CorpusVersion)
+    return "unsupported version";
+  Out.Header.ShardId = readU32(Bytes + 16);
+  Out.Header.NumSites = readU32(Bytes + 20);
+  Out.Header.NumPredicates = readU32(Bytes + 24);
+  Out.Header.NumReports = readU32(Bytes + 28);
+
+  const char *Trailer = Bytes + Size - CorpusTrailerSize;
+  if (std::memcmp(Trailer + 16, CorpusFooterMagic,
+                  sizeof(CorpusFooterMagic)) != 0)
+    return "bad footer magic (truncated shard?)";
+  Out.FooterStart = readU64(Trailer);
+  uint32_t FooterReports = readU32(Trailer + 8);
+  Out.Hash = readU32(Trailer + 12);
+  if (FooterReports != Out.Header.NumReports)
+    return "header/footer record counts disagree";
+  // Measured back from the end of the file, never forward from the start:
+  // a footer start near 2^64 must not wrap around into agreement.
+  if (Out.FooterStart < CorpusHeaderSize || Out.FooterStart > Size ||
+      Size - Out.FooterStart != 8ull * FooterReports + CorpusTrailerSize)
+    return "footer index does not match file size";
+  if (FooterReports == 0 && Out.FooterStart != CorpusHeaderSize)
+    return "empty shard with nonempty record region";
+  if (FooterReports > 0 && readU64(Bytes + Out.FooterStart) != CorpusHeaderSize)
+    return "footer offsets out of order or out of bounds";
+  return nullptr;
+}
+
+/// The bytes of one record, consumed front to back. Every byte taken is
+/// folded into the running FNV-1a hash, and nothing past End is read.
+struct RecordCursor {
+  const uint8_t *P;
+  const uint8_t *End;
+  uint32_t Hash;
+
+  size_t left() const { return static_cast<size_t>(End - P); }
+
+  uint8_t take() {
+    uint8_t Byte = *P++;
+    Hash = (Hash ^ Byte) * Fnv1aPrime;
+    return Byte;
+  }
+
+  /// Bounded LEB128 decode; false on truncation or > 64 bits. One- and
+  /// two-byte varints, nearly every id gap and count, skip the loop.
+  bool varint(uint64_t &Out) {
+    if (P != End && *P < 0x80) {
+      Out = take();
+      return true;
+    }
+    if (left() >= 2 && P[1] < 0x80) {
+      uint64_t Low = take() & 0x7f;
+      Out = Low | static_cast<uint64_t>(take()) << 7;
+      return true;
+    }
+    Out = 0;
+    for (int Shift = 0; Shift < 64; Shift += 7) {
+      if (P == End)
+        return false;
+      uint8_t Byte = take();
+      uint64_t Bits = Byte & 0x7f;
+      if (Shift == 63 && Bits > 1)
+        return false; // Overflows 64 bits.
+      Out |= Bits << Shift;
+      if (!(Byte & 0x80))
+        return true;
+    }
+    return false; // Continuation bit set past 10 bytes.
+  }
+
+  /// The next \p Len bytes (at most left()), hashed like the rest.
+  std::string_view bytes(size_t Len) {
+    std::string_view Span(reinterpret_cast<const char *>(P), Len);
+    for (size_t I = 0; I < Len; ++I)
+      take();
+    return Span;
+  }
+};
+
+/// Why a pair list is malformed: its count, a pair, or an id's range.
+struct PairFaults {
+  const char *Count;
+  const char *Pair;
+  const char *Range;
+};
+constexpr PairFaults SiteFaults = {"bad site pair count",
+                                   "bad site pair encoding",
+                                   "site id out of range"};
+constexpr PairFaults PredFaults = {"bad predicate pair count",
+                                   "bad predicate pair encoding",
+                                   "predicate id out of range"};
+
+/// Decodes one (id, count) list of ids below \p MaxId, emitting each pair.
+/// Returns why the list is malformed, or null.
+template <typename Emit>
+const char *decodePairs(RecordCursor &In, uint32_t MaxId,
+                        const PairFaults &Faults, Emit &&Out) {
+  uint64_t Count = 0;
+  if (!In.varint(Count) || Count > MaxId)
+    return Faults.Count;
+  uint64_t Id = 0;
+  for (uint64_t I = 0; I < Count; ++I) {
+    uint64_t Gap = 0, Value = 0;
+    if (!In.varint(Gap) || !In.varint(Value) || (I > 0 && Gap == 0) ||
+        Value == 0 || Value > UINT32_MAX)
+      return Faults.Pair;
+    // The first id is absolute, later ones are gaps; compared against
+    // what is left below MaxId, a gap near 2^64 cannot wrap back into it.
+    const uint64_t Base = I == 0 ? 0 : Id;
+    if (Gap >= MaxId - Base)
+      return Faults.Range;
+    Id = Base + Gap;
+    Out(static_cast<uint32_t>(Id), static_cast<uint32_t>(Value));
+  }
+  return nullptr;
+}
+
+/// Decodes the record under \p In into \p Out: begin(), the site pairs,
+/// endSites(), the predicate pairs. Returns why the record is malformed,
+/// or null.
+template <typename Sink>
+const char *decodeRecord(RecordCursor &In, const CorpusShardHeader &Header,
+                         Sink &Out) {
+  if (In.left() < 2)
+    return "truncated record head";
+  uint8_t Flags = In.take();
+  uint8_t Trap = In.take();
+  uint64_t ExitRaw = 0, BugMask = 0;
+  if (!In.varint(ExitRaw) || !In.varint(BugMask))
+    return "bad exit-code or bug-mask varint";
+  int64_t ExitCode = zigzagDecode(ExitRaw);
+  if (ExitCode < INT32_MIN || ExitCode > INT32_MAX)
+    return "exit code out of range";
+
+  std::string_view Stack;
+  if (Flags & RecordHasStackBit) {
+    uint64_t Len = 0;
+    if (!In.varint(Len) || Len == 0 || Len > In.left())
+      return "bad stack-signature length";
+    Stack = In.bytes(Len);
+  }
+  Out.begin((Flags & RecordFailedBit) != 0, Trap, static_cast<int>(ExitCode),
+            BugMask, Stack);
+  if (const char *Why =
+          decodePairs(In, Header.NumSites, SiteFaults,
+                      [&](uint32_t Id, uint32_t Count) { Out.site(Id, Count); }))
+    return Why;
+  Out.endSites();
+  return decodePairs(In, Header.NumPredicates, PredFaults,
+                     [&](uint32_t Id, uint32_t Count) { Out.pred(Id, Count); });
+}
+
+/// The decode half of the pass, over a shard checkLayout accepted: every
+/// record once, in order, into \p Out. The records must tile the record
+/// region exactly as the footer offsets say, so the hash, compared with the
+/// trailer's after the last record (the FNV basis for an empty shard),
+/// covers every byte of the region. Returns why the shard is malformed, or
+/// null; \p Record is then the malformed record, or the record count when
+/// only the hash disagrees.
+template <typename Sink>
+const char *decodeShard(const char *Bytes, const ShardLayout &Layout,
+                        Sink &Out, uint32_t &Record) {
+  const char *Footer = Bytes + Layout.FooterStart;
+  const uint32_t NumRecords = Layout.Header.NumReports;
+  const auto *File = reinterpret_cast<const uint8_t *>(Bytes);
+  uint32_t Hash = Fnv1aBasis;
+  uint64_t Begin = CorpusHeaderSize;
+  for (Record = 0; Record < NumRecords; ++Record) {
+    const uint64_t End = Record + 1 < NumRecords
+                             ? readU64(Footer + 8ull * (Record + 1))
+                             : Layout.FooterStart;
+    if (End <= Begin || End > Layout.FooterStart)
+      return "footer offsets out of order or out of bounds";
+    RecordCursor In{File + Begin, File + End, Hash};
+    if (const char *Why = decodeRecord(In, Layout.Header, Out))
+      return Why;
+    if (In.P != In.End)
+      return "record does not end at footer offset";
+    Hash = In.Hash;
+    Begin = End;
+  }
+  return Hash == Layout.Hash ? nullptr : "record region hash mismatch";
+}
+
+/// Reads the shard at \p Path whole into \p Bytes and runs the structural
+/// checks.
+bool loadShard(const std::string &Path, FileBytes &Bytes, ShardLayout &Layout,
+               std::string &Error) {
+  if (!readWholeFile(Path, Bytes, Error))
+    return false;
+  if (const char *Why = checkLayout(Bytes.Data.get(), Bytes.Size, Layout)) {
+    Error = format("'%s' is not a valid SBI-CORPUS v2 shard: %s",
+                   Path.c_str(), Why);
+    return false;
+  }
+  return true;
+}
+
+/// Runs the decode half of the pass over the shard loadShard read from
+/// \p Path; the error names the shard and, if one is at fault, the record.
+template <typename Sink>
+bool passShard(const std::string &Path, const char *Bytes,
+               const ShardLayout &Layout, Sink &&Out, std::string &Error) {
+  uint32_t Record = 0;
+  const char *Why = decodeShard(Bytes, Layout, Out, Record);
+  if (!Why)
+    return true;
+  Error = Record < Layout.Header.NumReports
+              ? format("'%s' is not a valid SBI-CORPUS v2 shard: record %u: "
+                       "%s",
+                       Path.c_str(), Record, Why)
+              : format("'%s' is not a valid SBI-CORPUS v2 shard: %s",
+                       Path.c_str(), Why);
+  return false;
+}
+
+/// Sink of CorpusReader::open's pass: validation only.
+struct NoSink {
+  void begin(bool, uint8_t, int, uint64_t, std::string_view) {}
+  void endSites() {}
+  void site(uint32_t, uint32_t) {}
+  void pred(uint32_t, uint32_t) {}
+};
+
+/// Sink materializing a full FeedbackReport (CorpusReader::next).
 struct ReportSink {
   FeedbackReport &Out;
   void begin(bool Failed, uint8_t Trap, int ExitCode, uint64_t BugMask,
@@ -341,6 +540,7 @@ struct ReportSink {
     Out.BugMask = BugMask;
     Out.StackSignature.assign(Stack.data(), Stack.size());
   }
+  void endSites() {}
   void site(uint32_t Id, uint32_t Count) {
     Out.Counts.SiteObservations.emplace_back(Id, Count);
   }
@@ -349,91 +549,28 @@ struct ReportSink {
   }
 };
 
-/// Sink appending straight into a RunProfiles store (analysis ingestion).
-struct ProfileSink {
-  RunProfiles &Out;
-  void begin(bool Failed, uint8_t, int, uint64_t BugMask, std::string_view) {
-    Out.beginRun(Failed, BugMask);
-  }
-  void site(uint32_t Id, uint32_t) { Out.addSite(Id); }
-  void pred(uint32_t Id, uint32_t) { Out.addPred(Id); }
-};
-
 } // namespace
 
-template <typename Sink>
-bool CorpusReader::decodeRecord(Sink &&Out, std::string &Error) {
-  const uint32_t Record = Cursor;
-  const uint64_t End =
-      Record + 1 < Header.NumReports ? Offsets[Record + 1] : FooterStart;
-  size_t Pos = Offsets[Record];
-  std::string_view Bytes(Data.data(), End); // Hard stop at record boundary.
+// --- CorpusReader ----------------------------------------------------------
 
-  auto reject = [&](const char *Why) {
-    Error = format("shard %u record %u: %s", Header.ShardId, Record, Why);
+bool CorpusReader::open(const std::string &Path, std::string &Error) {
+  FileBytes Bytes;
+  ShardLayout Layout;
+  if (!loadShard(Path, Bytes, Layout, Error) ||
+      !passShard(Path, Bytes.Data.get(), Layout, NoSink(), Error))
     return false;
-  };
-  if (Pos + 2 > Bytes.size())
-    return reject("truncated record head");
-  uint8_t Flags = static_cast<uint8_t>(Bytes[Pos++]);
-  uint8_t Trap = static_cast<uint8_t>(Bytes[Pos++]);
-  uint64_t ExitRaw = 0, BugMask = 0;
-  if (!readVarint(Bytes, Pos, ExitRaw) || !readVarint(Bytes, Pos, BugMask))
-    return reject("bad exit-code or bug-mask varint");
-  int64_t ExitCode = zigzagDecode(ExitRaw);
-  if (ExitCode < INT32_MIN || ExitCode > INT32_MAX)
-    return reject("exit code out of range");
+  Header = Layout.Header;
+  Data = std::move(Bytes.Data);
+  DataSize = Bytes.Size;
+  FooterStart = Layout.FooterStart;
+  Cursor = 0;
+  return true;
+}
 
-  std::string_view Stack;
-  if (Flags & RecordHasStackBit) {
-    uint64_t Len = 0;
-    if (!readVarint(Bytes, Pos, Len) || Len == 0 ||
-        Len > Bytes.size() - Pos)
-      return reject("bad stack-signature length");
-    Stack = Bytes.substr(Pos, Len);
-    Pos += Len;
-  }
-  Out.begin((Flags & RecordFailedBit) != 0, Trap,
-            static_cast<int>(ExitCode), BugMask, Stack);
-
-  auto decodePairs = [&](uint32_t MaxId, auto &&Emit, const char *What) {
-    uint64_t Count = 0;
-    if (!readVarint(Bytes, Pos, Count) || Count > MaxId) {
-      Error = format("shard %u record %u: bad %s pair count",
-                     Header.ShardId, Record, What);
-      return false;
-    }
-    uint64_t Id = 0;
-    for (uint64_t I = 0; I < Count; ++I) {
-      uint64_t Delta = 0, Value = 0;
-      if (!readVarint(Bytes, Pos, Delta) || !readVarint(Bytes, Pos, Value) ||
-          (I > 0 && Delta == 0) || Value == 0 || Value > UINT32_MAX) {
-        Error = format("shard %u record %u: bad %s pair encoding",
-                       Header.ShardId, Record, What);
-        return false;
-      }
-      Id = I == 0 ? Delta : Id + Delta;
-      if (Id >= MaxId) {
-        Error = format("shard %u record %u: %s id out of range",
-                       Header.ShardId, Record, What);
-        return false;
-      }
-      Emit(static_cast<uint32_t>(Id), static_cast<uint32_t>(Value));
-    }
-    return true;
-  };
-  if (!decodePairs(
-          Header.NumSites,
-          [&](uint32_t Id, uint32_t Count) { Out.site(Id, Count); }, "site"))
+bool CorpusReader::seek(uint32_t Record) {
+  if (Record > Header.NumReports)
     return false;
-  if (!decodePairs(
-          Header.NumPredicates,
-          [&](uint32_t Id, uint32_t Count) { Out.pred(Id, Count); },
-          "predicate"))
-    return false;
-  if (Pos != End)
-    return reject("record does not end at footer offset");
-  ++Cursor;
+  Cursor = Record;
   return true;
 }
 
@@ -441,14 +578,21 @@ bool CorpusReader::next(FeedbackReport &Out, std::string &Error) {
   Error.clear();
   if (Cursor >= Header.NumReports)
     return false;
-  return decodeRecord(ReportSink{Out}, Error);
-}
-
-bool CorpusReader::nextInto(RunProfiles &Out, std::string &Error) {
-  Error.clear();
-  if (Cursor >= Header.NumReports)
+  // open() accepted every record, so the footer offsets bound this one.
+  const char *Footer = Data.get() + FooterStart;
+  const uint64_t Begin = readU64(Footer + 8ull * Cursor);
+  const uint64_t End = Cursor + 1 < Header.NumReports
+                           ? readU64(Footer + 8ull * (Cursor + 1))
+                           : FooterStart;
+  const auto *Bytes = reinterpret_cast<const uint8_t *>(Data.get());
+  RecordCursor In{Bytes + Begin, Bytes + End, Fnv1aBasis};
+  ReportSink Sink{Out};
+  if (const char *Why = decodeRecord(In, Header, Sink)) {
+    Error = format("shard %u record %u: %s", Header.ShardId, Cursor, Why);
     return false;
-  return decodeRecord(ProfileSink{Out}, Error);
+  }
+  ++Cursor;
+  return true;
 }
 
 // --- Directory-level helpers -----------------------------------------------
@@ -566,6 +710,41 @@ bool sbi::readCorpus(const std::string &Dir, ReportSet &Out,
   return true;
 }
 
+namespace {
+
+/// One shard's runs as the ingest pass decodes them: each run's site ids
+/// and then its predicate ids, back to back in one array. Every id comes
+/// from a pair of at least two record bytes, so an array of half as many
+/// ids as the record region has bytes never grows.
+struct ShardRuns {
+  struct Run {
+    size_t SiteStart = 0; ///< Where the run's site ids start in Ids.
+    size_t PredStart = 0; ///< Where its predicate ids start.
+    uint64_t BugMask = 0;
+    bool Failed = false;
+  };
+  std::unique_ptr<uint32_t[]> Ids;
+  size_t NumIds = 0;
+  size_t NumSiteIds = 0;
+  std::vector<Run> Runs;
+};
+
+/// Sink of the ingest pass: a shard's runs into its ShardRuns.
+struct RunsSink {
+  ShardRuns &Out;
+  void begin(bool Failed, uint8_t, int, uint64_t BugMask, std::string_view) {
+    Out.Runs.push_back({Out.NumIds, Out.NumIds, BugMask, Failed});
+  }
+  void endSites() {
+    Out.Runs.back().PredStart = Out.NumIds;
+    Out.NumSiteIds += Out.NumIds - Out.Runs.back().SiteStart;
+  }
+  void site(uint32_t Id, uint32_t) { Out.Ids[Out.NumIds++] = Id; }
+  void pred(uint32_t Id, uint32_t) { Out.Ids[Out.NumIds++] = Id; }
+};
+
+} // namespace
+
 bool sbi::ingestCorpus(const std::string &Dir, RunProfiles &Out,
                        size_t Threads, std::string &Error,
                        CorpusIngestStats *Stats) {
@@ -579,33 +758,37 @@ bool sbi::ingestCorpus(const std::string &Dir, RunProfiles &Out,
     return false;
   }
 
-  // One ingestion task per shard: each worker decodes whole shards into
-  // private profiles; concatenation in filename order afterwards makes the
-  // run numbering independent of the worker count.
+  // One task per shard: each worker runs the validating pass over whole
+  // shards into their own id arrays. The merge below copies them in
+  // filename order, so the run numbering does not depend on the worker
+  // count.
   struct ShardResult {
-    RunProfiles Profiles;
-    std::string Error;
+    CorpusShardHeader Header;
+    ShardRuns Runs;
     uint64_t Bytes = 0;
+    std::string Error;
   };
   std::vector<ShardResult> Results(Shards.size());
   std::atomic<size_t> NextShard{0};
   auto worker = [&] {
+    FileBytes Bytes;
     for (size_t I = NextShard.fetch_add(1, std::memory_order_relaxed);
          I < Shards.size();
          I = NextShard.fetch_add(1, std::memory_order_relaxed)) {
       ShardResult &Result = Results[I];
       ScopedSpan ShardSpan("ingest_shard", "feedback");
       ShardSpan.arg("shard", I);
-      CorpusReader Reader;
-      if (!Reader.open(Shards[I], Result.Error))
+      ShardLayout Layout;
+      if (!loadShard(Shards[I], Bytes, Layout, Result.Error))
         continue;
-      Result.Bytes = Reader.shardBytes();
-      Result.Profiles = RunProfiles(Reader.header().NumSites,
-                                    Reader.header().NumPredicates);
-      Result.Profiles.reserveRuns(Reader.header().NumReports);
-      while (Reader.nextInto(Result.Profiles, Result.Error))
-        ;
-      ShardSpan.arg("reports", Result.Profiles.size());
+      Result.Header = Layout.Header;
+      Result.Bytes = Bytes.Size;
+      Result.Runs.Ids = std::make_unique_for_overwrite<uint32_t[]>(
+          (Layout.FooterStart - CorpusHeaderSize) / 2);
+      Result.Runs.Runs.reserve(Layout.Header.NumReports);
+      passShard(Shards[I], Bytes.Data.get(), Layout, RunsSink{Result.Runs},
+                Result.Error);
+      ShardSpan.arg("reports", Result.Runs.Runs.size());
     }
   };
   size_t Workers = resolveThreadCount(Threads, Shards.size());
@@ -621,28 +804,44 @@ bool sbi::ingestCorpus(const std::string &Dir, RunProfiles &Out,
   }
 
   uint64_t TotalBytes = 0, TotalReports = 0;
+  size_t TotalSiteIds = 0, TotalPredIds = 0;
   for (size_t I = 0; I < Results.size(); ++I) {
-    if (!Results[I].Error.empty()) {
-      Error = Results[I].Error;
+    const ShardResult &Result = Results[I];
+    if (!Result.Error.empty()) {
+      Error = Result.Error;
       return false;
     }
-    if (I > 0 && (Results[I].Profiles.numSites() !=
-                      Results[0].Profiles.numSites() ||
-                  Results[I].Profiles.numPredicates() !=
-                      Results[0].Profiles.numPredicates())) {
+    if (I > 0 && (Result.Header.NumSites != Results[0].Header.NumSites ||
+                  Result.Header.NumPredicates !=
+                      Results[0].Header.NumPredicates)) {
       Error = format("'%s' disagrees on dimensions with '%s'",
                      Shards[I].c_str(), Shards[0].c_str());
       return false;
     }
-    TotalBytes += Results[I].Bytes;
-    TotalReports += Results[I].Profiles.size();
+    TotalBytes += Result.Bytes;
+    TotalReports += Result.Runs.Runs.size();
+    TotalSiteIds += Result.Runs.NumSiteIds;
+    TotalPredIds += Result.Runs.NumIds - Result.Runs.NumSiteIds;
   }
 
-  RunProfiles Merged(Results[0].Profiles.numSites(),
-                     Results[0].Profiles.numPredicates());
-  Merged.reserveRuns(TotalReports);
-  for (ShardResult &Result : Results)
-    Merged.append(std::move(Result.Profiles));
+  // Every shard verified: copy each id once into a store of exact size,
+  // releasing each shard's arrays as soon as they are copied.
+  RunProfiles Merged(Results[0].Header.NumSites,
+                     Results[0].Header.NumPredicates);
+  Merged.reserve(TotalReports, TotalSiteIds, TotalPredIds);
+  for (ShardResult &Result : Results) {
+    const ShardRuns &Shard = Result.Runs;
+    const uint32_t *Ids = Shard.Ids.get();
+    for (size_t Run = 0; Run < Shard.Runs.size(); ++Run) {
+      const ShardRuns::Run &R = Shard.Runs[Run];
+      const size_t End = Run + 1 < Shard.Runs.size()
+                             ? Shard.Runs[Run + 1].SiteStart
+                             : Shard.NumIds;
+      Merged.addRun(R.Failed, R.BugMask, {Ids + R.SiteStart, Ids + R.PredStart},
+                    {Ids + R.PredStart, Ids + End});
+    }
+    Result.Runs = ShardRuns();
+  }
   Out = std::move(Merged);
 
   double Seconds = std::chrono::duration<double>(

@@ -8,13 +8,20 @@
 /// \file
 /// The paper aggregates ~32,000 feedback reports per subject and the
 /// project's north star is ingestion from millions of users. SBI-CORPUS v2
-/// is the one on-disk form of a report set: binary, sharded, and streamed
-/// back without ever materializing a ReportSet.
+/// is the one on-disk form of a report set: binary, sharded, and ingested
+/// without ever materializing a ReportSet.
 ///
 ///   A *corpus* is a directory of shard files named `shard-NNNNNN.sbic`,
 ///   read in lexicographic filename order. Each shard is self-describing
 ///   and independently decodable, so ingestion parallelizes one task per
-///   shard and memory stays bounded by the largest shard, not the corpus.
+///   shard.
+///
+///   Every reader goes through one validating pass per shard: one read of
+///   the file into a buffer sized from it, the structural checks of header,
+///   trailer and footer, then one decode of every record in which each byte
+///   consumed is folded into the FNV-1a hash, compared with the trailer's
+///   after the last record. No record of a shard is handed out before the
+///   pass accepts the whole shard.
 ///
 ///   Shard layout (all integers little-endian):
 ///
@@ -53,9 +60,10 @@
 ///
 /// Varints are LEB128 (7 bits per byte, low first), at most 10 bytes.
 /// Readers reject, never crash on, malformed input: truncation anywhere,
-/// bad magic/version, zero deltas or counts, out-of-range ids, offsets
-/// that disagree with record boundaries, and hash or record-count
-/// mismatches all fail with a diagnostic.
+/// bad magic/version, zero deltas or counts, out-of-range ids, a footer
+/// start or id gap whose arithmetic would wrap around, offsets that
+/// disagree with record boundaries, and hash or record-count mismatches
+/// all fail with a diagnostic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,6 +75,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -124,37 +133,29 @@ private:
   std::string Scratch; // Current record's encoding buffer.
 };
 
-/// Reads and validates one shard. The shard is loaded into memory once
-/// (memory is bounded by shard size, not corpus size) and records decode
-/// lazily: sequentially via next()/nextInto(), or from any index after
-/// seek() using the footer offsets.
+/// Reads one shard. open() loads the file whole and runs the validating
+/// pass over it, so a corrupt shard is rejected before any record is
+/// returned. Records then decode again on demand, each into a full
+/// FeedbackReport: sequentially via next(), or from any index after seek()
+/// using the footer offsets. Memory is one shard's bytes.
 class CorpusReader {
 public:
   bool open(const std::string &Path, std::string &Error);
 
   const CorpusShardHeader &header() const { return Header; }
-  uint64_t shardBytes() const { return Data.size(); }
+  uint64_t shardBytes() const { return DataSize; }
 
   /// Decodes the next record into a full FeedbackReport. Returns false at
   /// the end of the shard (Error empty) or on malformed input (Error set).
   bool next(FeedbackReport &Out, std::string &Error);
 
-  /// Decodes the next record straight into \p Out (one beginRun plus id
-  /// appends — no FeedbackReport materialization); provenance other than
-  /// the failure label and bug mask is skipped. Same return contract as
-  /// next().
-  bool nextInto(RunProfiles &Out, std::string &Error);
-
   /// Repositions the sequential cursor onto record \p Record.
   bool seek(uint32_t Record);
 
 private:
-  template <typename Sink>
-  bool decodeRecord(Sink &&Out, std::string &Error);
-
   CorpusShardHeader Header;
-  std::string Data;
-  std::vector<uint64_t> Offsets; // One per record; footer-backed.
+  std::unique_ptr<char[]> Data;
+  uint64_t DataSize = 0;
   uint64_t FooterStart = 0;
   uint32_t Cursor = 0; // Next record to decode.
 };
@@ -194,12 +195,15 @@ struct CorpusIngestStats {
   double Seconds = 0.0;
 };
 
-/// Streams every shard of \p Dir into a RunProfiles store without ever
-/// materializing a ReportSet: shards decode in parallel (one ingestion
-/// task per shard, \p Threads workers resolved via support/Parallel) into
-/// per-shard profiles that are concatenated in filename order, so the
-/// result — and every analysis over it — is bit-identical to the
-/// in-memory path for any thread count.
+/// Ingests every shard of \p Dir into a RunProfiles store without ever
+/// materializing a ReportSet. Shards run the validating pass in parallel
+/// (one task per shard, \p Threads workers resolved via support/Parallel),
+/// each into id arrays sized from its record bytes. Once every shard has
+/// verified, each id is copied once, in filename order, into a store of
+/// exact size, so the result — and every analysis over it — is
+/// bit-identical to the in-memory path for any thread count. Memory peaks
+/// at every shard's ids plus the merged store; on failure \p Out is left
+/// untouched and the error names the shard.
 bool ingestCorpus(const std::string &Dir, RunProfiles &Out, size_t Threads,
                   std::string &Error, CorpusIngestStats *Stats = nullptr);
 

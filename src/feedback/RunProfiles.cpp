@@ -8,7 +8,7 @@ using namespace sbi;
 
 RunProfiles RunProfiles::fromReports(const ReportSet &Set) {
   RunProfiles Out(Set.numSites(), Set.numPredicates());
-  Out.reserveRuns(Set.size());
+  Out.reserve(Set.size());
   for (const FeedbackReport &Report : Set.reports())
     Out.addReport(Report);
   return Out;
@@ -31,26 +31,21 @@ void RunProfiles::addReport(const FeedbackReport &Report) {
       addPred(Pred);
 }
 
-void RunProfiles::append(RunProfiles &&Other) {
-  const uint64_t SiteBase = SiteIds.size();
-  const uint64_t PredBase = PredIds.size();
-  for (uint64_t Offset : Other.SiteOffsets)
-    SiteOffsets.push_back(SiteBase + Offset);
-  for (uint64_t Offset : Other.PredOffsets)
-    PredOffsets.push_back(PredBase + Offset);
-  SiteIds.insert(SiteIds.end(), Other.SiteIds.begin(), Other.SiteIds.end());
-  PredIds.insert(PredIds.end(), Other.PredIds.begin(), Other.PredIds.end());
-  FailedBits.insert(FailedBits.end(), Other.FailedBits.begin(),
-                    Other.FailedBits.end());
-  BugMasks.insert(BugMasks.end(), Other.BugMasks.begin(),
-                  Other.BugMasks.end());
+void RunProfiles::addRun(bool Failed, uint64_t BugMask, IdSpan Sites,
+                         IdSpan Preds) {
+  beginRun(Failed, BugMask);
+  SiteIds.insert(SiteIds.end(), Sites.begin(), Sites.end());
+  PredIds.insert(PredIds.end(), Preds.begin(), Preds.end());
 }
 
-void RunProfiles::reserveRuns(size_t Runs) {
+void RunProfiles::reserve(size_t Runs, size_t SiteIdCount,
+                          size_t PredIdCount) {
   SiteOffsets.reserve(Runs);
   PredOffsets.reserve(Runs);
   FailedBits.reserve(Runs);
   BugMasks.reserve(Runs);
+  SiteIds.reserve(SiteIdCount);
+  PredIds.reserve(PredIdCount);
 }
 
 bool RunProfiles::observedTrue(size_t Run, uint32_t Pred) const {

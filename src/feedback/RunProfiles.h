@@ -14,17 +14,17 @@
 /// id arrays with per-run offsets, a failure bitvector, and the ground-truth
 /// bug masks the table renderers want. Compared to a materialized ReportSet
 /// it halves the bytes per posting (ids only, no counts) and drops the
-/// per-report vector and string overhead, which is what lets `sbi` read an
-/// SBI-CORPUS v2 directory shard by shard instead of rebuilding
-/// FeedbackReports.
+/// per-report vector and string overhead, which is what lets `sbi` ingest
+/// an SBI-CORPUS v2 directory without rebuilding FeedbackReports.
 ///
 /// It is the one store every analysis reads: the aggregation engines
 /// (core/Aggregator, core/InvertedIndex, core/BitMatrix, core/Analysis),
 /// the logistic-regression baseline, the paper-table helpers
 /// (harness/Tables) and the HTML report. A campaign held in memory is
-/// converted once with fromReports(); a corpus streams into one. Either way
-/// the analysis executes the same code over the same integers, so the two
-/// stay bit-identical.
+/// converted once with fromReports(). A corpus ingest (feedback/Corpus.h)
+/// decodes each shard once, then reserves the exact size and copies each
+/// decoded run in with addRun(). Either way the analysis executes the same
+/// code over the same integers, so the two stay bit-identical.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,8 +50,8 @@ struct IdSpan {
 };
 
 /// Run-major observation structure in CSR form. Append-only: build it with
-/// beginRun/addSite/addPred (streaming decode) or fromReports (in-memory
-/// conversion), then read spans per run.
+/// beginRun/addSite/addPred, addRun (one copy of a decoded run) or
+/// fromReports (in-memory conversion), then read spans per run.
 class RunProfiles {
 public:
   RunProfiles() = default;
@@ -71,11 +71,14 @@ public:
   void addPred(uint32_t Pred) { PredIds.push_back(Pred); }
   /// Appends one report (zero-count entries dropped).
   void addReport(const FeedbackReport &Report);
-  /// Concatenates \p Other's runs after this one's (shard concatenation in
-  /// shard-id order). Dimensions must match.
-  void append(RunProfiles &&Other);
+  /// Appends one run whose sorted, duplicate-free ids are \p Sites and
+  /// \p Preds: the one copy a corpus ingest makes of each decoded id.
+  void addRun(bool Failed, uint64_t BugMask, IdSpan Sites, IdSpan Preds);
 
-  void reserveRuns(size_t Runs);
+  /// Makes room for \p Runs runs holding \p SiteIdCount site ids and
+  /// \p PredIdCount predicate ids in all, so a store of known size fills
+  /// without growing.
+  void reserve(size_t Runs, size_t SiteIdCount = 0, size_t PredIdCount = 0);
 
   // --- Read interface -----------------------------------------------------
   size_t size() const { return FailedBits.size(); }

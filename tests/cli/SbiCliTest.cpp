@@ -77,6 +77,25 @@ bool cutSites(const std::string &In, const std::string &Out,
   return true;
 }
 
+/// Writes into \p Dir a one-shard corpus of 56 bytes whose header and
+/// trailer both claim 100 records, with a footer start so close to 2^64
+/// that adding the footer's size to it wraps around to the file size.
+void writeWrappingFooterCorpus(const std::string &Dir) {
+  std::string B(sbi::CorpusMagic, sizeof(sbi::CorpusMagic));
+  auto put = [&](uint64_t V, int Bytes) {
+    for (int I = 0; I < Bytes; ++I)
+      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+  };
+  for (uint32_t Field : {sbi::CorpusVersion, 0u, 0u, 253u, 1000u, 100u})
+    put(Field, 4);
+  put(0xfffffffffffffd00ull, 8); // Footer start.
+  put(100, 4);                   // Record count.
+  put(0, 4);                     // Hash.
+  B.append(sbi::CorpusFooterMagic, sizeof(sbi::CorpusFooterMagic));
+  std::filesystem::create_directories(Dir);
+  std::ofstream(Dir + "/" + sbi::corpusShardName(0), std::ios::binary) << B;
+}
+
 std::string freshDir(const std::string &Name) {
   std::string Dir = ::testing::TempDir() + Name;
   std::filesystem::remove_all(Dir);
@@ -125,6 +144,8 @@ TEST(SbiCliTest, ExitStatusTable) {
   const std::string Exif = Dir + "/exif.corpus";
   const std::string Input = Dir + "/input.corpus";
   const std::string Ccrypt = Sbi + "run --subject=ccrypt --shard-reports=100 ";
+  const std::string Wrapping = Dir + "/wrapping.corpus";
+  writeWrappingFooterCorpus(Wrapping);
 
   struct Case {
     std::string Command;
@@ -195,6 +216,10 @@ TEST(SbiCliTest, ExitStatusTable) {
            " --shard-reports=50",
        2, {Input + "/.", "is also an input"}},
       {Corpus + "validate " + Input, 0, {"ok: 3 shards, 300 reports"}},
+      // A footer start whose arithmetic wraps around is refused, not
+      // followed ~2^64 bytes past the end of the file.
+      {Corpus + "validate " + Wrapping, 1,
+       {"INVALID", "footer index does not match file size"}},
   };
   for (const Case &C : Cases) {
     CliResult Result = runCommand(C.Command);

@@ -16,8 +16,10 @@
 //
 //  3. Round-trip and equivalence tests: write -> read -> write is
 //     byte-identical, writing over a corpus replaces it, ingestCorpus
-//     matches RunProfiles::fromReports for any thread count, and
-//     zero-count pairs normalize away on write.
+//     matches RunProfiles::fromReports for any thread count and shard
+//     layout, zero-count pairs normalize away on write, and one corrupt
+//     shard makes the whole ingest fail, naming it, with its output left
+//     untouched.
 //
 //  4. ReportSet persistence: a report set's only on-disk form is a corpus,
 //     so writeCorpus/readCorpus must keep every field, and readCorpus must
@@ -31,8 +33,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -218,6 +222,13 @@ void expectShardRejected(const std::string &Bytes, const std::string &What) {
   EXPECT_FALSE(Error.empty()) << What << ": corrupt shard decoded clean";
 }
 
+uint32_t readU32At(const std::string &Bytes, size_t At) {
+  uint32_t V = 0;
+  for (int I = 3; I >= 0; --I)
+    V = (V << 8) | static_cast<uint8_t>(Bytes[At + I]);
+  return V;
+}
+
 /// Recomputes the trailer hash after a deliberate record-region mutation,
 /// so the mutation reaches the decoder instead of tripping the hash check.
 void rehash(std::string &Bytes) {
@@ -302,6 +313,16 @@ TEST(CorpusGolden, SeekUsesFooterOffsets) {
   EXPECT_FALSE(Reader.next(R, Error));
   EXPECT_TRUE(Error.empty()) << Error;
   EXPECT_FALSE(Reader.seek(3)); // Past the end.
+}
+
+TEST(CorpusReaderTest, OpenNamesTheOsCause) {
+  std::string Path =
+      ::testing::TempDir() + "sbi-corpus-test-missing/" + corpusShardName(0);
+  CorpusReader Reader;
+  std::string Error;
+  EXPECT_FALSE(Reader.open(Path, Error));
+  EXPECT_NE(Error.find(Path), std::string::npos) << Error;
+  EXPECT_NE(Error.find(std::strerror(ENOENT)), std::string::npos) << Error;
 }
 
 // --- Writer input validation ----------------------------------------------
@@ -396,6 +417,35 @@ TEST(CorpusCorruption, HeaderAndTrailerMutationsAreRejected) {
   std::string M = Shard;
   M[Trailer - 16] = M[Trailer - 8]; // offset[0] = offset[1]
   expectShardRejected(M, "footer offsets out of order");
+}
+
+TEST(CorpusCorruption, FooterStartThatWrapsIsRejected) {
+  // Header and trailer both claim 100 records, and the footer start sits
+  // so close to 2^64 that start + 8 * 100 + trailer wraps around to the
+  // file's 56 bytes. Taken at its word, the hash would read ~2^64 bytes.
+  std::string B;
+  B.append(CorpusMagic, sizeof(CorpusMagic));
+  for (uint32_t Field : {CorpusVersion, 0u, 0u, 3u, 5u, 100u})
+    putU32(B, Field);
+  putU64(B, 0xfffffffffffffd00ull);
+  putU32(B, 100);
+  putU32(B, 0);
+  B.append(CorpusFooterMagic, sizeof(CorpusFooterMagic));
+  ASSERT_EQ(B.size(), 56u);
+  ASSERT_EQ(0xfffffffffffffd00ull + 8 * 100 + CorpusTrailerSize, B.size());
+
+  std::string Dir = freshDir("wrapping-footer");
+  std::string Path = Dir + "/" + corpusShardName(0);
+  writeFileBytes(Path, B);
+  CorpusReader Reader;
+  std::string Error;
+  EXPECT_FALSE(Reader.open(Path, Error));
+  EXPECT_NE(Error.find("footer index does not match file size"),
+            std::string::npos)
+      << Error;
+  RunProfiles Runs;
+  EXPECT_FALSE(ingestCorpus(Dir, Runs, 1, Error));
+  EXPECT_NE(Error.find(corpusShardName(0)), std::string::npos) << Error;
 }
 
 TEST(CorpusCorruption, DecodeLevelMutationsAreRejected) {
@@ -540,8 +590,9 @@ TEST(CorpusRoundTrip, ShardsListInFilenameOrder) {
   for (size_t I = 0; I < Shards.size(); ++I) {
     EXPECT_NE(Shards[I].find(corpusShardName(static_cast<uint32_t>(I))),
               std::string::npos);
-    if (I)
+    if (I) {
       EXPECT_LT(Shards[I - 1], Shards[I]);
+    }
   }
 }
 
@@ -566,23 +617,212 @@ void expectProfilesEqual(const RunProfiles &A, const RunProfiles &B,
   }
 }
 
-TEST(CorpusIngest, MatchesFromReportsForAnyThreadCount) {
-  ReportSet Set = roundTripSet();
-  std::string Dir = freshDir("ingest");
-  std::string Error;
-  ASSERT_TRUE(writeCorpus(Set, Dir, 3, Error)) << Error;
-
-  RunProfiles Reference = RunProfiles::fromReports(Set);
-  for (size_t Threads : {size_t(1), size_t(2), size_t(7)}) {
-    RunProfiles Streamed;
-    CorpusIngestStats Stats;
-    ASSERT_TRUE(ingestCorpus(Dir, Streamed, Threads, Error, &Stats)) << Error;
-    expectProfilesEqual(Reference, Streamed,
-                        "threads=" + std::to_string(Threads));
-    EXPECT_EQ(Stats.Shards, 4u); // ceil(11 / 3)
-    EXPECT_EQ(Stats.Reports, 11u);
-    EXPECT_GT(Stats.Bytes, 0u);
+/// Nine runs whose ids and counts reach every varint path of the decoder:
+/// one byte (up to 127), two bytes (128 up to 16383) and the general loop
+/// (16384 and up), as absolute ids, gaps and counts. The odd runs fail
+/// with stack signatures, which the ingest skips but its hash must cover.
+ReportSet wideSet() {
+  ReportSet Set(20000, 70000);
+  for (uint32_t I = 0; I < 9; ++I) {
+    FeedbackReport R;
+    R.Failed = I % 2 == 1;
+    if (R.Failed) {
+      R.Trap = TrapKind::NullDeref;
+      R.ExitCode = -11;
+      R.BugMask = FeedbackReport::bugBit(1 + static_cast<int>(I % 3));
+      R.StackSignature = "frame@" + std::to_string(I) + ">main@1";
+    }
+    uint32_t Site = I % 2 ? 300 + I : I; // Absolute id of one or two bytes.
+    for (uint32_t Gap : {0u, 2u, 128u, 16384u, 127u}) {
+      Site += Gap;
+      R.Counts.SiteObservations.emplace_back(Site, 1 + Gap * (I + 1));
+    }
+    uint32_t Pred = I * 3;
+    for (uint32_t Gap : {0u, 127u, 16383u, 50000u}) {
+      Pred += Gap;
+      R.Counts.TruePredicates.emplace_back(Pred, Gap + 128 * I + 1);
+    }
+    Set.add(std::move(R));
   }
+  return Set;
+}
+
+/// Writes \p Set under \p Dir as consecutive shards of \p Sizes records
+/// (a zero writes an empty shard): layouts writeCorpus never makes.
+void writeShards(const ReportSet &Set, const std::string &Dir,
+                 const std::vector<size_t> &Sizes) {
+  size_t Next = 0;
+  for (uint32_t Shard = 0; Shard < Sizes.size(); ++Shard) {
+    CorpusWriter Writer;
+    std::string Error;
+    ASSERT_TRUE(Writer.open(Dir + "/" + corpusShardName(Shard), Shard,
+                            Set.numSites(), Set.numPredicates(), Error))
+        << Error;
+    for (size_t I = 0; I < Sizes[Shard]; ++I)
+      ASSERT_TRUE(Writer.append(Set[Next++], Error)) << Error;
+    ASSERT_TRUE(Writer.finalize(Error)) << Error;
+  }
+  ASSERT_EQ(Next, Set.size());
+}
+
+TEST(CorpusIngest, MatchesFromReportsForAnyThreadCount) {
+  struct Corpus {
+    std::string Dir;
+    ReportSet Set;
+    uint64_t Shards;
+  };
+  std::vector<Corpus> Corpora;
+  {
+    Corpus Even{freshDir("ingest"), roundTripSet(), 4}; // ceil(11 / 3)
+    std::string Error;
+    ASSERT_TRUE(writeCorpus(Even.Set, Even.Dir, 3, Error)) << Error;
+    Corpora.push_back(std::move(Even));
+  }
+  {
+    // Shards of unequal size, an empty one mid-corpus.
+    Corpus Uneven{freshDir("ingest-uneven"), wideSet(), 5};
+    writeShards(Uneven.Set, Uneven.Dir, {4, 0, 1, 3, 1});
+    Corpora.push_back(std::move(Uneven));
+  }
+  for (const Corpus &C : Corpora) {
+    RunProfiles Reference = RunProfiles::fromReports(C.Set);
+    for (size_t Threads : {size_t(1), size_t(2), size_t(7)}) {
+      RunProfiles Streamed;
+      CorpusIngestStats Stats;
+      std::string Error;
+      ASSERT_TRUE(ingestCorpus(C.Dir, Streamed, Threads, Error, &Stats))
+          << Error;
+      expectProfilesEqual(Reference, Streamed,
+                          C.Dir + " threads=" + std::to_string(Threads));
+      EXPECT_EQ(Streamed.numPostings(), Reference.numPostings());
+      EXPECT_EQ(Stats.Shards, C.Shards);
+      EXPECT_EQ(Stats.Reports, C.Set.size());
+      EXPECT_GT(Stats.Bytes, 0u);
+    }
+  }
+}
+
+/// Byte offset of record \p Record, from the footer of shard \p Bytes.
+size_t recordOffset(const std::string &Bytes, uint32_t Record) {
+  size_t Trailer = Bytes.size() - CorpusTrailerSize;
+  size_t At = Trailer - 8 * static_cast<size_t>(readU32At(Bytes, Trailer + 8)) +
+              8 * static_cast<size_t>(Record);
+  uint64_t Offset = 0;
+  for (int I = 7; I >= 0; --I)
+    Offset = (Offset << 8) | static_cast<uint8_t>(Bytes[At + I]);
+  return static_cast<size_t>(Offset);
+}
+
+/// roundTripSet() as a corpus of three shards (records 0-3, 4-7 and 8-10)
+/// whose shard \p Shard holds what \p Mutate makes of its bytes.
+template <typename Fn>
+std::string corpusWithBadShard(const std::string &Name, uint32_t Shard,
+                               Fn &&Mutate) {
+  std::string Dir = freshDir("ingest-bad-" + Name);
+  std::string Error;
+  EXPECT_TRUE(writeCorpus(roundTripSet(), Dir, 4, Error)) << Error;
+  EXPECT_EQ(listCorpusShards(Dir).size(), 3u);
+  std::string Path = Dir + "/" + corpusShardName(Shard);
+  std::string Bytes = readFileBytes(Path);
+  Mutate(Bytes);
+  writeFileBytes(Path, Bytes);
+  return Dir;
+}
+
+/// ingestCorpus of \p Dir must fail at one and two threads with a message
+/// naming shard \p Shard and saying \p Why, and leave a pre-filled output
+/// exactly as it was.
+void expectIngestRejected(const std::string &Dir, uint32_t Shard,
+                          const std::string &Why) {
+  for (size_t Threads : {size_t(1), size_t(2)}) {
+    RunProfiles Out(7, 8);
+    Out.beginRun(true, FeedbackReport::bugBit(1));
+    Out.addSite(2);
+    Out.addPred(3);
+    std::string Error;
+    EXPECT_FALSE(ingestCorpus(Dir, Out, Threads, Error)) << Why;
+    EXPECT_NE(Error.find(corpusShardName(Shard)), std::string::npos)
+        << "threads=" << Threads << ": " << Error;
+    EXPECT_NE(Error.find(Why), std::string::npos)
+        << "threads=" << Threads << ": " << Error;
+    ASSERT_EQ(Out.size(), 1u) << Why;
+    EXPECT_EQ(Out.numSites(), 7u) << Why;
+    EXPECT_EQ(Out.numPredicates(), 8u) << Why;
+    EXPECT_TRUE(Out.failed(0)) << Why;
+    EXPECT_TRUE(Out.hasBug(0, 1)) << Why;
+    EXPECT_TRUE(Out.siteObserved(0, 2)) << Why;
+    EXPECT_TRUE(Out.observedTrue(0, 3)) << Why;
+    EXPECT_EQ(Out.numPostings(), 2u) << Why;
+  }
+}
+
+TEST(CorpusIngest, RejectsAShardTruncatedAtARecordBoundary) {
+  // Records 0 and 1 survive whole; the rest and the footer are gone.
+  expectIngestRejected(corpusWithBadShard("truncated", 1,
+                                          [](std::string &Bytes) {
+                                            Bytes.resize(
+                                                recordOffset(Bytes, 2));
+                                          }),
+                       1, "bad footer magic");
+}
+
+TEST(CorpusIngest, RejectsARecordByteFlippedWithoutRehashing) {
+  // Record 0's trap byte: any value decodes, so only the hash can tell.
+  expectIngestRejected(
+      corpusWithBadShard("flipped", 1,
+                         [](std::string &Bytes) {
+                           Bytes[CorpusHeaderSize + 1] ^= 0x40;
+                         }),
+      1, "record region hash mismatch");
+}
+
+TEST(CorpusIngest, RejectsAFlippedStackSignatureByte) {
+  // Record 1 of the last shard is run 9: flags, trap, exit -1 (zigzag 1),
+  // bug mask and stack length take a byte each, then its stack. The
+  // ingest never stores a stack, but the hash covers it.
+  expectIngestRejected(
+      corpusWithBadShard("stack", 2,
+                         [](std::string &Bytes) {
+                           size_t Stack = recordOffset(Bytes, 1) + 5;
+                           ASSERT_EQ(Bytes.substr(Stack, 10), "g@7>main@2");
+                           Bytes[Stack] = 'G';
+                         }),
+      2, "record region hash mismatch");
+}
+
+TEST(CorpusIngest, RejectsARehashedDecodeLevelMutation) {
+  // Record 0 of the middle shard is run 4: flags, trap, exit and bug mask
+  // take a byte each, then its six site pairs, the first id absolute. Id
+  // 40 is one past the last site.
+  expectIngestRejected(
+      corpusWithBadShard("decode", 1,
+                         [](std::string &Bytes) {
+                           ASSERT_EQ(Bytes[CorpusHeaderSize + 4], 6);
+                           ASSERT_EQ(Bytes[CorpusHeaderSize + 5], 0);
+                           Bytes[CorpusHeaderSize + 5] = 40;
+                           rehash(Bytes);
+                         }),
+      1, "record 0: site id out of range");
+}
+
+TEST(CorpusIngest, RejectsAnEmptyShardWithAWrongHash) {
+  // An empty record region hashes to the FNV basis; this trailer says
+  // otherwise.
+  expectIngestRejected(
+      corpusWithBadShard("empty", 1,
+                         [](std::string &Bytes) {
+                           std::string Empty;
+                           Empty.append(Bytes, 0, CorpusHeaderSize);
+                           for (int I = 0; I < 4; ++I)
+                             Empty[28 + I] = 0; // No records.
+                           putU64(Empty, CorpusHeaderSize);
+                           putU32(Empty, 0);
+                           putU32(Empty, 2166136261u ^ 1);
+                           Empty.append(CorpusFooterMagic,
+                                        sizeof(CorpusFooterMagic));
+                           Bytes = Empty;
+                         }),
+      1, "record region hash mismatch");
 }
 
 TEST(CorpusIngest, RejectsDimensionMismatchAcrossShards) {
@@ -657,41 +897,6 @@ TEST(RunProfilesTest, SiteObserved) {
   EXPECT_FALSE(Runs.siteObserved(0, 5));
   EXPECT_FALSE(Runs.siteObserved(0, 11));
   EXPECT_FALSE(Runs.siteObserved(1, 2));
-}
-
-TEST(RunProfilesTest, AppendRebasesOffsets) {
-  RunProfiles A(4, 4);
-  A.beginRun(true, FeedbackReport::bugBit(1));
-  A.addSite(0);
-  A.addSite(2);
-  A.addPred(1);
-
-  RunProfiles B(4, 4);
-  B.beginRun(false);
-  B.addSite(3);
-  B.addPred(0);
-  B.addPred(2);
-  B.beginRun(true);
-  B.addPred(3);
-
-  A.append(std::move(B));
-  ASSERT_EQ(A.size(), 3u);
-  EXPECT_TRUE(A.failed(0));
-  EXPECT_FALSE(A.failed(1));
-  EXPECT_TRUE(A.failed(2));
-
-  IdSpan S1 = A.sites(1);
-  EXPECT_EQ(std::vector<uint32_t>(S1.begin(), S1.end()),
-            (std::vector<uint32_t>{3}));
-  IdSpan P1 = A.preds(1);
-  EXPECT_EQ(std::vector<uint32_t>(P1.begin(), P1.end()),
-            (std::vector<uint32_t>{0, 2}));
-  IdSpan P2 = A.preds(2);
-  EXPECT_EQ(std::vector<uint32_t>(P2.begin(), P2.end()),
-            (std::vector<uint32_t>{3}));
-  EXPECT_EQ(A.sites(2).size(), 0u);
-  EXPECT_TRUE(A.observedTrue(2, 3));
-  EXPECT_FALSE(A.observedTrue(2, 0));
 }
 
 // --- ReportSet persistence ------------------------------------------------
@@ -908,6 +1113,17 @@ TEST(ReportSetTest, DeserializeRejectsOutOfRangeIds) {
                     "pred id way out of range");
   expectSetRejected(shardOf(record({0}, {2, 5, 1, 7, 1}), 2, 12),
                     "second pred id past the end by its gap");
+}
+
+TEST(ReportSetTest, DeserializeRejectsAGapThatWrapsAround) {
+  // Site 5, then a gap of 2^64 - 3: summed in 64 bits it wraps around to
+  // site 2, in range but below its predecessor.
+  expectSetRejected(
+      shardOf(record({2, 5, 1, ~uint64_t(0) - 2, 1}, {0}), 40, 12),
+      "site gap wrapping to a smaller id");
+  expectSetRejected(
+      shardOf(record({0}, {2, 9, 1, ~uint64_t(0), 1}), 40, 12),
+      "predicate gap wrapping to a smaller id");
 }
 
 TEST(ReportSetTest, DeserializeRejectsDuplicateAndUnsortedEntries) {

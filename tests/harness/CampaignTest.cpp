@@ -99,16 +99,18 @@ TEST(CampaignTest, DifferentSeedsDiffer) {
 TEST(CampaignTest, FailedLabelMatchesTrapOrExit) {
   CampaignResult Result = runCampaign(bcSubject(), smallOptions());
   for (const FeedbackReport &Report : Result.Reports.reports()) {
-    if (Report.Trap != TrapKind::None || Report.ExitCode != 0)
+    if (Report.Trap != TrapKind::None || Report.ExitCode != 0) {
       EXPECT_TRUE(Report.Failed);
+    }
   }
 }
 
 TEST(CampaignTest, CrashedRunsHaveStacks) {
   CampaignResult Result = runCampaign(rhythmboxSubject(), smallOptions());
   for (const FeedbackReport &Report : Result.Reports.reports())
-    if (Report.Trap != TrapKind::None)
+    if (Report.Trap != TrapKind::None) {
       EXPECT_FALSE(Report.StackSignature.empty());
+    }
 }
 
 TEST(CampaignTest, AdaptivePlanHasMixedRates) {

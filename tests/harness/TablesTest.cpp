@@ -83,8 +83,9 @@ TEST(TablesTest, MinimumRunsMonotoneInThreshold) {
                                   /*Threshold=*/0.5);
   ASSERT_EQ(Strict.size(), 1u);
   ASSERT_EQ(Loose.size(), 1u);
-  if (Strict[0].MinRuns != 0 && Loose[0].MinRuns != 0)
+  if (Strict[0].MinRuns != 0 && Loose[0].MinRuns != 0) {
     EXPECT_LE(Loose[0].MinRuns, Strict[0].MinRuns);
+  }
 }
 
 TEST(TablesTest, MinimumRunsFAtNIsBoundedByN) {
@@ -96,8 +97,9 @@ TEST(TablesTest, MinimumRunsFAtNIsBoundedByN) {
   auto Grid = defaultMinRunsGrid(Runs.size());
   auto Rows = computeMinimumRuns(Result.Sites, Runs, Predictors, Grid);
   for (const MinRunsRow &Row : Rows)
-    if (Row.MinRuns > 0)
+    if (Row.MinRuns > 0) {
       EXPECT_LE(Row.FAtMinRuns, Row.MinRuns);
+    }
 }
 
 TEST(TablesTest, MinimumRunsAndPredictorsOnAHandBuiltPopulation) {

@@ -369,8 +369,9 @@ TEST(CollectorTest, MaskingDoesNotPerturbRetainedSitesUnderSampling) {
     // And the full run saw everything the masked run saw at retained
     // sites: counts there are equal, so any difference is masked-only.
     for (const auto &[Site, Count] : A.SiteObservations)
-      if (Mask[Site])
+      if (Mask[Site]) {
         EXPECT_EQ(siteCount(B, Site), Count) << "seed " << Seed;
+      }
   }
 }
 
