@@ -2,6 +2,8 @@
 
 #include "core/Aggregator.h"
 
+#include "support/Parallel.h"
+
 #include <cstdio>
 #include <cstdlib>
 
@@ -56,6 +58,43 @@ Aggregates Aggregates::compute(const RunProfiles &Runs, const RunView &View) {
       ++Agg.SiteObs[Site][LabelIdx];
     for (uint32_t Pred : Runs.preds(RunIdx))
       ++Agg.PredTrue[Pred][LabelIdx];
+  }
+  return Agg;
+}
+
+ChunkTallies::ChunkTallies(const RunProfiles &Runs,
+                           const std::vector<size_t> &Bounds)
+    : NumSites(Runs.numSites()), NumPreds(Runs.numPredicates()),
+      Chunks(Bounds.size() - 1) {
+  runWorkers(Chunks.size(), [&](size_t W) {
+    Chunk &Local = Chunks[W];
+    Local.Counts.assign(size_t(NumPreds) + NumSites, {0, 0});
+    std::array<uint32_t, 2> *Preds = Local.Counts.data();
+    std::array<uint32_t, 2> *Sites = Preds + NumPreds;
+    for (size_t Run = Bounds[W]; Run < Bounds[W + 1]; ++Run) {
+      const size_t LabelIdx = Runs.failed(Run) ? 0 : 1;
+      ++(LabelIdx == 0 ? Local.NumF : Local.NumS);
+      for (uint32_t Site : Runs.sites(Run))
+        ++Sites[Site][LabelIdx];
+      for (uint32_t Pred : Runs.preds(Run))
+        ++Preds[Pred][LabelIdx];
+    }
+  });
+}
+
+Aggregates ChunkTallies::total() const {
+  Aggregates Agg(NumSites, NumPreds);
+  for (const Chunk &Local : Chunks) {
+    Agg.NumF += Local.NumF;
+    Agg.NumS += Local.NumS;
+    for (uint32_t Pred = 0; Pred < NumPreds; ++Pred) {
+      Agg.PredTrue[Pred][0] += Local.Counts[Pred][0];
+      Agg.PredTrue[Pred][1] += Local.Counts[Pred][1];
+    }
+    for (uint32_t Site = 0; Site < NumSites; ++Site) {
+      Agg.SiteObs[Site][0] += Local.Counts[NumPreds + Site][0];
+      Agg.SiteObs[Site][1] += Local.Counts[NumPreds + Site][1];
+    }
   }
   return Agg;
 }

@@ -88,11 +88,49 @@ private:
 
   /// DeltaAggregates (core/InvertedIndex.h) keeps these counts live under
   /// run discarding instead of recomputing them from scratch; the bitset
-  /// engine (core/BitMatrix.h) does the same with popcount deltas, and
-  /// its parallel build fills a fresh instance chunk by chunk.
+  /// engine (core/BitMatrix.h) does the same with popcount deltas. Both
+  /// start from the sum ChunkTallies fills.
   friend class DeltaAggregates;
-  friend class BitsetIndex;
   friend class BitsetState;
+  friend class ChunkTallies;
+};
+
+/// The counting pass both live engines' builds begin with. One worker per
+/// run chunk tallies its chunk's site observations and true predicates by
+/// label, in 32-bit counters: a chunk holds fewer than 2^32 runs, since
+/// the live engines index runs in 32 bits. Summed over the chunks, the
+/// tallies are exactly what Aggregates::compute returns for
+/// RunView::allOf, the initial counts each engine keeps on its index. The
+/// inverted index also reads each chunk's per-predicate tallies to place
+/// its postings.
+class ChunkTallies {
+public:
+  /// Tallies chunk W = [\p Bounds[W], \p Bounds[W + 1]) of \p Runs on
+  /// worker W, for every W.
+  ChunkTallies(const RunProfiles &Runs, const std::vector<size_t> &Bounds);
+
+  /// How many of chunk \p W's runs have predicate \p Pred true, under
+  /// either label.
+  uint64_t predTrue(size_t W, uint32_t Pred) const {
+    const std::array<uint32_t, 2> &Count = Chunks[W].Counts[Pred];
+    return uint64_t(Count[0]) + Count[1];
+  }
+
+  /// The sum over the chunks: the full population's counts.
+  Aggregates total() const;
+
+private:
+  struct Chunk {
+    /// [Id][0] counts failing runs, [Id][1] successful ones, over the id
+    /// space of ChangeMarks: predicates [0, P), then sites [P, P + S).
+    std::vector<std::array<uint32_t, 2>> Counts;
+    uint64_t NumF = 0;
+    uint64_t NumS = 0;
+  };
+
+  uint32_t NumSites;
+  uint32_t NumPreds;
+  std::vector<Chunk> Chunks;
 };
 
 /// The sites and predicates whose counts changed since the last clear():

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 using namespace sbi;
@@ -453,11 +452,6 @@ AnalysisResult CauseIsolator::run() const {
   std::optional<BitsetIndex> OwnedBitset;
   const BitsetIndex *BIndex = nullptr;
   std::optional<BitsetState> BState;
-  // An owned posting-list build reads the same immutable RunProfiles as
-  // the initial scan, so it runs on a worker concurrently with the scan
-  // below instead of serializing in front of it; the "index_build" span
-  // then measures only the residual join wait.
-  std::thread IndexBuilder;
   // Under policies (2)/(3) every predicate with F(P) > 0 is a candidate,
   // and the engines mark what each discard changes so a pass re-derives
   // only those. Policy (1)'s candidates are the Increase survivors, few
@@ -466,6 +460,7 @@ AnalysisResult CauseIsolator::run() const {
   const bool TrackChanges = Options.Policy != DiscardPolicy::DiscardAllRuns;
 
   if (Incremental) {
+    ScopedSpan IndexSpan("index_build", "analysis");
     if (Options.SharedIndex) {
       Index = Options.SharedIndex;
       if (Index->numPredicates() != Runs.numPredicates() ||
@@ -481,10 +476,10 @@ AnalysisResult CauseIsolator::run() const {
         std::abort();
       }
     } else {
-      IndexBuilder = std::thread([this, &OwnedIndex] {
-        OwnedIndex.emplace(InvertedIndex::build(Runs, Options.IndexThreads));
-      });
+      OwnedIndex.emplace(InvertedIndex::build(Runs, Options.IndexThreads));
+      Index = &*OwnedIndex;
     }
+    Delta.emplace(Runs, Index->initialAggregates(), TrackChanges);
   } else if (Bitset) {
     ScopedSpan IndexSpan("index_build", "analysis");
     if (Options.SharedBitset) {
@@ -506,31 +501,22 @@ AnalysisResult CauseIsolator::run() const {
   }
 
   // Initial (full-population) scores, shown as the "initial thermometer".
-  // The bitset build already fused this scan into its counting pass.
+  // Both live builds count them in their first pass and keep them
+  // unchanged on the index, so they are read in place; the rescan engine's
+  // are a fresh scan.
   std::optional<ScopedSpan> ScanSpan(std::in_place, "initial_scan", "analysis");
-  if (Incremental)
-    Delta.emplace(Runs, View, TrackChanges);
-  // The bitset index keeps its initial counts unchanged, so they are read
-  // in place. The incremental engine copies its counts before the first
-  // discard changes them; the rescan engine's are a fresh scan.
-  std::optional<Aggregates> OwnedInitialAgg;
-  if (!Bitset)
-    OwnedInitialAgg.emplace(Incremental ? Delta->aggregates()
-                                        : Aggregates::compute(Runs, View));
-  const Aggregates &InitialAgg =
-      Bitset ? BIndex->initialAggregates() : *OwnedInitialAgg;
+  std::optional<Aggregates> ScannedAgg;
+  if (!Live)
+    ScannedAgg.emplace(Aggregates::compute(Runs, View));
+  const Aggregates &InitialAgg = Bitset        ? BIndex->initialAggregates()
+                                 : Incremental ? Index->initialAggregates()
+                                               : *ScannedAgg;
   uint64_t InitialNumF = InitialAgg.numFailing();
 
   Result.PrunedSurvivors =
       Bitset ? BIndex->survivors() : survivorsOf(InitialAgg);
   std::vector<uint32_t> Candidates = initialCandidatesOf(InitialAgg);
   ScanSpan.reset();
-
-  if (IndexBuilder.joinable()) {
-    ScopedSpan IndexSpan("index_build", "analysis");
-    IndexBuilder.join();
-    Index = &*OwnedIndex;
-  }
 
   ScopedSpan EliminationSpan("elimination", "analysis");
 

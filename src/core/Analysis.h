@@ -77,10 +77,13 @@ struct AnalysisOptions {
   size_t IndexThreads = 0;
   /// Optional prebuilt index over the same run population, letting callers
   /// that analyze one population repeatedly (e.g. once per policy) pay the
-  /// build once. The index is immutable — all per-run() mutable state
-  /// lives in DeltaAggregates — and must outlive the isolator; run()
-  /// aborts if its run, site or predicate count differs from the
-  /// population's. When null the incremental engine builds its own.
+  /// build once. The index carries the population's initial counts too,
+  /// so every run() over it starts without a scan, as with SharedBitset.
+  /// It is immutable — all per-run() mutable state lives in
+  /// DeltaAggregates, which copies those counts — and must outlive the
+  /// isolator; run() aborts if its run, site or predicate count differs
+  /// from the population's. When null the incremental engine builds its
+  /// own.
   const InvertedIndex *SharedIndex = nullptr;
   /// The bitset-engine analog of SharedIndex: a prebuilt BitsetIndex over
   /// the same run population (immutable; mutable state lives in

@@ -6,11 +6,9 @@
 #include "support/Parallel.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 using namespace sbi;
 
@@ -27,19 +25,6 @@ std::vector<uint64_t> onesMask(uint64_t Cols, size_t NumWords) {
   if (Cols % 64)
     Mask[Cols / 64] = (uint64_t(1) << (Cols % 64)) - 1;
   return Mask;
-}
-
-/// Runs [Begin, End) partitioned into \p Workers contiguous chunks whose
-/// boundaries are multiples of 64, so parallel bit-setters own disjoint
-/// words. Returns Workers+1 boundaries.
-std::vector<size_t> alignedChunks(size_t NumItems, size_t Workers) {
-  std::vector<size_t> Bounds;
-  Bounds.reserve(Workers + 1);
-  size_t PerChunk = (NumItems + Workers - 1) / Workers;
-  PerChunk = (PerChunk + 63) & ~size_t(63);
-  for (size_t W = 0; W <= Workers; ++W)
-    Bounds.push_back(std::min(NumItems, W * PerChunk));
-  return Bounds;
 }
 
 // --- The sweep kernel -------------------------------------------------------
@@ -120,57 +105,16 @@ BitsetIndex BitsetIndex::build(const RunProfiles &Runs,
 
   BitsetIndex Index;
   Index.NumRuns = NumRuns;
-  Index.InitialAgg = Aggregates(NumSites, NumPreds);
 
   // Below ~4k runs the thread spawn/join overhead dominates each pass.
   const size_t Workers = resolveThreadCount(Threads, NumRuns / 4096);
 
   // --- Pass 1: the initial full-population aggregation -------------------
-  // Chunk-local count arrays merged after the join: integer sums in any
-  // order, so any worker count yields the exact Aggregates::compute result.
-  if (Workers <= 1) {
-    Index.InitialAgg = Aggregates::compute(Runs, RunView::allOf(Runs));
-  } else {
-    struct Partial {
-      std::vector<std::array<uint64_t, 2>> SiteObs, PredTrue;
-      uint64_t NumF = 0, NumS = 0;
-    };
-    std::vector<Partial> Partials(Workers);
-    std::vector<size_t> Bounds = alignedChunks(NumRuns, Workers);
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers);
-    for (size_t W = 0; W < Workers; ++W)
-      Pool.emplace_back([&, W] {
-        Partial &Local = Partials[W];
-        Local.SiteObs.resize(NumSites);
-        Local.PredTrue.resize(NumPreds);
-        for (size_t Run = Bounds[W]; Run < Bounds[W + 1]; ++Run) {
-          size_t LabelIdx = Runs.failed(Run) ? 0 : 1;
-          if (Runs.failed(Run))
-            ++Local.NumF;
-          else
-            ++Local.NumS;
-          for (uint32_t Site : Runs.sites(Run))
-            ++Local.SiteObs[Site][LabelIdx];
-          for (uint32_t Pred : Runs.preds(Run))
-            ++Local.PredTrue[Pred][LabelIdx];
-        }
-      });
-    for (std::thread &Worker : Pool)
-      Worker.join();
-    for (const Partial &Local : Partials) {
-      Index.InitialAgg.NumF += Local.NumF;
-      Index.InitialAgg.NumS += Local.NumS;
-      for (uint32_t Site = 0; Site < NumSites; ++Site) {
-        Index.InitialAgg.SiteObs[Site][0] += Local.SiteObs[Site][0];
-        Index.InitialAgg.SiteObs[Site][1] += Local.SiteObs[Site][1];
-      }
-      for (uint32_t Pred = 0; Pred < NumPreds; ++Pred) {
-        Index.InitialAgg.PredTrue[Pred][0] += Local.PredTrue[Pred][0];
-        Index.InitialAgg.PredTrue[Pred][1] += Local.PredTrue[Pred][1];
-      }
-    }
-  }
+  // The counting pass the inverted index also starts with: chunk tallies
+  // summed after the join, so any worker count yields the exact
+  // Aggregates::compute result.
+  Index.InitialAgg =
+      ChunkTallies(Runs, alignedChunks(NumRuns, Workers)).total();
   Index.NumFailing0 = Index.InitialAgg.numFailing();
 
   // --- Row spaces ---------------------------------------------------------
@@ -262,25 +206,13 @@ BitsetIndex BitsetIndex::build(const RunProfiles &Runs,
     }
   };
 
-  if (Workers <= 1) {
-    fillFull(0, NumRuns);
-    fillFail(0, FailingRuns.size());
-  } else {
-    auto runParallel = [&](size_t NumItems, auto &&Fill) {
-      std::vector<size_t> Bounds = alignedChunks(NumItems, Workers);
-      std::vector<std::thread> Pool;
-      Pool.reserve(Workers);
-      for (size_t W = 0; W < Workers; ++W)
-        Pool.emplace_back(
-            [&Fill, Begin = Bounds[W], End = Bounds[W + 1]] {
-              Fill(Begin, End);
-            });
-      for (std::thread &Worker : Pool)
-        Worker.join();
-    };
-    runParallel(NumRuns, fillFull);
-    runParallel(FailingRuns.size(), fillFail);
-  }
+  // 64-aligned chunks of each pass's items: workers own disjoint words.
+  auto runChunked = [&](size_t NumItems, const auto &Fill) {
+    const std::vector<size_t> Bounds = alignedChunks(NumItems, Workers);
+    runWorkers(Workers, [&](size_t W) { Fill(Bounds[W], Bounds[W + 1]); });
+  };
+  runChunked(NumRuns, fillFull);
+  runChunked(FailingRuns.size(), fillFail);
   return Index;
 }
 
@@ -338,21 +270,13 @@ void BitsetState::sweepRows(const BitMatrix &M, bool WithSuccess) {
   // exceeds the sweep itself.
   const size_t Work = DirtyBlocks.size() * BW * NumRows;
   const size_t Workers = resolveThreadCount(Threads, Work >> 21);
-  if (Workers <= 1) {
-    SweepKernel(Args, 0, NumRows);
-    return;
-  }
-  std::vector<std::thread> Pool;
-  Pool.reserve(Workers);
   const uint32_t PerWorker =
       static_cast<uint32_t>((NumRows + Workers - 1) / Workers);
-  for (size_t W = 0; W < Workers; ++W) {
-    uint32_t Begin = static_cast<uint32_t>(W) * PerWorker;
-    uint32_t End = std::min(NumRows, Begin + PerWorker);
-    Pool.emplace_back([&Args, Begin, End] { SweepKernel(Args, Begin, End); });
-  }
-  for (std::thread &Worker : Pool)
-    Worker.join();
+  runWorkers(Workers, [&](size_t W) {
+    const uint32_t Begin =
+        std::min(NumRows, static_cast<uint32_t>(W) * PerWorker);
+    SweepKernel(Args, Begin, std::min(NumRows, Begin + PerWorker));
+  });
 }
 
 uint64_t BitsetState::discardCoveredRuns(uint32_t Pred) {

@@ -127,8 +127,8 @@ private:
 class BitsetIndex {
 public:
   /// Builds over \p Runs: one parallel counting pass (the initial
-  /// full-population aggregation), then one parallel bit-setting pass per
-  /// matrix. Run chunks are aligned to 64-column boundaries so workers
+  /// full-population aggregation, ChunkTallies as in the inverted index's
+  /// build), then one parallel bit-setting pass per matrix. Run chunks are aligned to 64-column boundaries so workers
   /// own disjoint words; any \p Threads value (0 = one per hardware
   /// thread) yields bit-identical matrices.
   static BitsetIndex build(const RunProfiles &Runs, const SiteTable &Sites,

@@ -5,7 +5,7 @@
 #include "support/Parallel.h"
 
 #include <algorithm>
-#include <thread>
+#include <memory>
 
 using namespace sbi;
 
@@ -15,62 +15,90 @@ InvertedIndex InvertedIndex::build(const RunProfiles &Runs, size_t Threads) {
   InvertedIndex Index;
   Index.NumSites = Runs.numSites();
   Index.NumRuns = NumRuns;
-  Index.Offsets.resize(static_cast<size_t>(NumPreds) + 1);
 
   // Below ~4k runs the thread spawn/join overhead dominates the scan.
   const size_t Workers = resolveThreadCount(Threads, NumRuns / 4096);
-  const size_t ChunkSize = (NumRuns + Workers - 1) / Workers;
-  // Runs \p Pass(W, Begin, End) over chunk W = [Begin, End) for every
-  // chunk, one thread per chunk (inline when there is only one).
-  auto forEachChunk = [&](const auto &Pass) {
-    auto chunk = [&](size_t W) {
-      Pass(W, std::min(NumRuns, W * ChunkSize),
-           std::min(NumRuns, (W + 1) * ChunkSize));
-    };
-    if (Workers <= 1) {
-      chunk(0);
-      return;
-    }
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers);
-    for (size_t W = 0; W < Workers; ++W)
-      Pool.emplace_back(chunk, W);
-    for (std::thread &Worker : Pool)
-      Worker.join();
-  };
+  const std::vector<size_t> Chunks = alignedChunks(NumRuns, Workers);
 
-  // Count pass: Cursors[W][P] = how many of chunk W's runs have R(P) = 1.
-  std::vector<std::vector<uint64_t>> Cursors(Workers);
-  forEachChunk([&](size_t W, size_t Begin, size_t End) {
-    std::vector<uint64_t> &Count = Cursors[W];
-    Count.assign(NumPreds, 0);
-    for (size_t Run = Begin; Run < End; ++Run)
-      for (uint32_t Pred : Runs.preds(Run))
-        ++Count[Pred];
-  });
-
-  // Prefix sum in (predicate, chunk) order: P's list starts at Offsets[P],
-  // and chunk W's runs of P start at the cursor that replaces its count, so
-  // the chunks land one after another in run order.
+  // Counting pass: every chunk's label tallies. Their sum is the initial
+  // counts, and each predicate's list takes its total in the run-id array.
+  const ChunkTallies Tallies(Runs, Chunks);
+  Index.InitialAgg = Tallies.total();
+  Index.Offsets.resize(static_cast<size_t>(NumPreds) + 1);
   uint64_t Total = 0;
   for (uint32_t Pred = 0; Pred < NumPreds; ++Pred) {
     Index.Offsets[Pred] = Total;
-    for (std::vector<uint64_t> &Cursor : Cursors) {
-      const uint64_t Count = Cursor[Pred];
-      Cursor[Pred] = Total;
-      Total += Count;
-    }
+    for (size_t W = 0; W < Workers; ++W)
+      Total += Tallies.predTrue(W, Pred);
   }
   Index.Offsets[NumPreds] = Total;
 
-  // Scatter pass: every worker writes only the slots its cursors own.
-  Index.RunIds.resize(Total);
-  uint32_t *Out = Index.RunIds.data();
-  forEachChunk([&](size_t W, size_t Begin, size_t End) {
-    std::vector<uint64_t> &Cursor = Cursors[W];
-    for (size_t Run = Begin; Run < End; ++Run)
-      for (uint32_t Pred : Runs.preds(Run))
-        Out[Cursor[Pred]++] = static_cast<uint32_t>(Run);
+  // Block B holds predicates [firstPred(B), firstPred(B + 1)), and its
+  // region of RunIds is their lists'. Cursors[W][B] is where chunk W's
+  // postings in block B start: after every earlier chunk's, so a region
+  // lists its postings in run order.
+  const size_t NumBlocks = (size_t(NumPreds) + BlockPreds - 1) / BlockPreds;
+  auto firstPred = [&](size_t Block) {
+    return static_cast<uint32_t>(
+        std::min<size_t>(NumPreds, Block * BlockPreds));
+  };
+  std::vector<std::vector<uint64_t>> Cursors(
+      Workers, std::vector<uint64_t>(NumBlocks));
+  for (size_t Block = 0; Block < NumBlocks; ++Block) {
+    uint64_t At = Index.Offsets[firstPred(Block)];
+    for (size_t W = 0; W < Workers; ++W) {
+      Cursors[W][Block] = At;
+      for (uint32_t Pred = firstPred(Block); Pred < firstPred(Block + 1);
+           ++Pred)
+        At += Tallies.predTrue(W, Pred);
+    }
+  }
+
+  // Partition pass: each worker appends its chunk's run ids to their
+  // blocks' regions, and each posting's predicate offset within its block
+  // to the same slot of a one-byte side array. Every worker writes only
+  // the slots its cursors own.
+  Index.RunIds = std::make_unique_for_overwrite<uint32_t[]>(Total);
+  uint32_t *Ids = Index.RunIds.get();
+  static_assert(BlockPreds <= 256, "block offsets are stored in one byte");
+  const std::unique_ptr<uint8_t[]> InBlock =
+      std::make_unique_for_overwrite<uint8_t[]>(Total);
+  runWorkers(Workers, [&](size_t W) {
+    uint64_t *Cursor = Cursors[W].data();
+    for (size_t Run = Chunks[W]; Run < Chunks[W + 1]; ++Run)
+      for (uint32_t Pred : Runs.preds(Run)) {
+        const uint64_t At = Cursor[Pred / BlockPreds]++;
+        Ids[At] = static_cast<uint32_t>(Run);
+        InBlock[At] = static_cast<uint8_t>(Pred % BlockPreds);
+      }
+  });
+
+  // Sort pass: a stable counting sort by predicate inside each block's
+  // region, through a scratch copy small enough to stay in cache. Regions
+  // are disjoint, so workers take contiguous block ranges of about equal
+  // postings, and the result does not depend on how they are split.
+  std::vector<size_t> FirstBlock(Workers + 1, NumBlocks);
+  for (size_t W = 0, Block = 0; W < Workers; ++W) {
+    while (Block < NumBlocks &&
+           Index.Offsets[firstPred(Block)] < Total * W / Workers)
+      ++Block;
+    FirstBlock[W] = Block;
+  }
+  runWorkers(Workers, [&](size_t W) {
+    std::vector<uint32_t> Scratch;
+    for (size_t Block = FirstBlock[W]; Block < FirstBlock[W + 1]; ++Block) {
+      const uint32_t First = firstPred(Block);
+      const uint64_t Begin = Index.Offsets[First];
+      const uint64_t Size = Index.Offsets[firstPred(Block + 1)] - Begin;
+      uint64_t Cursor[BlockPreds] = {};
+      for (uint32_t Pred = First; Pred < firstPred(Block + 1); ++Pred)
+        Cursor[Pred - First] = Index.Offsets[Pred] - Begin;
+      if (Scratch.size() < Size)
+        Scratch.resize(Size);
+      for (uint64_t I = Begin; I < Begin + Size; ++I)
+        Scratch[Cursor[InBlock[I]]++] = Ids[I];
+      std::copy(Scratch.begin(), Scratch.begin() + Size, Ids + Begin);
+    }
   });
   return Index;
 }

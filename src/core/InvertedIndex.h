@@ -13,15 +13,19 @@
 /// 32,000-run scale. This module makes the loop incremental:
 ///
 ///   InvertedIndex    one-time predicate posting lists: for each predicate
-///                    P, the ascending run ids with R(P) = 1. The lists are
-///                    the CSR transpose of RunProfiles' predicate ids — one
-///                    offsets array and one run-id array — built by a count
-///                    pass and a scatter pass over contiguous run chunks.
+///                    P, the ascending run ids with R(P) = 1, in CSR form
+///                    (one offsets array and one run-id array). One build
+///                    makes them and the population's initial counts: a
+///                    counting pass over run chunks (ChunkTallies) yields
+///                    the counts, then a blocked transpose partitions the
+///                    postings into cache-sized blocks of predicates and
+///                    finishes each block with a stable counting sort.
 ///
-///   DeltaAggregates  mutable F/S/FObs/SObs counts, initialized by a single
-///                    full scan and then updated by *subtracting* (or
-///                    relabeling) one discarded run's sparse contributions
-///                    at a time, instead of rescanning the whole population.
+///   DeltaAggregates  mutable F/S/FObs/SObs counts, seeded from a copy of
+///                    the index's initial counts and then updated by
+///                    *subtracting* (or relabeling) one discarded run's
+///                    sparse contributions at a time, instead of
+///                    rescanning the whole population.
 ///
 /// All counts are integers, so subtract-then-score is bit-identical to
 /// recompute-then-score; the differential tests in tests/core and
@@ -36,30 +40,46 @@
 #include "feedback/RunProfiles.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 namespace sbi {
 
-/// Per-predicate posting lists of run indices in CSR form: predicate P's
-/// runs are RunIds[Offsets[P], Offsets[P + 1]). Site lists are not kept —
-/// the elimination loop only ever walks the selected predicate's runs.
+/// Per-predicate posting lists of run indices in CSR form, plus the counts
+/// of the whole population: predicate P's runs are
+/// RunIds[Offsets[P], Offsets[P + 1]). Site lists are not kept — the
+/// elimination loop only ever walks the selected predicate's runs.
 class InvertedIndex {
 public:
   /// Transposes \p Runs' predicate ids. Runs are split into contiguous
   /// chunks, one worker thread per chunk (0 = one per hardware thread,
-  /// capped at one per 4,096 runs). Each worker counts its chunk's
-  /// postings per predicate; a prefix sum over (predicate, chunk) gives
-  /// every chunk its own write cursor in every list; each worker then
-  /// scatters its run ids. Lists come out ascending, and identical for
-  /// any \p Threads value.
+  /// capped at one per 4,096 runs). Each worker tallies its chunk's
+  /// postings by label; the tallies sum to initialAggregates() and place
+  /// every chunk's postings of each block of BlockPreds predicates after
+  /// the earlier chunks'. The workers then append each posting's run id to
+  /// its block's region, and sort each region stably by predicate. Lists
+  /// come out ascending, and identical for any \p Threads value.
   static InvertedIndex build(const RunProfiles &Runs, size_t Threads = 0);
+
+  /// Predicates per transpose block. A block's region holds its postings
+  /// in run order until a stable counting sort groups them by predicate,
+  /// so the partition pass writes one stream per block rather than one per
+  /// predicate. The width keeps both passes cache-resident on the sparse
+  /// 200k-predicate sweep and the dense 9.5k-predicate MOSS population
+  /// (DESIGN.md §7).
+  static constexpr uint32_t BlockPreds = 32;
 
   /// Ascending run ids where predicate \p Pred was observed true
   /// (R(P) = 1).
   IdSpan runsWhereTrue(uint32_t Pred) const {
-    return {RunIds.data() + Offsets[Pred], RunIds.data() + Offsets[Pred + 1]};
+    return {RunIds.get() + Offsets[Pred], RunIds.get() + Offsets[Pred + 1]};
   }
+
+  /// Counts over the full population — exactly what Aggregates::compute
+  /// returns for RunView::allOf(Runs). Counted once at build, so every
+  /// policy's run() over a shared index starts from them without a scan.
+  const Aggregates &initialAggregates() const { return InitialAgg; }
 
   uint32_t numPredicates() const {
     return static_cast<uint32_t>(Offsets.size() - 1);
@@ -71,30 +91,35 @@ public:
 
   /// Total posting-list entries: the predicate ids in the indexed
   /// profiles.
-  size_t numPostings() const { return RunIds.size(); }
+  size_t numPostings() const { return Offsets.back(); }
 
 private:
   InvertedIndex() = default;
 
+  Aggregates InitialAgg{0, 0};
   uint32_t NumSites = 0;
   size_t NumRuns = 0;
   /// numPredicates() + 1 entries; Offsets[P] is where P's list starts.
   std::vector<uint64_t> Offsets;
-  std::vector<uint32_t> RunIds;
+  /// numPostings() entries, allocated without zeroing: the build writes
+  /// each one.
+  std::unique_ptr<uint32_t[]> RunIds;
 };
 
 /// Aggregate counts kept live under run discarding/relabeling. Starts as a
-/// full-scan Aggregates snapshot and is mutated one run at a time; the
-/// current state is always exactly what Aggregates::compute would return
-/// for the mutated RunView. With \p TrackChanges, every site and predicate
-/// a mutation touches is also marked in changes().
+/// copy of a full-population snapshot and is mutated one run at a time;
+/// the current state is always exactly what Aggregates::compute would
+/// return for the mutated RunView. With \p TrackChanges, every site and
+/// predicate a mutation touches is also marked in changes().
 class DeltaAggregates {
 public:
-  /// Runs off a profile store directly (no copies; \p Runs must outlive
-  /// the aggregates).
-  DeltaAggregates(const RunProfiles &Runs, const RunView &View,
+  /// Starts from \p Initial, the counts of \p Runs under the view the
+  /// caller will mutate (the analysis passes the index's
+  /// initialAggregates()). Reads the runs' ids in place (\p Runs must
+  /// outlive the aggregates) and never writes to \p Initial.
+  DeltaAggregates(const RunProfiles &Runs, const Aggregates &Initial,
                   bool TrackChanges = false)
-      : Runs(Runs), Agg(Aggregates::compute(Runs, View)) {
+      : Runs(Runs), Agg(Initial) {
     if (TrackChanges)
       Marks.emplace(Runs.numSites(), Runs.numPredicates());
   }

@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <memory>
 #include <string_view>
-#include <thread>
 
 #include <sys/stat.h>
 
@@ -791,17 +790,8 @@ bool sbi::ingestCorpus(const std::string &Dir, RunProfiles &Out,
       ShardSpan.arg("reports", Result.Runs.Runs.size());
     }
   };
-  size_t Workers = resolveThreadCount(Threads, Shards.size());
-  if (Workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers);
-    for (size_t W = 0; W < Workers; ++W)
-      Pool.emplace_back(worker);
-    for (std::thread &Thread : Pool)
-      Thread.join();
-  }
+  runWorkers(resolveThreadCount(Threads, Shards.size()),
+             [&](size_t) { worker(); });
 
   uint64_t TotalBytes = 0, TotalReports = 0;
   size_t TotalSiteIds = 0, TotalPredIds = 0;

@@ -15,3 +15,13 @@ size_t sbi::resolveThreadCount(size_t Requested, size_t MaxUseful) {
   size_t Threads = Requested == 0 ? hardwareThreadCount() : Requested;
   return std::min(Threads, std::max<size_t>(1, MaxUseful));
 }
+
+std::vector<size_t> sbi::alignedChunks(size_t NumItems, size_t Workers) {
+  std::vector<size_t> Bounds;
+  Bounds.reserve(Workers + 1);
+  size_t PerChunk = (NumItems + Workers - 1) / Workers;
+  PerChunk = (PerChunk + 63) & ~size_t(63);
+  for (size_t W = 0; W <= Workers; ++W)
+    Bounds.push_back(std::min(NumItems, W * PerChunk));
+  return Bounds;
+}

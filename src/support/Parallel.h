@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Shared helpers for the "0 means one worker per hardware thread"
-/// convention used by the campaign driver and the inverted-index builder.
+/// convention used by the campaign driver, the corpus ingest and the
+/// analysis builds, and the one spawn/join loop they run their workers on.
 /// std::thread::hardware_concurrency() is allowed to return 0 when the
 /// value is not computable; every caller must treat that as 1 so no
 /// parallel loop ever launches zero workers.
@@ -18,6 +19,8 @@
 #define SBI_SUPPORT_PARALLEL_H
 
 #include <cstddef>
+#include <thread>
+#include <vector>
 
 namespace sbi {
 
@@ -28,6 +31,28 @@ size_t hardwareThreadCount();
 /// thread"; the result is additionally capped at \p MaxUseful (the number
 /// of independent work items) and is always at least 1.
 size_t resolveThreadCount(size_t Requested, size_t MaxUseful);
+
+/// Runs \p Body(W) for every worker W in [0, \p Workers): inline on the
+/// calling thread when there is one worker, otherwise one thread each,
+/// all joined before returning.
+template <typename Fn> void runWorkers(size_t Workers, const Fn &Body) {
+  if (Workers <= 1) {
+    Body(size_t(0));
+    return;
+  }
+  std::vector<std::thread> Pool;
+  Pool.reserve(Workers);
+  for (size_t W = 0; W < Workers; ++W)
+    Pool.emplace_back([&Body, W] { Body(W); });
+  for (std::thread &Worker : Pool)
+    Worker.join();
+}
+
+/// Boundaries of \p Workers contiguous chunks of [0, \p NumItems), each
+/// but the last a multiple of 64 items long, so chunks of a bit-matrix's
+/// columns own disjoint words: Workers + 1 entries, from 0 to NumItems.
+/// Trailing chunks may be empty.
+std::vector<size_t> alignedChunks(size_t NumItems, size_t Workers);
 
 } // namespace sbi
 

@@ -146,11 +146,19 @@ TEST(SbiCliTest, ExitStatusTable) {
   const std::string Ccrypt = Sbi + "run --subject=ccrypt --shard-reports=100 ";
   const std::string Wrapping = Dir + "/wrapping.corpus";
   writeWrappingFooterCorpus(Wrapping);
+  // A copy of the fresh corpus whose one shard lost its last bytes.
+  const std::string Truncated = Dir + "/truncated.corpus";
+  const std::string BadShard = Truncated + "/" + sbi::corpusShardName(0);
+  std::filesystem::copy(Fresh, Truncated);
+  std::filesystem::resize_file(BadShard,
+                               std::filesystem::file_size(BadShard) - 10);
 
   struct Case {
     std::string Command;
     int Status;
     std::vector<std::string> Says;
+    /// If set, said exactly once.
+    std::string Once = {};
   };
   const Case Cases[] = {
       {Run + "--sampling=uniform:abc" + Out, 2, {"'abc'", "--sampling"}},
@@ -220,6 +228,26 @@ TEST(SbiCliTest, ExitStatusTable) {
       // followed ~2^64 bytes past the end of the file.
       {Corpus + "validate " + Wrapping, 1,
        {"INVALID", "footer index does not match file size"}},
+      // A bad shard is named once: the reader's error already names it.
+      {Corpus + "validate " + Truncated, 1, {"INVALID", "truncated"},
+       BadShard},
+      {Corpus + "info " + Truncated, 1, {"truncated"}, BadShard},
+      {Corpus + "merge --out=" + Dir + "/from-truncated.corpus " + Truncated,
+       1, {"truncated"}, BadShard},
+      // Every verb refuses a flag it does not read, rather than ignoring
+      // it; with --in no campaign runs, so its flags are refused too.
+      {Analyze + "--in=" + Fresh + " --out=" + Dir + "/analyze.out", 2,
+       {"analyze does not take --out"}},
+      {Analyze + "--in=" + Fresh + " --shard-reports=4", 2,
+       {"analyze does not take --shard-reports"}},
+      {LogReg + "--in=" + Fresh + " --policy=bogus", 2,
+       {"logreg does not take --policy"}},
+      {Run + "--policy=bogus" + Out, 2, {"run does not take --policy"}},
+      {Run + "--analysis-engine=bogus" + Out, 2,
+       {"run does not take --analysis-engine"}},
+      {Analyze + "--in=" + Fresh + " --engine=bogus --sampling=bogus", 2,
+       {"analyze does not take --engine", "analyze does not take --sampling",
+        "with --in"}},
   };
   for (const Case &C : Cases) {
     CliResult Result = runCommand(C.Command);
@@ -228,7 +256,17 @@ TEST(SbiCliTest, ExitStatusTable) {
       EXPECT_NE(Result.Output.find(Fragment), std::string::npos)
           << C.Command << " never says \"" << Fragment << "\":\n"
           << Result.Output;
+    if (C.Once.empty())
+      continue;
+    size_t Times = 0;
+    for (size_t At = Result.Output.find(C.Once); At != std::string::npos;
+         At = Result.Output.find(C.Once, At + 1))
+      ++Times;
+    EXPECT_EQ(Times, 1u) << C.Command << " names \"" << C.Once << "\" "
+                         << Times << " times:\n"
+                         << Result.Output;
   }
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/analyze.out"));
 }
 
 TEST(SbiCliTest, ACorpusReadsLikeTheInMemoryCampaign) {
@@ -239,7 +277,8 @@ TEST(SbiCliTest, ACorpusReadsLikeTheInMemoryCampaign) {
   // show.
   const std::string Dir = freshDir("sbi-cli-parity");
   const std::string Sbi = std::string(SBI_PATH) + " ";
-  const std::string Campaign = " --subject=exif --runs=300 --seed=11 ";
+  const std::string Subject = " --subject=exif ";
+  const std::string Campaign = Subject + "--runs=300 --seed=11 ";
   const std::string Corpus = Dir + "/exif.corpus";
   CliResult Made = runCommand(Sbi + "run" + Campaign + "--out=" + Corpus);
   ASSERT_EQ(Made.Status, 0) << Made.Output;
@@ -253,7 +292,7 @@ TEST(SbiCliTest, ACorpusReadsLikeTheInMemoryCampaign) {
                         Verb{"logreg", "trained: "}}) {
     CliResult InMemory = runCommand(Sbi + V.Command + Campaign, false);
     CliResult Read =
-        runCommand(Sbi + V.Command + Campaign + "--in=" + Corpus, false);
+        runCommand(Sbi + V.Command + Subject + "--in=" + Corpus, false);
     EXPECT_EQ(InMemory.Status, 0) << V.Command;
     EXPECT_EQ(Read.Status, 0) << V.Command;
     EXPECT_NE(InMemory.Output.find(V.Says), std::string::npos)
@@ -267,7 +306,7 @@ TEST(SbiCliTest, ACorpusReadsLikeTheInMemoryCampaign) {
                        InMemoryHtml)
                 .Status,
             0);
-  ASSERT_EQ(runCommand(Sbi + "report --bugs" + Campaign + "--in=" + Corpus +
+  ASSERT_EQ(runCommand(Sbi + "report --bugs" + Subject + "--in=" + Corpus +
                        " --out=" + ReadHtml)
                 .Status,
             0);

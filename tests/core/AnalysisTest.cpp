@@ -490,6 +490,48 @@ TEST(EngineDifferentialTest, SharedIndexMatchesOwnedIndex) {
   }
 }
 
+TEST(EngineDifferentialTest, SharedIndexServesEveryPolicy) {
+  // One index serves every policy in turn, as a caller sharing the build
+  // across policies uses it: its initial counts seed each run()'s live
+  // counts, which must never write back to them. Each result equals the
+  // run that builds its own index and the rescan engine's, bit for bit,
+  // and after two rounds the index still holds the full-scan counts.
+  SyntheticWorld World(16);
+  RunProfiles Runs = RunProfiles::fromReports(multiBugSet(World, 919));
+  InvertedIndex Index = InvertedIndex::build(Runs);
+  for (int Round = 0; Round < 2; ++Round)
+    for (DiscardPolicy Policy :
+         {DiscardPolicy::DiscardAllRuns, DiscardPolicy::DiscardFailingRuns,
+          DiscardPolicy::RelabelFailingRuns}) {
+      AnalysisOptions Owned;
+      Owned.Policy = Policy;
+      AnalysisOptions Shared = Owned;
+      Shared.SharedIndex = &Index;
+      AnalysisOptions Rescan = Owned;
+      Rescan.Engine = AnalysisEngine::Rescan;
+
+      AnalysisResult A = CauseIsolator(World.Sites, Runs, Shared).run();
+      EXPECT_FALSE(A.Selected.empty()) << "trivial differential";
+      EXPECT_TRUE(
+          bitIdentical(A, CauseIsolator(World.Sites, Runs, Owned).run()))
+          << "round " << Round << ", " << discardPolicyName(Policy);
+      EXPECT_TRUE(
+          bitIdentical(A, CauseIsolator(World.Sites, Runs, Rescan).run()))
+          << "round " << Round << ", " << discardPolicyName(Policy);
+    }
+  const Aggregates Full = Aggregates::compute(Runs, RunView::allOf(Runs));
+  const Aggregates &Kept = Index.initialAggregates();
+  EXPECT_EQ(Kept.numFailing(), Full.numFailing());
+  EXPECT_EQ(Kept.numSuccessful(), Full.numSuccessful());
+  for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred) {
+    PredicateCounts X = Kept.counts(Pred, World.Sites);
+    PredicateCounts Y = Full.counts(Pred, World.Sites);
+    ASSERT_TRUE(X.F == Y.F && X.S == Y.S && X.FObs == Y.FObs &&
+                X.SObs == Y.SObs)
+        << "pred " << Pred;
+  }
+}
+
 TEST(CauseIsolatorDeathTest, SharedIndexOverOtherRunsAborts) {
   // An index over a larger population of the same dimensions would hand
   // the elimination loop run ids past the end of this one; run() refuses

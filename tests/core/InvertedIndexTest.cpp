@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 using namespace sbi;
 
 namespace {
@@ -55,6 +59,66 @@ RunProfiles randomProfiles(size_t NumRuns, uint32_t NumPreds, uint64_t Seed) {
 /// A posting list as a vector, for comparison.
 std::vector<uint32_t> ids(IdSpan Span) {
   return std::vector<uint32_t>(Span.begin(), Span.end());
+}
+
+/// The transpose by brute force: every run's predicates, in run order.
+std::vector<std::vector<uint32_t>> transpose(const RunProfiles &Runs) {
+  std::vector<std::vector<uint32_t>> Lists(Runs.numPredicates());
+  for (size_t Run = 0; Run < Runs.size(); ++Run)
+    for (uint32_t Pred : Runs.preds(Run))
+      Lists[Pred].push_back(static_cast<uint32_t>(Run));
+  return Lists;
+}
+
+/// Profiles over \p NumPreds predicates shaped against the transpose's
+/// blocks: every seventh predicate (3, 10, 17, ...) is never true, and so
+/// is the whole third block when there are more than three; one run in
+/// eight has no true predicate, and the rest are true at rates from 1/16
+/// to 7/16. With \p Empty no run has any posting at all.
+RunProfiles blockedProfiles(size_t NumRuns, uint32_t NumPreds, uint64_t Seed,
+                            bool Empty = false) {
+  constexpr uint32_t B = InvertedIndex::BlockPreds;
+  const uint32_t NumSites = 5;
+  RunProfiles Runs(NumSites, NumPreds);
+  Rng R(Seed);
+  for (size_t Run = 0; Run < NumRuns; ++Run) {
+    Runs.beginRun(R.nextBernoulli(0.3));
+    for (uint32_t Site = 0; Site < NumSites; ++Site)
+      if (R.nextBernoulli(0.5))
+        Runs.addSite(Site);
+    if (Empty || R.nextBernoulli(0.125))
+      continue;
+    for (uint32_t Pred = 0; Pred < NumPreds; ++Pred) {
+      const bool Never =
+          Pred % 7 == 3 || (NumPreds > 3 * B && Pred / B == 2);
+      if (!Never && R.nextBernoulli((Pred % 7 + 1) / 16.0))
+        Runs.addPred(Pred);
+    }
+  }
+  return Runs;
+}
+
+/// Every list of \p Index is strictly ascending and equals \p Expected.
+void expectLists(const InvertedIndex &Index,
+                 const std::vector<std::vector<uint32_t>> &Expected,
+                 const std::string &What) {
+  ASSERT_EQ(Index.numPredicates(), Expected.size()) << What;
+  size_t Postings = 0;
+  for (uint32_t Pred = 0; Pred < Index.numPredicates(); ++Pred) {
+    const std::vector<uint32_t> List = ids(Index.runsWhereTrue(Pred));
+    ASSERT_TRUE(std::adjacent_find(List.begin(), List.end(),
+                                   std::greater_equal<uint32_t>()) ==
+                List.end())
+        << What << ": pred " << Pred << " is not ascending";
+    ASSERT_EQ(List, Expected[Pred]) << What << ": pred " << Pred;
+    Postings += List.size();
+  }
+  EXPECT_EQ(Index.numPostings(), Postings) << What;
+}
+
+/// The counts the analysis seeds DeltaAggregates with: the index's.
+Aggregates initialCounts(const RunProfiles &Runs) {
+  return InvertedIndex::build(Runs, 1).initialAggregates();
 }
 
 /// Asserts that \p Agg matches a from-scratch recomputation under \p View
@@ -155,11 +219,87 @@ TEST(InvertedIndexTest, TransposeMatchesBruteForceAtAnyChunkCount) {
   }
 }
 
+TEST(InvertedIndexTest, BlockedTransposeMatchesBruteForce) {
+  // Predicate counts that straddle the block width, and several blocks of
+  // which one is empty, over run counts that build in one to four chunks
+  // (one worker per 4,096 runs at most), at every thread count.
+  constexpr uint32_t B = InvertedIndex::BlockPreds;
+  for (uint32_t NumPreds : {0u, 1u, B - 1, B, B + 1, 4 * B + 5}) {
+    for (size_t NumRuns : {4000u, 9000u, 13000u, 17000u}) {
+      RunProfiles Runs =
+          blockedProfiles(NumRuns, NumPreds, NumRuns + NumPreds);
+      const std::vector<std::vector<uint32_t>> Expected = transpose(Runs);
+      for (uint32_t Pred = 2 * B; NumPreds > 3 * B && Pred < 3 * B; ++Pred)
+        ASSERT_TRUE(Expected[Pred].empty()) << "the empty block is not";
+      for (size_t Threads : {0u, 1u, 2u, 3u, 8u}) {
+        InvertedIndex Index = InvertedIndex::build(Runs, Threads);
+        ASSERT_EQ(Index.numRuns(), NumRuns);
+        expectLists(Index, Expected,
+                    std::to_string(NumPreds) + " preds, " +
+                        std::to_string(NumRuns) + " runs, " +
+                        std::to_string(Threads) + " threads");
+      }
+    }
+  }
+}
+
+TEST(InvertedIndexTest, RunsWithoutPostingsBuildEmptyLists) {
+  // Every run observes sites but no predicate is ever true, so every list
+  // (and every block region) is empty, at one to four chunks.
+  for (size_t NumRuns : {0u, 4000u, 9000u, 13000u, 17000u}) {
+    RunProfiles Runs =
+        blockedProfiles(NumRuns, 2 * InvertedIndex::BlockPreds + 3, NumRuns,
+                        /*Empty=*/true);
+    for (size_t Threads : {0u, 1u, 2u, 3u, 8u}) {
+      InvertedIndex Index = InvertedIndex::build(Runs, Threads);
+      expectLists(Index, transpose(Runs),
+                  std::to_string(NumRuns) + " runs, " +
+                      std::to_string(Threads) + " threads");
+      EXPECT_EQ(Index.numPostings(), 0u);
+      EXPECT_EQ(Index.initialAggregates().numFailing() +
+                    Index.initialAggregates().numSuccessful(),
+                NumRuns);
+    }
+  }
+}
+
+TEST(InvertedIndexTest, InitialAggregatesMatchAFullScan) {
+  // The counting pass's tallies, summed over the chunks, are the counts a
+  // full scan gives: every site and every predicate under both labels,
+  // and the label totals, at every thread count and chunk count.
+  for (size_t NumRuns : {0u, 4000u, 17000u}) {
+    RunProfiles Runs =
+        blockedProfiles(NumRuns, 3 * InvertedIndex::BlockPreds + 7, NumRuns);
+    const Aggregates Full = Aggregates::compute(Runs, RunView::allOf(Runs));
+    ASSERT_TRUE(NumRuns == 0 || Full.numFailing() > 0) << "trivial fixture";
+    for (size_t Threads : {0u, 1u, 2u, 3u, 8u}) {
+      InvertedIndex Index = InvertedIndex::build(Runs, Threads);
+      const Aggregates &Agg = Index.initialAggregates();
+      const std::string What = std::to_string(NumRuns) + " runs, " +
+                               std::to_string(Threads) + " threads";
+      ASSERT_EQ(Agg.numFailing(), Full.numFailing()) << What;
+      ASSERT_EQ(Agg.numSuccessful(), Full.numSuccessful()) << What;
+      for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred) {
+        ASSERT_EQ(Agg.counts(Pred, 0u).F, Full.counts(Pred, 0u).F)
+            << What << ": pred " << Pred;
+        ASSERT_EQ(Agg.counts(Pred, 0u).S, Full.counts(Pred, 0u).S)
+            << What << ": pred " << Pred;
+      }
+      for (uint32_t Site = 0; Site < Runs.numSites(); ++Site) {
+        ASSERT_EQ(Agg.counts(0, Site).FObs, Full.counts(0, Site).FObs)
+            << What << ": site " << Site;
+        ASSERT_EQ(Agg.counts(0, Site).SObs, Full.counts(0, Site).SObs)
+            << What << ": site " << Site;
+      }
+    }
+  }
+}
+
 TEST(DeltaAggregatesTest, InitialStateMatchesFullScan) {
   SyntheticWorld World(12);
   RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 80, 11));
   RunView View = RunView::allOf(Runs);
-  DeltaAggregates Delta(Runs, View);
+  DeltaAggregates Delta(Runs, initialCounts(Runs));
   expectMatchesRecompute(World, Runs, View, Delta.aggregates());
 }
 
@@ -167,7 +307,7 @@ TEST(DeltaAggregatesTest, RemovalMatchesRecompute) {
   SyntheticWorld World(12);
   RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 80, 23));
   RunView View = RunView::allOf(Runs);
-  DeltaAggregates Delta(Runs, View);
+  DeltaAggregates Delta(Runs, initialCounts(Runs));
 
   Rng R(5);
   for (size_t Run = 0; Run < Runs.size(); ++Run) {
@@ -185,7 +325,7 @@ TEST(DeltaAggregatesTest, RelabelMatchesRecompute) {
   SyntheticWorld World(12);
   RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 80, 31));
   RunView View = RunView::allOf(Runs);
-  DeltaAggregates Delta(Runs, View);
+  DeltaAggregates Delta(Runs, initialCounts(Runs));
 
   Rng R(9);
   for (size_t Run = 0; Run < Runs.size(); ++Run) {
@@ -201,7 +341,7 @@ TEST(DeltaAggregatesTest, MixedMutationSequenceMatchesRecompute) {
   SyntheticWorld World(12);
   RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 120, 77));
   RunView View = RunView::allOf(Runs);
-  DeltaAggregates Delta(Runs, View);
+  DeltaAggregates Delta(Runs, initialCounts(Runs));
 
   Rng R(13);
   for (size_t Run = 0; Run < Runs.size(); ++Run) {
@@ -224,8 +364,8 @@ TEST(DeltaAggregatesTest, ChangeMarksNameExactlyTheChangedCounts) {
   SyntheticWorld World(12);
   RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 80, 41));
   RunView View = RunView::allOf(Runs);
-  EXPECT_EQ(DeltaAggregates(Runs, View).changes(), nullptr);
-  DeltaAggregates Delta(Runs, View, /*TrackChanges=*/true);
+  EXPECT_EQ(DeltaAggregates(Runs, initialCounts(Runs)).changes(), nullptr);
+  DeltaAggregates Delta(Runs, initialCounts(Runs), /*TrackChanges=*/true);
   ASSERT_NE(Delta.changes(), nullptr);
 
   Rng R(17);

@@ -63,9 +63,11 @@
 #include "support/StringUtils.h"
 #include "support/Thermometer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -89,6 +91,8 @@ struct CliArgs {
   std::string MetricsOut;
   std::string TraceOut;
   std::vector<std::string> Inputs; // Positional args (corpus merge dirs).
+  /// Every flag given, by name: "--runs=40" is "runs".
+  std::vector<std::string> Given;
   size_t Runs = 4000;
   uint64_t Seed = 20050612;
   size_t Top = 20;
@@ -168,6 +172,8 @@ bool parseArgs(int Argc, char **Argv, CliArgs &Args) {
   Args.Command = Argv[1];
   for (int I = 2; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
+    if (startsWith(Arg, "--"))
+      Args.Given.emplace_back(Arg.substr(2, Arg.find('=') - 2));
     auto valueOf = [&](std::string_view Prefix,
                        std::string &Out) {
       if (Arg.substr(0, Prefix.size()) != Prefix)
@@ -275,6 +281,40 @@ bool parseArgs(int Argc, char **Argv, CliArgs &Args) {
     }
   }
   return true;
+}
+
+/// The flags a campaign reads (configureCampaign). A verb given --in=DIR
+/// reads its runs from the corpus there and runs no campaign.
+constexpr std::string_view CampaignFlags[] = {
+    "runs", "seed", "sampling", "engine", "progress", "static-prune"};
+
+/// Whether \p Verb reads every flag given: those in \p Reads, main()'s
+/// --metrics-out and --trace-out, and the campaign's when \p Campaign.
+/// Otherwise says which flags it does not take.
+bool takesOnly(const CliArgs &Args, const std::string &Verb,
+               std::initializer_list<std::string_view> Reads,
+               bool Campaign = false) {
+  auto reads = [&](std::string_view Flag) {
+    auto In = [&](const auto &Names) {
+      return std::find(std::begin(Names), std::end(Names), Flag) !=
+             std::end(Names);
+    };
+    return Flag == "metrics-out" || Flag == "trace-out" || In(Reads) ||
+           (Campaign && In(CampaignFlags));
+  };
+  bool Ok = true;
+  for (const std::string &Flag : Args.Given) {
+    if (reads(Flag))
+      continue;
+    std::fprintf(stderr, "sbi: %s does not take --%s\n", Verb.c_str(),
+                 Flag.c_str());
+    Ok = false;
+  }
+  if (!Ok && !Args.InFile.empty())
+    std::fprintf(stderr, "sbi: with --in, %s reads the runs from the corpus "
+                         "and runs no campaign\n",
+                 Verb.c_str());
+  return Ok;
 }
 
 /// The subject --subject names, or null after saying it does not exist.
@@ -424,6 +464,9 @@ bool loadPopulation(const CliArgs &Args, Population &Out,
 /// The one write path: the campaign's workers spill their reports straight
 /// into the corpus at --out; no ReportSet is ever materialized.
 int cmdRun(const CliArgs &Args) {
+  if (!takesOnly(Args, "run", {"subject", "out", "shard-reports", "threads"},
+                 /*Campaign=*/true))
+    return usage();
   const Subject *Subj = subjectOf(Args);
   if (!Subj)
     return 1;
@@ -483,6 +526,11 @@ bool configureAnalysis(const CliArgs &Args, AnalysisOptions &Options) {
 }
 
 int cmdAnalyze(const CliArgs &Args) {
+  if (!takesOnly(Args, "analyze",
+                 {"subject", "in", "threads", "static-prune", "policy",
+                  "analysis-engine", "top", "affinity", "bugs", "trace"},
+                 Args.InFile.empty()))
+    return usage();
   AnalysisOptions Options;
   if (!configureAnalysis(Args, Options))
     return usage();
@@ -543,6 +591,9 @@ int cmdAnalyze(const CliArgs &Args) {
 }
 
 int cmdLogReg(const CliArgs &Args) {
+  if (!takesOnly(Args, "logreg", {"subject", "in", "threads", "top"},
+                 Args.InFile.empty()))
+    return usage();
   Population Pop;
   if (!loadPopulation(Args, Pop))
     return 1;
@@ -559,6 +610,11 @@ int cmdLogReg(const CliArgs &Args) {
 }
 
 int cmdReport(const CliArgs &Args) {
+  if (!takesOnly(Args, "report",
+                 {"subject", "in", "threads", "policy", "analysis-engine",
+                  "out", "top", "bugs"},
+                 Args.InFile.empty()))
+    return usage();
   AnalysisOptions AnalyzeOptions;
   if (!configureAnalysis(Args, AnalyzeOptions))
     return usage();
@@ -590,6 +646,8 @@ int cmdReport(const CliArgs &Args) {
 
 /// `sbi corpus info DIR`: per-shard and whole-corpus summary.
 int cmdCorpusInfo(const CliArgs &Args) {
+  if (!takesOnly(Args, "corpus info", {}))
+    return usage();
   if (Args.Inputs.empty()) {
     std::fprintf(stderr, "sbi: corpus info needs a corpus directory\n");
     return usage();
@@ -606,7 +664,8 @@ int cmdCorpusInfo(const CliArgs &Args) {
     CorpusReader Reader;
     std::string Error;
     if (!Reader.open(Path, Error)) {
-      std::fprintf(stderr, "sbi: %s: %s\n", Path.c_str(), Error.c_str());
+      // The reader's error names the shard.
+      std::fprintf(stderr, "sbi: %s\n", Error.c_str());
       return 1;
     }
     const CorpusShardHeader &Header = Reader.header();
@@ -631,6 +690,8 @@ int cmdCorpusInfo(const CliArgs &Args) {
 /// replaces any corpus already at DIR. Memory stays bounded by one shard;
 /// dimensions must agree throughout.
 int cmdCorpusMerge(const CliArgs &Args) {
+  if (!takesOnly(Args, "corpus merge", {"out", "shard-reports"}))
+    return usage();
   if (Args.OutFile.empty() || Args.Inputs.empty()) {
     std::fprintf(stderr,
                  "sbi: corpus merge needs --out=DIR and at least one input "
@@ -674,7 +735,7 @@ int cmdCorpusMerge(const CliArgs &Args) {
     for (const std::string &Path : Shards) {
       CorpusReader Reader;
       if (!Reader.open(Path, Error)) {
-        std::fprintf(stderr, "sbi: %s: %s\n", Path.c_str(), Error.c_str());
+        std::fprintf(stderr, "sbi: %s\n", Error.c_str());
         return 1;
       }
       const CorpusShardHeader &Header = Reader.header();
@@ -735,6 +796,8 @@ int cmdCorpusMerge(const CliArgs &Args) {
 /// `sbi corpus validate DIR`: full decode of every record of every shard;
 /// malformed input is reported, never crashes.
 int cmdCorpusValidate(const CliArgs &Args) {
+  if (!takesOnly(Args, "corpus validate", {}))
+    return usage();
   if (Args.Inputs.empty()) {
     std::fprintf(stderr, "sbi: corpus validate needs a corpus directory\n");
     return usage();
@@ -750,8 +813,8 @@ int cmdCorpusValidate(const CliArgs &Args) {
     CorpusReader Reader;
     std::string Error;
     if (!Reader.open(Path, Error)) {
-      std::fprintf(stderr, "sbi: %s: INVALID: %s\n", Path.c_str(),
-                   Error.c_str());
+      // The reader's error names the shard; a record error below does not.
+      std::fprintf(stderr, "sbi: INVALID: %s\n", Error.c_str());
       return 1;
     }
     FeedbackReport Report;
@@ -775,6 +838,8 @@ int cmdCorpusValidate(const CliArgs &Args) {
 /// or (default) every subject. Output is deterministic, so CI pins golden
 /// per-subject finding counts against the trailing summary lines.
 int cmdLint(const CliArgs &Args) {
+  if (!takesOnly(Args, "lint", {"subject", "json"}))
+    return usage();
   std::vector<const Subject *> Subjects;
   if (!Args.SubjectName.empty()) {
     const Subject *Subj = subjectOf(Args);
@@ -810,6 +875,8 @@ int cmdLint(const CliArgs &Args) {
 /// `sbi trace summarize --in=FILE [--top=K] [--json]`: self-time summary
 /// of a Chrome trace_event file produced by --trace-out.
 int cmdTraceSummarize(const CliArgs &Args) {
+  if (!takesOnly(Args, "trace summarize", {"in", "top", "json"}))
+    return usage();
   if (Args.InFile.empty()) {
     std::fprintf(stderr, "sbi: trace summarize needs --in=FILE\n");
     return usage();
@@ -857,7 +924,7 @@ int cmdCorpus(const CliArgs &Args) {
 
 int dispatch(const CliArgs &Args) {
   if (Args.Command == "subjects")
-    return cmdSubjects();
+    return takesOnly(Args, "subjects", {}) ? cmdSubjects() : usage();
   if (Args.Command == "run")
     return cmdRun(Args);
   if (Args.Command == "analyze")
