@@ -98,3 +98,23 @@ Aggregates ChunkTallies::total() const {
   }
   return Agg;
 }
+
+std::vector<IdRange> sbi::siteAlignedSlices(const SiteTable &Sites,
+                                            uint32_t MinPreds) {
+  const uint32_t NumPreds = Sites.numPredicates();
+  const uint32_t NumSites = Sites.numSites();
+  std::vector<IdRange> Slices;
+  IdRange Open = IdRange::all(NumSites, NumPreds);
+  for (uint32_t Site = 0; Site < NumSites; ++Site) {
+    const uint32_t Cut = Sites.site(Site).FirstPredicate;
+    if (Cut - Open.PredBegin < MinPreds ||
+        2 * uint64_t(NumPreds - Cut) < MinPreds)
+      continue;
+    Open.PredEnd = Cut;
+    Open.SiteEnd = Site;
+    Slices.push_back(Open);
+    Open = {Cut, NumPreds, Site, NumSites};
+  }
+  Slices.push_back(Open);
+  return Slices;
+}

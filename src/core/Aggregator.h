@@ -133,13 +133,48 @@ private:
   std::vector<Chunk> Chunks;
 };
 
-/// The sites and predicates whose counts changed since the last clear():
-/// one byte per id, over the id space of the bitset engine's transposed
-/// rows, predicates [0, P) then sites [P, P + S). The live engines
-/// (DeltaAggregates, BitsetState) mark every count they change, so the
-/// elimination loop re-derives the scores of only those candidates whose
-/// own mark or whose site's mark is set. Marking is a plain byte store,
-/// with no read of the word it lands in.
+/// A slice of the counts: predicates [PredBegin, PredEnd) and sites
+/// [SiteBegin, SiteEnd). The elimination loop cuts the id space into
+/// site-aligned slices (siteAlignedSlices), so a slice holds every site
+/// of its predicates, and whoever owns a slice owns every count and every
+/// change mark its candidates read.
+struct IdRange {
+  uint32_t PredBegin = 0;
+  uint32_t PredEnd = 0;
+  uint32_t SiteBegin = 0;
+  uint32_t SiteEnd = 0;
+
+  /// Every predicate and every site.
+  static IdRange all(uint32_t NumSites, uint32_t NumPredicates) {
+    return {0, NumPredicates, 0, NumSites};
+  }
+  /// From this slice's start to \p Last's end; \p Last must follow it.
+  IdRange through(const IdRange &Last) const {
+    return {PredBegin, Last.PredEnd, SiteBegin, Last.SiteEnd};
+  }
+};
+
+/// Cuts [0, numPredicates) at site boundaries into slices of at least
+/// \p MinPreds (> 0) predicates each: a slice ends at the first site that
+/// starts MinPreds or more predicates after its own start. A remainder of
+/// fewer than MinPreds / 2 predicates joins the last slice. Each slice
+/// takes the sites from its first predicate's up to the next slice's, so
+/// the slices partition the sites too, sites without predicates included.
+/// A site's predicates are contiguous (SiteInfo::FirstPredicate), so every
+/// site lies in the slice that holds its predicates. The cut depends on
+/// the site table alone. Returns at least one slice.
+std::vector<IdRange> siteAlignedSlices(const SiteTable &Sites,
+                                       uint32_t MinPreds);
+
+/// The sites and predicates whose counts changed since they were last
+/// cleared: one byte per id, over the id space of the bitset engine's
+/// transposed rows, predicates [0, P) then sites [P, P + S). The live
+/// engines (DeltaAggregates, BitsetState) mark every count they change, so
+/// the elimination loop re-derives the scores of only those candidates
+/// whose own mark or whose site's mark is set. Marking is a plain byte
+/// store, with no read of the word it lands in. The bytes of disjoint
+/// slices are disjoint, so workers that own disjoint slices mark, read and
+/// clear them without synchronizing.
 class ChangeMarks {
 public:
   ChangeMarks(uint32_t NumSites, uint32_t NumPredicates)
@@ -155,7 +190,13 @@ public:
     return (Marked[Pred] | Marked[size_t(NumPreds) + Site]) != 0;
   }
 
-  void clear() { std::fill(Marked.begin(), Marked.end(), 0); }
+  /// Clears the marks of the predicates and sites in \p Range.
+  void clear(const IdRange &Range) {
+    std::fill(Marked.begin() + Range.PredBegin,
+              Marked.begin() + Range.PredEnd, 0);
+    std::fill(Marked.begin() + NumPreds + Range.SiteBegin,
+              Marked.begin() + NumPreds + Range.SiteEnd, 0);
+  }
 
 private:
   uint32_t NumPreds;

@@ -5,6 +5,7 @@
 #include "core/BitMatrix.h"
 #include "core/InvertedIndex.h"
 #include "obs/Tracer.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <bit>
@@ -145,26 +146,59 @@ rankAggregated(const Aggregates &Agg, const SiteTable &Sites,
   return Ranked;
 }
 
-/// Affinity drops as (predicate, Importance drop) pairs.
-using DropList = std::vector<std::pair<uint32_t, double>>;
+/// An affinity entry: (predicate, Importance drop).
+using Drop = std::pair<uint32_t, double>;
 
-/// Keeps the \p TopK (> 0) largest drops, largest first with the
-/// predicate id as tiebreak — a total order, so every engine keeps the
-/// same entries in the same order.
-void keepTopDrops(DropList &Drops, int TopK) {
-  const size_t Keep = std::min(Drops.size(), static_cast<size_t>(TopK));
-  std::partial_sort(Drops.begin(), Drops.begin() + Keep, Drops.end(),
-                    [](const auto &A, const auto &B) {
-                      if (A.second != B.second)
-                        return A.second > B.second;
-                      return A.first < B.first;
-                    });
-  Drops.resize(Keep);
+/// The order affinity lists keep: the larger drop first, then the smaller
+/// predicate id. A total order, so every engine keeps the same entries in
+/// the same order, whatever order it offers them in.
+bool dropBefore(const Drop &A, const Drop &B) {
+  if (A.second != B.second)
+    return A.second > B.second;
+  return A.first < B.first;
+}
+
+/// The first K drops offered to it under dropBefore, in a heap whose
+/// storage is reserved up front, so offering never allocates.
+class TopDrops {
+public:
+  explicit TopDrops(size_t K) : K(K) { Heap.reserve(K); }
+
+  void offer(uint32_t Pred, double Amount) {
+    const Drop Entry(Pred, Amount);
+    if (Heap.size() < K) {
+      Heap.push_back(Entry);
+      std::push_heap(Heap.begin(), Heap.end(), dropBefore);
+    } else if (K > 0 && dropBefore(Entry, Heap.front())) {
+      // The front is the last entry kept; the new one goes before it.
+      std::pop_heap(Heap.begin(), Heap.end(), dropBefore);
+      Heap.back() = Entry;
+      std::push_heap(Heap.begin(), Heap.end(), dropBefore);
+    }
+  }
+
+  void clear() { Heap.clear(); }
+
+  /// The kept entries, in no particular order.
+  const std::vector<Drop> &entries() const { return Heap; }
+
+private:
+  size_t K;
+  std::vector<Drop> Heap;
+};
+
+/// The first \p K of \p Pool under dropBefore, in order, in a list that
+/// holds no more than it keeps. Reorders \p Pool.
+std::vector<Drop> keepFirst(std::vector<Drop> &Pool, size_t K) {
+  const size_t Keep = std::min(Pool.size(), K);
+  std::partial_sort(Pool.begin(), Pool.begin() + Keep, Pool.end(),
+                    dropBefore);
+  return std::vector<Drop>(Pool.begin(), Pool.begin() + Keep);
 }
 
 /// What one scoring pass did, in candidates: scored from their counts, or
 /// skipped because their bound could not reach the best; and the positive
-/// affinity drops it collected.
+/// affinity drops it found.
 struct PassWork {
   uint64_t Rescored = 0;
   uint64_t BoundSkipped = 0;
@@ -185,13 +219,24 @@ struct BestCandidate {
   uint32_t Pred = 0;
   uint32_t F = 0;
   double Importance = 0.0;
+
+  /// Does (\p Importance, \p F, \p Pred) come before this entry under
+  /// (Importance desc, F desc, id asc)?
+  bool beatenBy(double Importance, uint32_t F, uint32_t Pred) const {
+    if (!Found)
+      return true;
+    if (Importance != this->Importance)
+      return Importance > this->Importance;
+    return F != this->F ? F > this->F : Pred < this->Pred;
+  }
 };
 
 /// The live engines' candidates in id order, each with what its last
-/// scoring left behind. Increase = failure() - context() and F are exact
-/// for the current counts until a change mark says the counts moved; Key
-/// is Importance x log NumF at the candidate's last evaluation, rounded
-/// up to a float (still a bound, in half the bytes).
+/// scoring left behind, cut into the elimination's site-aligned slices.
+/// Increase = failure() - context() and F are exact for the current
+/// counts until a change mark says the counts moved; Key is Importance x
+/// log NumF at the candidate's last evaluation, rounded up to a float
+/// (still a bound, in half the bytes).
 ///
 /// With Increase and F fixed, Importance can only rise as log NumF falls
 /// (PredicateScores::importanceOf), and by no more than in proportion:
@@ -202,10 +247,17 @@ struct BestCandidate {
 /// score a pass does compute comes from the same operations on the same
 /// integers as a fresh ranking's, which keeps the live engines
 /// bit-identical to rank().
+///
+/// Each slice keeps its own best, work counts and top-K drops, and a pass
+/// over one slice reads and writes only that slice's rows and state, and
+/// only the counts and marks of its id range. Workers that own disjoint
+/// slices therefore pass them concurrently, and what a slice computes
+/// does not depend on which worker passed it.
 class CandidateTable {
 public:
   CandidateTable(const std::vector<uint32_t> &Preds, const SiteTable &Sites,
-                 const Aggregates &Agg) {
+                 const Aggregates &Agg, const std::vector<IdRange> &Slices,
+                 size_t TopK) {
     Rows.reserve(Preds.size());
     uint64_t MaxF = 0;
     for (uint32_t Pred : Preds) {
@@ -219,39 +271,54 @@ public:
     LogF.resize(MaxF + 1, 0.0);
     for (uint64_t K = 1; K <= MaxF; ++K)
       LogF[K] = std::log(static_cast<double>(K));
+    auto rowOf = [&](uint32_t Pred) {
+      return static_cast<size_t>(
+          std::lower_bound(Preds.begin(), Preds.end(), Pred) - Preds.begin());
+    };
+    this->Slices.reserve(Slices.size());
+    for (const IdRange &Slice : Slices)
+      this->Slices.push_back({rowOf(Slice.PredBegin), rowOf(Slice.PredEnd),
+                              {}, {}, TopDrops(TopK)});
   }
 
-  /// One scoring pass in id order over a population with log NumF =
-  /// \p LogNow, reached from one with log NumF = \p LogBefore by a
-  /// discard that changed the counts \p Marks names; a null \p Marks
+  /// One scoring pass in id order over slice \p S, in a population with
+  /// log NumF = \p LogNow, reached from one with log NumF = \p LogBefore
+  /// by a discard that changed the counts \p Marks names; a null \p Marks
   /// means every row may have changed. Re-derives every marked row from
   /// \p Agg, scores the unmarked rows whose bound could still reach the
-  /// best from their cache, and returns the best. With \p Drops, appends
-  /// the positive Importance drops of every predicate but \p Selected.
-  BestCandidate pass(const Aggregates &Agg, const ChangeMarks *Marks,
-                     double LogBefore, double LogNow, uint32_t Selected,
-                     DropList *Drops, PassWork &Work) {
+  /// slice's best from their cache, and keeps the slice's best. With
+  /// \p WantDrops, offers the positive Importance drops of every predicate
+  /// but \p Selected to the slice's top K.
+  void pass(size_t S, const Aggregates &Agg, const ChangeMarks *Marks,
+            double LogBefore, double LogNow, uint32_t Selected,
+            bool WantDrops) {
     // Rounding slack of the bound: far above the few ulps its operations
     // can err by, far below any gap between two real Importance values.
     constexpr double Slack = 1.0 + 1e-9;
+    SliceState &Slice = Slices[S];
+    Slice.Drops.clear();
     BestCandidate Best;
+    PassWork Work;
     double Threshold = 0.0; // Best.Importance * LogNow.
-    for (CandidateRow &Row : Rows) {
+    for (size_t I = Slice.RowBegin; I < Slice.RowEnd; ++I) {
+      CandidateRow &Row = Rows[I];
       double Now;
       if (!Marks || Marks->changed(Row.Pred, Row.Site)) {
         // The cache still holds the counts before the discard, so the
         // Importance before it is recomputed, not stored.
         const double Before =
-            Drops ? PredicateScores::importanceOf(Row.Increase, LogF[Row.F],
-                                                  LogBefore)
-                  : 0.0;
+            WantDrops ? PredicateScores::importanceOf(Row.Increase,
+                                                      LogF[Row.F], LogBefore)
+                      : 0.0;
         const PredicateScores Scores(Agg.counts(Row.Pred, Row.Site));
         Row.Increase = Scores.failure() - Scores.context();
         Row.F = static_cast<uint32_t>(Scores.counts().F);
         Now = PredicateScores::importanceOf(Row.Increase, LogF[Row.F],
                                             LogNow);
-        if (Drops && Before - Now > 0.0 && Row.Pred != Selected)
-          Drops->emplace_back(Row.Pred, Before - Now);
+        if (WantDrops && Before - Now > 0.0 && Row.Pred != Selected) {
+          Slice.Drops.offer(Row.Pred, Before - Now);
+          ++Work.AffinityDrops;
+        }
       } else if (Row.Key * Slack < Threshold) {
         // Unmarked: its Importance did not fall, so it has no drop either.
         ++Work.BoundSkipped;
@@ -262,20 +329,44 @@ public:
       }
       ++Work.Rescored;
       Row.Key = roundedUp(Now * LogNow);
-      // The (Importance desc, F desc, id asc) maximum. A candidate that
-      // could tie the best is never skipped above, so ties break exactly
-      // as in a full sort.
-      if (Now > 0.0 &&
-          (!Best.Found || Now > Best.Importance ||
-           (Now == Best.Importance &&
-            (Row.F > Best.F || (Row.F == Best.F && Row.Pred < Best.Pred))))) {
+      // The slice's (Importance desc, F desc, id asc) maximum. A candidate
+      // that could tie the best is never skipped above, so ties break
+      // exactly as in a full sort.
+      if (Now > 0.0 && Best.beatenBy(Now, Row.F, Row.Pred)) {
         Best = {true, Row.Pred, Row.F, Now};
         Threshold = Now * LogNow;
       }
     }
-    if (Drops)
-      Work.AffinityDrops += Drops->size();
+    Slice.Best = Best;
+    Slice.Work = Work;
+  }
+
+  /// The best of the last pass over every slice: the maximum of the
+  /// slices' maxima, under the same total order.
+  BestCandidate best() const {
+    BestCandidate Best;
+    for (const SliceState &Slice : Slices)
+      if (Slice.Best.Found &&
+          Best.beatenBy(Slice.Best.Importance, Slice.Best.F, Slice.Best.Pred))
+        Best = Slice.Best;
     return Best;
+  }
+
+  /// The work of the last pass over every slice.
+  PassWork work() const {
+    PassWork Work;
+    for (const SliceState &Slice : Slices)
+      Work += Slice.Work;
+    return Work;
+  }
+
+  /// Appends every slice's kept drops from the last pass to \p Pool. The
+  /// first K of them under dropBefore are the first K of every drop the
+  /// pass found: each slice kept its own first K.
+  void collectDrops(std::vector<Drop> &Pool) const {
+    for (const SliceState &Slice : Slices)
+      Pool.insert(Pool.end(), Slice.Drops.entries().begin(),
+                  Slice.Drops.entries().end());
   }
 
 private:
@@ -289,6 +380,15 @@ private:
     double Increase;
   };
 
+  /// One slice's rows [RowBegin, RowEnd) and what its last pass found.
+  struct SliceState {
+    size_t RowBegin;
+    size_t RowEnd;
+    BestCandidate Best;
+    PassWork Work;
+    TopDrops Drops;
+  };
+
   /// The least float >= \p Key (>= 0): the next representation up when
   /// the conversion rounded down.
   static float roundedUp(double Key) {
@@ -299,9 +399,35 @@ private:
   }
 
   std::vector<CandidateRow> Rows;
+  std::vector<SliceState> Slices;
   /// LogF[K] = log(K) for every F a candidate can reach.
   std::vector<double> LogF;
 };
+
+/// The incremental engine's half of a discard under \p Policy, made on
+/// the calling thread: walks only the selected predicate's posting list
+/// \p Covered, takes each run the policy discards (or relabels) out of
+/// \p View and out of \p Delta's run totals, and lists it with its label
+/// in \p Changes, for the slices to apply to their counts. Returns the
+/// number of runs listed, identical to applyPolicy's count.
+uint64_t listDiscards(DiscardPolicy Policy, IdSpan Covered, RunView &View,
+                      DeltaAggregates &Delta,
+                      std::vector<DeltaAggregates::RunChange> &Changes) {
+  const bool FailingOnly = Policy != DiscardPolicy::DiscardAllRuns;
+  const bool Relabel = Policy == DiscardPolicy::RelabelFailingRuns;
+  Changes.clear();
+  for (uint32_t Run : Covered) {
+    if (!View.Active[Run] || (FailingOnly && !View.Failed[Run]))
+      continue;
+    Changes.push_back({Run, View.Failed[Run] != 0});
+    if (Relabel)
+      View.Failed[Run] = 0;
+    else
+      View.Active[Run] = 0;
+  }
+  Delta.applyTotals(Changes, Relabel);
+  return Changes.size();
+}
 
 } // namespace
 
@@ -362,38 +488,6 @@ uint64_t CauseIsolator::applyPolicyBitset(uint32_t Pred,
     return State.relabelFailingRuns(Pred);
   }
   return 0;
-}
-
-uint64_t CauseIsolator::applyPolicyIncremental(RunView &View, uint32_t Pred,
-                                               const InvertedIndex &Index,
-                                               DeltaAggregates &Delta) const {
-  uint64_t Touched = 0;
-  for (uint32_t Run : Index.runsWhereTrue(Pred)) {
-    if (!View.Active[Run])
-      continue;
-    switch (Options.Policy) {
-    case DiscardPolicy::DiscardAllRuns:
-      View.Active[Run] = 0;
-      Delta.removeRun(Run, View.Failed[Run]);
-      ++Touched;
-      break;
-    case DiscardPolicy::DiscardFailingRuns:
-      if (View.Failed[Run]) {
-        View.Active[Run] = 0;
-        Delta.removeRun(Run, /*Failed=*/true);
-        ++Touched;
-      }
-      break;
-    case DiscardPolicy::RelabelFailingRuns:
-      if (View.Failed[Run]) {
-        View.Failed[Run] = 0;
-        Delta.relabelRunAsSuccess(Run);
-        ++Touched;
-      }
-      break;
-    }
-  }
-  return Touched;
 }
 
 std::vector<uint32_t>
@@ -521,47 +615,81 @@ AnalysisResult CauseIsolator::run() const {
   ScopedSpan EliminationSpan("elimination", "analysis");
 
   // The live engines' current counts: delta-maintained or popcount-
-  // maintained, always exactly what a fresh full scan would produce.
-  auto liveAgg = [&]() -> const Aggregates & {
-    return Bitset ? BState->aggregates() : Delta->aggregates();
-  };
-  // The counts the last discard changed (null: untracked, so any), and
-  // the reset after each pass.
-  auto liveChanges = [&] {
-    return Bitset ? BState->changes() : Delta->changes();
-  };
-  auto clearChanges = [&] {
-    if (Bitset)
-      BState->clearChanges();
-    else
-      Delta->clearChanges();
-  };
+  // maintained, always exactly what a fresh full scan would produce. The
+  // counts the last discard changed (null: untracked, so any).
+  const Aggregates *LiveAgg = nullptr;
+  const ChangeMarks *LiveMarks = nullptr;
+  if (Live) {
+    LiveAgg = Bitset ? &BState->aggregates() : &Delta->aggregates();
+    LiveMarks = Bitset ? BState->changes() : Delta->changes();
+  }
+
+  // A cap of zero or less keeps no affinity entries, so none are collected.
+  const bool WantDrops = Options.ComputeAffinity && Options.AffinityTopK > 0;
+  const size_t TopK = WantDrops ? static_cast<size_t>(Options.AffinityTopK)
+                                : 0;
+  const bool Relabel = Options.Policy == DiscardPolicy::RelabelFailingRuns;
 
   // Rescan engine: the paper-literal fully sorted ranking, rebuilt from a
   // full aggregation pass per iteration. Live engines: the candidate table,
-  // whose one pass per iteration re-derives what the discard changed and
-  // bounds the rest.
+  // cut into site-aligned slices, whose one round per iteration applies
+  // the discard to each slice's counts (incremental), re-derives what the
+  // discard changed and bounds the rest. A slice owns every count and mark
+  // its rows read, so a team of workers takes contiguous groups of slices
+  // with no synchronization inside a round.
   std::vector<RankedPredicate> Ranked;
+  TopDrops RescanDrops(Live ? 0 : TopK);
+  std::vector<IdRange> Slices;
   std::optional<CandidateTable> Table;
+  std::optional<WorkerTeam> Team;
+  // Worker W takes slices [Groups[W], Groups[W + 1]).
+  std::vector<size_t> Groups;
+  // The runs the incremental engine's last discard took, with labels.
+  std::vector<DeltaAggregates::RunChange> Changes;
+  std::vector<Drop> DropPool;
   BestCandidate Best;
   double LogNumF = 0.0;
   // Counted on every run, flushed to the metrics registry only when
   // telemetry is on.
   PassWork Work;
   size_t NumCandidates = Candidates.size();
+
+  // One round: each worker applies the listed discard to its slices'
+  // counts (incremental engine), passes each of its slices, and clears its
+  // slices' marks. Returns the merged work; Best becomes the merged best.
+  auto round = [&](const ChangeMarks *Marks, double LogBefore,
+                   uint32_t Selected, bool Drops) {
+    Team->run([&](size_t W) {
+      const IdRange Range =
+          Slices[Groups[W]].through(Slices[Groups[W + 1] - 1]);
+      if (Incremental && !Changes.empty())
+        Delta->apply(Changes, Relabel, Range);
+      for (size_t S = Groups[W]; S < Groups[W + 1]; ++S)
+        Table->pass(S, *LiveAgg, Marks, LogBefore, LogNumF, Selected, Drops);
+      if (Bitset)
+        BState->clearChanges(Range);
+      else
+        Delta->clearChanges(Range);
+    });
+    Best = Table->best();
+    return Table->work();
+  };
+
   if (Live) {
-    Table.emplace(Candidates, Sites, liveAgg());
+    Slices = siteAlignedSlices(Sites, SlicePreds);
+    Table.emplace(Candidates, Sites, *LiveAgg, Slices, TopK);
     std::vector<uint32_t>().swap(Candidates); // The table holds them now.
-    LogNumF = PredicateScores::logNumFailing(liveAgg().numFailing());
-    Best = Table->pass(liveAgg(), /*Marks=*/nullptr, LogNumF, LogNumF,
-                       /*Selected=*/0, /*Drops=*/nullptr, Work);
+    Team.emplace(resolveThreadCount(Options.IndexThreads, Slices.size()));
+    for (size_t W = 0; W <= Team->size(); ++W)
+      Groups.push_back(Slices.size() * W / Team->size());
+    DropPool.reserve(Slices.size() * TopK);
+    LogNumF = PredicateScores::logNumFailing(LiveAgg->numFailing());
+    Work = round(/*Marks=*/nullptr, LogNumF, /*Selected=*/0, /*Drops=*/false);
   } else {
     Ranked = rank(Candidates, View);
     Work.Rescored = Candidates.size();
   }
   EliminationSpan.arg("rescored", Work.Rescored);
-  // A cap of zero or less keeps no affinity entries, so none are collected.
-  const bool WantDrops = Options.ComputeAffinity && Options.AffinityTopK > 0;
 
   for (int Iteration = 0; Iteration < Options.MaxSelections; ++Iteration) {
     // One span per elimination iteration, shared by all three engines:
@@ -570,11 +698,11 @@ AnalysisResult CauseIsolator::run() const {
     IterSpan.arg("candidates", NumCandidates);
     // Under relabeling every run stays active, so active = F + S in every
     // engine; the live counts give the totals without a view scan.
-    uint64_t ActiveRuns = Live ? liveAgg().numFailing() +
-                                     liveAgg().numSuccessful()
+    uint64_t ActiveRuns = Live ? LiveAgg->numFailing() +
+                                     LiveAgg->numSuccessful()
                                : View.numActive();
     uint64_t FailingRuns =
-        Live ? liveAgg().numFailing() : View.numActiveFailing();
+        Live ? LiveAgg->numFailing() : View.numActiveFailing();
     IterSpan.arg("active_runs", ActiveRuns);
     if (NumCandidates == 0 || FailingRuns == 0)
       break;
@@ -593,7 +721,7 @@ AnalysisResult CauseIsolator::run() const {
       if (!Best.Found)
         break;
       Selected.Pred = Best.Pred;
-      Selected.EffectiveScores = liveAgg().scores(Best.Pred, Sites);
+      Selected.EffectiveScores = LiveAgg->scores(Best.Pred, Sites);
       Selected.EffectiveImportance = Best.Importance;
     } else {
       const RankedPredicate *Top = nullptr;
@@ -613,11 +741,14 @@ AnalysisResult CauseIsolator::run() const {
     Selected.ActiveRunsAtSelection = ActiveRuns;
     Selected.FailingRunsAtSelection = FailingRuns;
 
+    // The incremental engine only lists the discarded runs here; the
+    // round below applies them to the counts, slice by slice.
     uint64_t RunsDiscarded =
-        Bitset        ? applyPolicyBitset(Selected.Pred, *BState)
-        : Incremental ? applyPolicyIncremental(View, Selected.Pred, *Index,
-                                               *Delta)
-                      : applyPolicy(View, Selected.Pred);
+        Bitset ? applyPolicyBitset(Selected.Pred, *BState)
+        : Incremental
+            ? listDiscards(Options.Policy, Index->runsWhereTrue(Selected.Pred),
+                           View, *Delta, Changes)
+            : applyPolicy(View, Selected.Pred);
     // The live table keeps the selected row: every policy took its F(P) to
     // 0, so it can never score again.
     --NumCandidates;
@@ -643,18 +774,18 @@ AnalysisResult CauseIsolator::run() const {
     // Affinity(P -> Q): how much Q's Importance fell when P's runs were
     // removed. Large drops indicate Q predicts (a subset of) P's bug.
     PassWork Pass;
-    DropList Drops;
+    DropPool.clear();
     if (Live) {
       // The selection had F(P) >= 2 and the policy took those failing
       // runs, so log NumF fell and no unmarked candidate lost Importance.
       // The one exception: once NumF <= 1 every Importance is 0, and one
       // pass over every row collects the drops and finds no best.
       const double LogBefore = LogNumF;
-      LogNumF = PredicateScores::logNumFailing(liveAgg().numFailing());
-      Best = Table->pass(liveAgg(), LogNumF > 0.0 ? liveChanges() : nullptr,
-                         LogBefore, LogNumF, Selected.Pred,
-                         WantDrops ? &Drops : nullptr, Pass);
-      clearChanges();
+      LogNumF = PredicateScores::logNumFailing(LiveAgg->numFailing());
+      Pass = round(LogNumF > 0.0 ? LiveMarks : nullptr, LogBefore,
+                   Selected.Pred, WantDrops);
+      if (WantDrops)
+        Table->collectDrops(DropPool);
     } else {
       std::vector<RankedPredicate> NextRanked = rank(Candidates, View);
       Pass.Rescored = Candidates.size();
@@ -664,22 +795,23 @@ AnalysisResult CauseIsolator::run() const {
         for (const RankedPredicate &Entry : NextRanked)
           After.emplace(Entry.Pred, Entry.Importance);
 
+        RescanDrops.clear();
         for (const RankedPredicate &Entry : Ranked) {
           auto It = After.find(Entry.Pred);
           if (It == After.end())
             continue;
           double Drop = Entry.Importance - It->second;
-          if (Drop > 0.0)
-            Drops.emplace_back(Entry.Pred, Drop);
+          if (Drop > 0.0) {
+            RescanDrops.offer(Entry.Pred, Drop);
+            ++Pass.AffinityDrops;
+          }
         }
-        Pass.AffinityDrops = Drops.size();
+        DropPool = RescanDrops.entries();
       }
       Ranked = std::move(NextRanked);
     }
-    if (WantDrops) {
-      keepTopDrops(Drops, Options.AffinityTopK);
-      Selected.Affinity = std::move(Drops);
-    }
+    if (WantDrops)
+      Selected.Affinity = keepFirst(DropPool, TopK);
     IterSpan.arg("rescored", Pass.Rescored);
     IterSpan.arg("bound_skipped", Pass.BoundSkipped);
     IterSpan.arg("affinity_drops", Pass.AffinityDrops);

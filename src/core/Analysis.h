@@ -38,7 +38,6 @@
 namespace sbi {
 
 class InvertedIndex;
-class DeltaAggregates;
 class BitsetIndex;
 class BitsetState;
 
@@ -71,9 +70,14 @@ struct AnalysisOptions {
   /// less keeps none.
   int AffinityTopK = 10;
   bool ComputeAffinity = true;
-  /// Worker threads for the one-time inverted-index or bit-matrix build
-  /// (and the bitset engine's large row sweeps); 0 means one per hardware
-  /// thread. Irrelevant under AnalysisEngine::Rescan.
+  /// Worker threads for the live engines: the one-time inverted-index or
+  /// bit-matrix build, the bitset engine's large row sweeps, and the
+  /// elimination loop, whose discard and scoring run as one round per
+  /// selection over the population's site-aligned slices
+  /// (CauseIsolator::SlicePreds) on a team of at most one worker per
+  /// slice; 0 means one per hardware thread. Results and the elimination
+  /// work counters are the same at any value. Irrelevant under
+  /// AnalysisEngine::Rescan.
   size_t IndexThreads = 0;
   /// Optional prebuilt index over the same run population, letting callers
   /// that analyze one population repeatedly (e.g. once per policy) pay the
@@ -194,6 +198,17 @@ public:
   /// The full pipeline.
   AnalysisResult run() const;
 
+  /// The live engines' elimination cuts the predicate id space into
+  /// site-aligned slices of at least this many predicates
+  /// (siteAlignedSlices), and each slice's owner applies every discard to
+  /// the slice's counts and scores its candidates. The cut depends on the
+  /// population alone, never on the thread count, so neither results nor
+  /// work counters do. Each slice starts its pass from no best, so smaller
+  /// slices rescore more: at this size the sweep rescores under 1% more
+  /// candidates than one pass over all of them, while 4,096 to 32,768 run
+  /// within noise of each other (DESIGN.md §7).
+  static constexpr uint32_t SlicePreds = 16384;
+
 private:
   /// Predicates passing the Increase test under precomputed counts.
   std::vector<uint32_t> survivorsOf(const Aggregates &Agg) const;
@@ -208,15 +223,8 @@ private:
   /// discarded (or relabeled).
   uint64_t applyPolicy(RunView &View, uint32_t Pred) const;
 
-  /// Policy application that walks only the selected predicate's posting
-  /// list and folds each touched run into \p Delta. Returns the number of
-  /// runs discarded (or relabeled), identical to applyPolicy's count.
-  uint64_t applyPolicyIncremental(RunView &View, uint32_t Pred,
-                                  const InvertedIndex &Index,
-                                  DeltaAggregates &Delta) const;
-
   /// Policy application by word-AND + popcount over \p State's matrices;
-  /// returns the same count as the other two overloads.
+  /// returns the same count as applyPolicy.
   uint64_t applyPolicyBitset(uint32_t Pred, BitsetState &State) const;
 
   const SiteTable &Sites;

@@ -215,14 +215,14 @@ public:
   /// The live counts, interface-compatible with a fresh full scan.
   const Aggregates &aggregates() const { return Agg; }
 
-  /// The sites and predicates whose counts changed since clearChanges():
-  /// under policies (2)/(3) the set bits of the discarded runs' transposed
-  /// rows, under policy (1) the survivor-matrix rows with a nonzero delta.
-  /// Null unless constructed with TrackChanges.
+  /// The sites and predicates whose counts changed since they were last
+  /// cleared: under policies (2)/(3) the set bits of the discarded runs'
+  /// transposed rows, under policy (1) the survivor-matrix rows with a
+  /// nonzero delta. Null unless constructed with TrackChanges.
   const ChangeMarks *changes() const { return Marks ? &*Marks : nullptr; }
-  void clearChanges() {
+  void clearChanges(const IdRange &Range) {
     if (Marks)
-      Marks->clear();
+      Marks->clear(Range);
   }
 
   /// The three Section 5 policies, applied for selected predicate \p Pred:

@@ -103,38 +103,42 @@ InvertedIndex InvertedIndex::build(const RunProfiles &Runs, size_t Threads) {
   return Index;
 }
 
-void DeltaAggregates::removeRun(size_t Run, bool Failed) {
-  const size_t LabelIdx = Failed ? 0 : 1;
-  if (Failed)
-    --Agg.NumF;
-  else
-    --Agg.NumS;
-  for (uint32_t Site : Runs.sites(Run))
-    --Agg.SiteObs[Site][LabelIdx];
-  for (uint32_t Pred : Runs.preds(Run))
-    --Agg.PredTrue[Pred][LabelIdx];
-  markRun(Run);
+void DeltaAggregates::applyTotals(const std::vector<RunChange> &Changes,
+                                  bool Relabel) {
+  for (const RunChange &Change : Changes) {
+    if (Change.Failed)
+      --Agg.NumF;
+    else
+      --Agg.NumS;
+    if (Relabel)
+      ++Agg.NumS;
+  }
 }
 
-void DeltaAggregates::relabelRunAsSuccess(size_t Run) {
-  --Agg.NumF;
-  ++Agg.NumS;
-  for (uint32_t Site : Runs.sites(Run)) {
-    --Agg.SiteObs[Site][0];
-    ++Agg.SiteObs[Site][1];
+void DeltaAggregates::apply(const std::vector<RunChange> &Changes,
+                            bool Relabel, const IdRange &Range) {
+  ChangeMarks *Mark = Marks ? &*Marks : nullptr;
+  // Ids in [Begin, End) of one run's sorted list: a removal takes one from
+  // the run's label, a relabeling moves one from failing to successful.
+  // MarkBase places the ids in the marks' predicates-then-sites space.
+  auto take = [&](IdSpan Ids, uint32_t Begin, uint32_t End,
+                  std::vector<std::array<uint64_t, 2>> &Counts,
+                  size_t LabelIdx, size_t MarkBase) {
+    const uint32_t *First = std::lower_bound(Ids.begin(), Ids.end(), Begin);
+    const uint32_t *Last = std::lower_bound(First, Ids.end(), End);
+    for (const uint32_t *Id = First; Id != Last; ++Id) {
+      --Counts[*Id][LabelIdx];
+      if (Relabel)
+        ++Counts[*Id][1];
+      if (Mark)
+        Mark->markId(MarkBase + *Id);
+    }
+  };
+  for (const RunChange &Change : Changes) {
+    const size_t LabelIdx = Change.Failed ? 0 : 1;
+    take(Runs.sites(Change.Run), Range.SiteBegin, Range.SiteEnd, Agg.SiteObs,
+         LabelIdx, Runs.numPredicates());
+    take(Runs.preds(Change.Run), Range.PredBegin, Range.PredEnd,
+         Agg.PredTrue, LabelIdx, 0);
   }
-  for (uint32_t Pred : Runs.preds(Run)) {
-    --Agg.PredTrue[Pred][0];
-    ++Agg.PredTrue[Pred][1];
-  }
-  markRun(Run);
-}
-
-void DeltaAggregates::markRun(size_t Run) {
-  if (!Marks)
-    return;
-  for (uint32_t Site : Runs.sites(Run))
-    Marks->markSite(Site);
-  for (uint32_t Pred : Runs.preds(Run))
-    Marks->markPred(Pred);
 }

@@ -23,9 +23,9 @@
 ///
 ///   DeltaAggregates  mutable F/S/FObs/SObs counts, seeded from a copy of
 ///                    the index's initial counts and then updated by
-///                    *subtracting* (or relabeling) one discarded run's
-///                    sparse contributions at a time, instead of
-///                    rescanning the whole population.
+///                    *subtracting* (or relabeling) the discarded runs'
+///                    sparse contributions, one id range at a time,
+///                    instead of rescanning the whole population.
 ///
 /// All counts are integers, so subtract-then-score is bit-identical to
 /// recompute-then-score; the differential tests in tests/core and
@@ -107,12 +107,20 @@ private:
 };
 
 /// Aggregate counts kept live under run discarding/relabeling. Starts as a
-/// copy of a full-population snapshot and is mutated one run at a time;
-/// the current state is always exactly what Aggregates::compute would
-/// return for the mutated RunView. With \p TrackChanges, every site and
-/// predicate a mutation touches is also marked in changes().
+/// copy of a full-population snapshot and takes each selection's discard
+/// as one list of runs; the current state is always exactly what
+/// Aggregates::compute would return for the mutated RunView. With
+/// \p TrackChanges, every site and predicate a discard touches is also
+/// marked in changes().
 class DeltaAggregates {
 public:
+  /// One run a discard takes: its id and the label it had in the view
+  /// before the discard.
+  struct RunChange {
+    uint32_t Run;
+    bool Failed;
+  };
+
   /// Starts from \p Initial, the counts of \p Runs under the view the
   /// caller will mutate (the analysis passes the index's
   /// initialAggregates()). Reads the runs' ids in place (\p Runs must
@@ -127,28 +135,30 @@ public:
   /// The live counts, interface-compatible with a fresh full scan.
   const Aggregates &aggregates() const { return Agg; }
 
-  /// The sites and predicates whose counts changed since clearChanges();
-  /// null unless constructed with TrackChanges.
+  /// The sites and predicates whose counts changed since they were last
+  /// cleared; null unless constructed with TrackChanges.
   const ChangeMarks *changes() const { return Marks ? &*Marks : nullptr; }
-  void clearChanges() {
+  void clearChanges(const IdRange &Range) {
     if (Marks)
-      Marks->clear();
+      Marks->clear(Range);
   }
 
-  /// Subtracts run \p Run's contributions. \p Failed must be the label the
-  /// run currently has in the view (which may differ from the report's own
-  /// bit under the relabeling policy).
-  void removeRun(size_t Run, bool Failed);
+  /// Takes \p Changes out of the failing and successful run totals: each
+  /// run leaves its label's total, or with \p Relabel (Section 5,
+  /// proposal 3; every run must be labeled failing) moves from the failing
+  /// total to the successful one.
+  void applyTotals(const std::vector<RunChange> &Changes, bool Relabel);
 
-  /// Moves run \p Run's contributions from the failing to the successful
-  /// buckets (Section 5, proposal 3). The run must currently be labeled
-  /// failing.
-  void relabelRunAsSuccess(size_t Run);
+  /// Takes \p Changes out of the counts of the sites and predicates in
+  /// \p Range, as applyTotals does the totals, and marks each count it
+  /// changes in the same walk. Finds each run's ids in the range with two
+  /// binary searches per id list. Calls over disjoint ranges touch
+  /// disjoint counts and marks, so they may run concurrently; a call over
+  /// IdRange::all plus applyTotals takes the whole discard.
+  void apply(const std::vector<RunChange> &Changes, bool Relabel,
+             const IdRange &Range);
 
 private:
-  /// Marks run \p Run's sites and predicates, when tracking changes.
-  void markRun(size_t Run);
-
   const RunProfiles &Runs;
   Aggregates Agg;
   std::optional<ChangeMarks> Marks;

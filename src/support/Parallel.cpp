@@ -25,3 +25,29 @@ std::vector<size_t> sbi::alignedChunks(size_t NumItems, size_t Workers) {
     Bounds.push_back(std::min(NumItems, W * PerChunk));
   return Bounds;
 }
+
+WorkerTeam::WorkerTeam(size_t Workers)
+    : Sync(static_cast<std::ptrdiff_t>(std::max<size_t>(1, Workers))) {
+  Helpers.reserve(Workers > 1 ? Workers - 1 : 0);
+  for (size_t W = 1; W < Workers; ++W)
+    Helpers.emplace_back([this, W] { helperLoop(W); });
+}
+
+WorkerTeam::~WorkerTeam() {
+  if (Helpers.empty())
+    return;
+  Stopping = true;
+  Sync.arrive_and_wait();
+  for (std::thread &Helper : Helpers)
+    Helper.join();
+}
+
+void WorkerTeam::helperLoop(size_t W) {
+  for (;;) {
+    Sync.arrive_and_wait();
+    if (Stopping)
+      return;
+    Call(Round, W);
+    Sync.arrive_and_wait();
+  }
+}

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 
 using namespace sbi;
 
@@ -892,6 +894,46 @@ TEST(CandidateTableTest, NonPositiveTopKKeepsNoAffinity) {
   }
 }
 
+TEST(CandidateTableTest, AffinityHoldsOnlyWhatItKeeps) {
+  // Every engine keeps an affinity list in storage no larger than its cap,
+  // however many predicates dropped, and keeps the first K of the drops an
+  // uncapped run lists, in the same order.
+  SyntheticWorld World(16);
+  RunProfiles Runs = RunProfiles::fromReports(multiBugSet(World, 303));
+  AnalysisOptions Uncapped;
+  Uncapped.AffinityTopK = static_cast<int>(World.Sites.numPredicates());
+  const std::vector<AnalysisResult> Full =
+      expectEnginesAgree(World.Sites, Runs, Uncapped);
+  constexpr size_t K = 2;
+  size_t Overflowing = 0;
+  for (const AnalysisResult &Result : Full)
+    for (const SelectedPredicate &Entry : Result.Selected)
+      Overflowing += Entry.Affinity.size() > K;
+  ASSERT_GT(Overflowing, 0u) << "no selection has more than K drops";
+  for (size_t P = 0; P < Full.size(); ++P)
+    for (AnalysisEngine Engine :
+         {AnalysisEngine::Rescan, AnalysisEngine::Incremental,
+          AnalysisEngine::Bitset}) {
+      AnalysisOptions Options;
+      Options.Policy = AllPolicies[P];
+      Options.Engine = Engine;
+      Options.AffinityTopK = static_cast<int>(K);
+      const AnalysisResult Capped =
+          CauseIsolator(World.Sites, Runs, Options).run();
+      const std::string What = std::string(analysisEngineName(Engine)) +
+                               ", " + discardPolicyName(AllPolicies[P]);
+      ASSERT_EQ(Capped.Selected.size(), Full[P].Selected.size()) << What;
+      for (size_t I = 0; I < Capped.Selected.size(); ++I) {
+        const auto &Kept = Capped.Selected[I].Affinity;
+        const auto &All = Full[P].Selected[I].Affinity;
+        const std::vector<std::pair<uint32_t, double>> FirstK(
+            All.begin(), All.begin() + std::min(K, All.size()));
+        EXPECT_LE(Kept.capacity(), K) << What << ", selection " << I;
+        EXPECT_EQ(Kept, FirstK) << What << ", selection " << I;
+      }
+    }
+}
+
 // --- Elimination work counters ---------------------------------------------
 
 namespace {
@@ -900,6 +942,10 @@ namespace {
 struct ElimWork {
   uint64_t Rescored = 0, BoundSkipped = 0, AffinityDrops = 0;
   bool operator==(const ElimWork &) const = default;
+  ElimWork operator-(const ElimWork &Before) const {
+    return {Rescored - Before.Rescored, BoundSkipped - Before.BoundSkipped,
+            AffinityDrops - Before.AffinityDrops};
+  }
 };
 
 /// The work the recorded elimination spans carry as args: the initial
@@ -964,11 +1010,7 @@ TEST(EliminationCountersTest, TelemetryChangesNoCountAndNoResult) {
       AnalysisResult Counted = CauseIsolator(World.Sites, Set, Options).run();
       Tracer::setEnabled(false);
       Telemetry::setEnabled(false);
-      const ElimWork After = counterWork();
-      const ElimWork FromCounters = {After.Rescored - Before.Rescored,
-                                     After.BoundSkipped - Before.BoundSkipped,
-                                     After.AffinityDrops -
-                                         Before.AffinityDrops};
+      const ElimWork FromCounters = counterWork() - Before;
       EXPECT_EQ(spanWork(), FromSpans) << What;
       Tracer::instance().reset();
 
@@ -981,6 +1023,323 @@ TEST(EliminationCountersTest, TelemetryChangesNoCountAndNoResult) {
         EXPECT_EQ(FromSpans.BoundSkipped, 0u) << What;
       }
     }
+}
+
+// --- Sliced elimination --------------------------------------------------
+//
+// The live engines cut the predicate id space into site-aligned slices of
+// CauseIsolator::SlicePreds predicates and apply each discard and score
+// each pass slice by slice, on as many workers as IndexThreads allows.
+// These populations span two and three slices; every result must be
+// bit-identical to the rescan engine's at every thread count, and the
+// elimination's work counts must not depend on the thread count.
+
+namespace {
+
+constexpr size_t ThreadCounts[] = {0, 1, 2, 3, 8};
+
+/// A world whose predicates the elimination cuts into two slices (5,000
+/// sites) or three (8,500), and its cut.
+struct SlicedWorld {
+  SyntheticWorld World;
+  std::vector<IdRange> Slices;
+
+  explicit SlicedWorld(size_t MinSites)
+      : World(MinSites),
+        Slices(siteAlignedSlices(World.Sites, CauseIsolator::SlicePreds)) {
+    EXPECT_EQ(Slices.size(), MinSites < 8000 ? 2u : 3u) << MinSites;
+  }
+
+  /// Site \p K of slice \p S.
+  uint32_t site(size_t S, uint32_t K) const {
+    return Slices[S].SiteBegin + K;
+  }
+  /// Predicate \p Offset of site \p K of slice \p S.
+  uint32_t pred(size_t S, uint32_t K, uint32_t Offset = 0) const {
+    return World.Sites.site(site(S, K)).FirstPredicate + Offset;
+  }
+  uint32_t siteOf(uint32_t Pred) const {
+    return World.Sites.predicate(Pred).Site;
+  }
+  RunProfiles emptyRuns() const {
+    return RunProfiles(World.Sites.numSites(), World.Sites.numPredicates());
+  }
+};
+
+/// Appends \p Count runs labeled \p Failed that observe \p Observed and
+/// have the predicates \p True true.
+void addPredRuns(RunProfiles &Runs, int Count, bool Failed,
+                 std::vector<uint32_t> Observed, std::vector<uint32_t> True) {
+  for (std::vector<uint32_t> *Ids : {&Observed, &True}) {
+    std::sort(Ids->begin(), Ids->end());
+    Ids->erase(std::unique(Ids->begin(), Ids->end()), Ids->end());
+  }
+  for (int I = 0; I < Count; ++I) {
+    Runs.beginRun(Failed);
+    for (uint32_t Site : Observed)
+      Runs.addSite(Site);
+    for (uint32_t Pred : True)
+      Runs.addPred(Pred);
+  }
+}
+
+/// A planted-bug population over \p W. Bug I gets 40 - 6 I failing runs
+/// with \p Bugs[I] true, \p Riders[I] true in every other one, and three
+/// successes with it true. 150 more successes have each rider true one
+/// time in thirty, so riders pass the Increase test too. Every run
+/// observes the sites of every bug and rider, the sites \p Watched, and
+/// four sites drawn from \p NoiseSites, each with its first predicate
+/// true at even odds.
+RunProfiles plantedRuns(const SlicedWorld &W,
+                        const std::vector<uint32_t> &Bugs,
+                        const std::vector<uint32_t> &Riders,
+                        const std::vector<uint32_t> &NoiseSites,
+                        uint64_t Seed,
+                        const std::vector<uint32_t> &Watched = {}) {
+  RunProfiles Runs = W.emptyRuns();
+  std::vector<uint32_t> Shared = Watched;
+  for (uint32_t Pred : Bugs)
+    Shared.push_back(W.siteOf(Pred));
+  for (uint32_t Pred : Riders)
+    Shared.push_back(W.siteOf(Pred));
+  Rng R(Seed);
+  auto addRun = [&](bool Failed, std::vector<uint32_t> True) {
+    std::vector<uint32_t> Observed = Shared;
+    for (int I = 0; I < 4; ++I) {
+      const uint32_t Site = NoiseSites[R.nextBelow(NoiseSites.size())];
+      Observed.push_back(Site);
+      if (R.nextBernoulli(0.5))
+        True.push_back(W.World.Sites.site(Site).FirstPredicate);
+    }
+    addPredRuns(Runs, 1, Failed, std::move(Observed), std::move(True));
+  };
+  for (size_t Bug = 0; Bug < Bugs.size(); ++Bug) {
+    for (int I = 0; I < 40 - 6 * static_cast<int>(Bug); ++I)
+      addRun(true, I % 2 ? std::vector<uint32_t>{Bugs[Bug], Riders[Bug]}
+                         : std::vector<uint32_t>{Bugs[Bug]});
+    for (int I = 0; I < 3; ++I)
+      addRun(false, {Bugs[Bug]});
+  }
+  for (int I = 0; I < 150; ++I) {
+    std::vector<uint32_t> True;
+    for (uint32_t Pred : Riders)
+      if (R.nextBernoulli(1.0 / 30))
+        True.push_back(Pred);
+    addRun(false, std::move(True));
+  }
+  return Runs;
+}
+
+/// Every site of slices [\p First, \p Last].
+std::vector<uint32_t> sitesOf(const SlicedWorld &W, size_t First,
+                              size_t Last) {
+  std::vector<uint32_t> Sites;
+  for (uint32_t Site = W.Slices[First].SiteBegin;
+       Site < W.Slices[Last].SiteEnd; ++Site)
+    Sites.push_back(Site);
+  return Sites;
+}
+
+/// Analyzes \p Runs with the rescan engine, then with both live engines at
+/// every ThreadCounts value, under every policy, with affinity on. Expects
+/// every live result bit-identical to rescan's, and each live engine's
+/// three work counts the same at every thread count. Returns the rescan
+/// results in AllPolicies order.
+std::vector<AnalysisResult> expectSlicedAgree(const SiteTable &Sites,
+                                              const RunProfiles &Runs,
+                                              AnalysisOptions Options = {}) {
+  Options.ComputeAffinity = true;
+  // The bitset engine, however sparse the population.
+  Options.BitsetMinDensity = 0.0;
+  std::vector<AnalysisResult> Reference;
+  for (DiscardPolicy Policy : AllPolicies) {
+    Options.Policy = Policy;
+    Options.Engine = AnalysisEngine::Rescan;
+    AnalysisResult Rescan = CauseIsolator(Sites, Runs, Options).run();
+    EXPECT_FALSE(Rescan.Selected.empty()) << discardPolicyName(Policy);
+    for (AnalysisEngine Engine :
+         {AnalysisEngine::Incremental, AnalysisEngine::Bitset}) {
+      Options.Engine = Engine;
+      std::optional<ElimWork> AtFirst;
+      for (size_t Threads : ThreadCounts) {
+        Options.IndexThreads = Threads;
+        const std::string What = std::string(analysisEngineName(Engine)) +
+                                 ", " + discardPolicyName(Policy) + ", " +
+                                 std::to_string(Threads) + " threads";
+        const ElimWork Before = counterWork();
+        Telemetry::setEnabled(true);
+        const AnalysisResult Live = CauseIsolator(Sites, Runs, Options).run();
+        Telemetry::setEnabled(false);
+        const ElimWork Work = counterWork() - Before;
+        EXPECT_TRUE(bitIdentical(Rescan, Live)) << What;
+        if (!AtFirst)
+          AtFirst = Work;
+        EXPECT_EQ(Work, *AtFirst) << What;
+      }
+    }
+    Reference.push_back(std::move(Rescan));
+  }
+  return Reference;
+}
+
+} // namespace
+
+TEST(SlicedEliminationTest, SiteStraddlingTheNominalCut) {
+  // The site holding predicate SlicePreds starts below it, so the cut
+  // moves past the site and both of these predicates land in slice 0:
+  // High, at the nominal cut, is a bug, and Low, below it, rides along.
+  // The other bugs and riders sit in the first and last slices, and the
+  // noise spans every slice, so each discard changes counts in all of
+  // them and the affinity lists merge drops across slices.
+  for (size_t MinSites : {5000u, 8500u}) {
+    SlicedWorld W(MinSites);
+    const SiteTable &Sites = W.World.Sites;
+    const size_t Last = W.Slices.size() - 1;
+    const uint32_t High = CauseIsolator::SlicePreds;
+    const uint32_t Low = Sites.site(W.siteOf(High)).FirstPredicate;
+    ASSERT_LT(Low, High);
+    ASSERT_LT(High, W.Slices[0].PredEnd);
+    const std::vector<uint32_t> Bugs = {High, W.pred(Last, 7, 1),
+                                        W.pred(0, 3, 2)};
+    const std::vector<uint32_t> Riders = {Low, W.pred(Last, 9, 4),
+                                          W.pred(Last / 2, 11, 3)};
+    const RunProfiles Runs =
+        plantedRuns(W, Bugs, Riders, sitesOf(W, 0, Last), MinSites);
+    for (const AnalysisResult &Result : expectSlicedAgree(Sites, Runs)) {
+      const char *Policy = discardPolicyName(Result.Policy);
+      ASSERT_GE(Result.Selected.size(), 3u) << Policy;
+      EXPECT_EQ(Result.Selected[0].Pred, High) << Policy;
+      EXPECT_NE(selectionIndex(Result, Bugs[1]), -1) << Policy;
+      EXPECT_NE(selectionIndex(Result, Bugs[2]), -1) << Policy;
+      const auto &Affinity = Result.Selected[0].Affinity;
+      ASSERT_FALSE(Affinity.empty()) << Policy;
+      EXPECT_EQ(Affinity[0].first, Low) << Policy;
+    }
+  }
+}
+
+TEST(SlicedEliminationTest, SliceWithNoCandidates) {
+  // Three slices, and nothing is ever true in the middle one, so it has
+  // no candidates under any policy; its sites are still observed, so the
+  // discards change its site counts.
+  SlicedWorld W(8500);
+  const std::vector<uint32_t> Bugs = {W.pred(2, 5), W.pred(0, 8, 3)};
+  const std::vector<uint32_t> Riders = {W.pred(0, 12, 1), W.pred(2, 14, 5)};
+  const RunProfiles Runs = plantedRuns(W, Bugs, Riders, sitesOf(W, 0, 0), 77,
+                                       {W.site(1, 1), W.site(1, 2)});
+  for (const AnalysisResult &Result : expectSlicedAgree(W.World.Sites, Runs)) {
+    const char *Policy = discardPolicyName(Result.Policy);
+    ASSERT_GE(Result.Selected.size(), 2u) << Policy;
+    for (const SelectedPredicate &Entry : Result.Selected) {
+      EXPECT_FALSE(Entry.Pred >= W.Slices[1].PredBegin &&
+                   Entry.Pred < W.Slices[1].PredEnd)
+          << Policy;
+      for (const auto &[Pred, Drop] : Entry.Affinity)
+        EXPECT_FALSE(Pred >= W.Slices[1].PredBegin &&
+                     Pred < W.Slices[1].PredEnd)
+            << Policy;
+    }
+  }
+}
+
+TEST(SlicedEliminationTest, CandidatesOnlyInTheLastSlice) {
+  // Every true predicate and every observed site lies in the last slice,
+  // so every earlier slice passes with no rows, and every best and every
+  // affinity drop comes from the last.
+  for (size_t MinSites : {5000u, 8500u}) {
+    SlicedWorld W(MinSites);
+    const size_t Last = W.Slices.size() - 1;
+    const std::vector<uint32_t> Bugs = {W.pred(Last, 4), W.pred(Last, 30, 2),
+                                        W.pred(Last, 60, 5)};
+    const std::vector<uint32_t> Riders = {W.pred(Last, 5, 1),
+                                          W.pred(Last, 31, 3),
+                                          W.pred(Last, 61)};
+    const RunProfiles Runs =
+        plantedRuns(W, Bugs, Riders, sitesOf(W, Last, Last), MinSites + 1);
+    for (const AnalysisResult &Result :
+         expectSlicedAgree(W.World.Sites, Runs)) {
+      const char *Policy = discardPolicyName(Result.Policy);
+      ASSERT_GE(Result.Selected.size(), 3u) << Policy;
+      EXPECT_EQ(Result.Selected[0].Pred, Bugs[0]) << Policy;
+      ASSERT_FALSE(Result.Selected[0].Affinity.empty()) << Policy;
+      EXPECT_EQ(Result.Selected[0].Affinity[0].first, Riders[0]) << Policy;
+    }
+  }
+}
+
+TEST(SlicedEliminationTest, PassAfterNumFReachesOne) {
+  // X (slice 0) covers every failing run but one. Once X's runs go, NumF
+  // is 1 and every Importance 0: the last pass re-derives every row of
+  // every slice, and the riders in every slice, true in half of X's runs,
+  // top X's affinity list.
+  for (size_t MinSites : {5000u, 8500u}) {
+    SlicedWorld W(MinSites);
+    const size_t Last = W.Slices.size() - 1;
+    const uint32_t X = W.pred(0, 2);
+    std::vector<uint32_t> Riders;
+    for (size_t S = 0; S <= Last; ++S)
+      Riders.push_back(W.pred(S, 40, 1));
+    std::vector<uint32_t> Observed = {W.siteOf(X), W.site(Last, 50)};
+    for (uint32_t Pred : Riders)
+      Observed.push_back(W.siteOf(Pred));
+    RunProfiles Runs = W.emptyRuns();
+    std::vector<uint32_t> WithRiders = Riders;
+    WithRiders.push_back(X);
+    addPredRuns(Runs, 12, true, Observed, WithRiders);
+    addPredRuns(Runs, 12, true, Observed, {X});
+    addPredRuns(Runs, 1, true, Observed, {W.pred(Last, 50)});
+    addPredRuns(Runs, 3, false, Observed, Riders);
+    addPredRuns(Runs, 40, false, Observed, {});
+    for (const AnalysisResult &Result :
+         expectSlicedAgree(W.World.Sites, Runs)) {
+      const char *Policy = discardPolicyName(Result.Policy);
+      ASSERT_EQ(Result.Selected.size(), 1u) << Policy;
+      EXPECT_EQ(Result.Selected[0].Pred, X) << Policy;
+      EXPECT_EQ(Result.Trail[0].FailingRuns - Result.Trail[0].RunsDiscarded,
+                1u)
+          << Policy;
+      const auto &Affinity = Result.Selected[0].Affinity;
+      ASSERT_EQ(Affinity.size(), Riders.size()) << Policy;
+      for (size_t I = 0; I < Riders.size(); ++I)
+        EXPECT_EQ(Affinity[I].first, Riders[I]) << Policy;
+    }
+  }
+}
+
+TEST(SlicedEliminationTest, TiedDropsAcrossSlicesKeepTheSmallestIds) {
+  // Five identical riders, two in slice 0, one in each later slice and
+  // one more in the last, share X's failing runs, so X's discard drops
+  // all five by the same amount. A cap of three keeps the three smallest
+  // ids, whichever slices found them.
+  SlicedWorld W(8500);
+  const uint32_t X = W.pred(0, 1);
+  const std::vector<uint32_t> Riders = {W.pred(0, 20), W.pred(0, 21),
+                                        W.pred(1, 20), W.pred(2, 20),
+                                        W.pred(2, 21)};
+  std::vector<uint32_t> Observed = {W.siteOf(X), W.site(2, 30)};
+  for (uint32_t Pred : Riders)
+    Observed.push_back(W.siteOf(Pred));
+  RunProfiles Runs = W.emptyRuns();
+  std::vector<uint32_t> WithRiders = Riders;
+  WithRiders.push_back(X);
+  addPredRuns(Runs, 30, true, Observed, WithRiders);
+  addPredRuns(Runs, 20, true, Observed, {W.pred(2, 30)});
+  addPredRuns(Runs, 40, false, Observed, {});
+  addPredRuns(Runs, 10, false, Observed, Riders);
+  AnalysisOptions Options;
+  Options.AffinityTopK = 3;
+  for (const AnalysisResult &Result :
+       expectSlicedAgree(W.World.Sites, Runs, Options)) {
+    const char *Policy = discardPolicyName(Result.Policy);
+    ASSERT_FALSE(Result.Selected.empty()) << Policy;
+    ASSERT_EQ(Result.Selected[0].Pred, X) << Policy;
+    const auto &Affinity = Result.Selected[0].Affinity;
+    ASSERT_EQ(Affinity.size(), 3u) << Policy;
+    for (uint32_t I = 0; I < 3; ++I) {
+      EXPECT_EQ(Affinity[I].first, Riders[I]) << Policy;
+      EXPECT_EQ(Affinity[I].second, Affinity[0].second) << Policy;
+    }
+  }
 }
 
 // --- Ranking ---------------------------------------------------------------

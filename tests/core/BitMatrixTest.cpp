@@ -258,7 +258,8 @@ TEST(BitsetStateTest, ChangeMarksNameExactlyTheChangedCounts) {
                   Changed)
             << "policy " << Policy << " pred " << P;
       }
-      State.clearChanges();
+      State.clearChanges(IdRange::all(World.Sites.numSites(),
+                                      World.Sites.numPredicates()));
     }
   }
 }

@@ -139,6 +139,19 @@ void expectMatchesRecompute(const SyntheticWorld &World,
   }
 }
 
+/// Takes run \p Run, labeled \p Failed, out of \p Delta as the
+/// elimination loop takes a discard: the run totals, then every id in one
+/// call over the whole id space. With \p Relabel the run moves to the
+/// successful label instead.
+void takeRun(DeltaAggregates &Delta, const RunProfiles &Runs, size_t Run,
+             bool Failed, bool Relabel = false) {
+  const std::vector<DeltaAggregates::RunChange> One = {
+      {static_cast<uint32_t>(Run), Failed}};
+  Delta.applyTotals(One, Relabel);
+  Delta.apply(One, Relabel,
+              IdRange::all(Runs.numSites(), Runs.numPredicates()));
+}
+
 } // namespace
 
 TEST(InvertedIndexTest, PostingListsMatchReports) {
@@ -313,7 +326,7 @@ TEST(DeltaAggregatesTest, RemovalMatchesRecompute) {
   for (size_t Run = 0; Run < Runs.size(); ++Run) {
     if (!R.nextBernoulli(0.4))
       continue;
-    Delta.removeRun(Run, View.Failed[Run]);
+    takeRun(Delta, Runs, Run, View.Failed[Run]);
     View.Active[Run] = 0;
     // Compare after every mutation, not just at the end, so an
     // off-by-one-run bug cannot cancel out.
@@ -331,7 +344,7 @@ TEST(DeltaAggregatesTest, RelabelMatchesRecompute) {
   for (size_t Run = 0; Run < Runs.size(); ++Run) {
     if (!View.Failed[Run] || !R.nextBernoulli(0.5))
       continue;
-    Delta.relabelRunAsSuccess(Run);
+    takeRun(Delta, Runs, Run, /*Failed=*/true, /*Relabel=*/true);
     View.Failed[Run] = 0;
     expectMatchesRecompute(World, Runs, View, Delta.aggregates());
   }
@@ -347,10 +360,10 @@ TEST(DeltaAggregatesTest, MixedMutationSequenceMatchesRecompute) {
   for (size_t Run = 0; Run < Runs.size(); ++Run) {
     double Roll = R.nextDouble();
     if (Roll < 0.25) {
-      Delta.removeRun(Run, View.Failed[Run]);
+      takeRun(Delta, Runs, Run, View.Failed[Run]);
       View.Active[Run] = 0;
     } else if (Roll < 0.5 && View.Failed[Run]) {
-      Delta.relabelRunAsSuccess(Run);
+      takeRun(Delta, Runs, Run, /*Failed=*/true, /*Relabel=*/true);
       View.Failed[Run] = 0;
     }
   }
@@ -373,9 +386,9 @@ TEST(DeltaAggregatesTest, ChangeMarksNameExactlyTheChangedCounts) {
   for (size_t Run = 0; Run < Runs.size(); ++Run) {
     const Aggregates Before = Delta.aggregates();
     if (R.nextBernoulli(0.4)) {
-      Delta.removeRun(Run, View.Failed[Run]);
+      takeRun(Delta, Runs, Run, View.Failed[Run]);
     } else if (View.Failed[Run]) {
-      Delta.relabelRunAsSuccess(Run);
+      takeRun(Delta, Runs, Run, /*Failed=*/true, /*Relabel=*/true);
     } else {
       continue;
     }
@@ -390,7 +403,58 @@ TEST(DeltaAggregatesTest, ChangeMarksNameExactlyTheChangedCounts) {
                 Changed)
           << "run " << Run << " pred " << Pred;
     }
-    Delta.clearChanges();
+    Delta.clearChanges(
+        IdRange::all(Runs.numSites(), Runs.numPredicates()));
   }
   EXPECT_GT(Mutations, 20u) << "trivial fixture";
+}
+
+TEST(DeltaAggregatesTest, SlicedApplyMatchesWholeApply) {
+  // A discard applied slice by slice, in any order, leaves the counts and
+  // the marks that one call over the whole id space leaves; clearing one
+  // slice's marks clears no other slice's.
+  SyntheticWorld World(40);
+  RunProfiles Runs = RunProfiles::fromReports(randomSet(World, 120, 53));
+  const std::vector<IdRange> Slices = siteAlignedSlices(World.Sites, 20);
+  ASSERT_GE(Slices.size(), 3u);
+  const IdRange All = IdRange::all(Runs.numSites(), Runs.numPredicates());
+  for (bool Relabel : {false, true}) {
+    std::vector<DeltaAggregates::RunChange> Changes;
+    for (size_t Run = 0; Run < Runs.size(); Run += 3)
+      if (!Relabel || Runs.failed(Run))
+        Changes.push_back({static_cast<uint32_t>(Run), Runs.failed(Run)});
+    ASSERT_GT(Changes.size(), 10u) << "trivial fixture";
+    DeltaAggregates Whole(Runs, initialCounts(Runs), /*TrackChanges=*/true);
+    DeltaAggregates Sliced(Runs, initialCounts(Runs), /*TrackChanges=*/true);
+    Whole.applyTotals(Changes, Relabel);
+    Whole.apply(Changes, Relabel, All);
+    Sliced.applyTotals(Changes, Relabel);
+    for (size_t S = Slices.size(); S-- > 0;)
+      Sliced.apply(Changes, Relabel, Slices[S]);
+
+    RunView View = RunView::allOf(Runs);
+    for (const DeltaAggregates::RunChange &Change : Changes)
+      (Relabel ? View.Failed : View.Active)[Change.Run] = 0;
+    expectMatchesRecompute(World, Runs, View, Whole.aggregates());
+    expectMatchesRecompute(World, Runs, View, Sliced.aggregates());
+    size_t Marked = 0;
+    for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred) {
+      const uint32_t Site = World.Sites.predicate(Pred).Site;
+      ASSERT_EQ(Sliced.changes()->changed(Pred, Site),
+                Whole.changes()->changed(Pred, Site))
+          << "pred " << Pred;
+      Marked += Whole.changes()->changed(Pred, Site);
+    }
+    EXPECT_GT(Marked, 0u) << "trivial fixture";
+
+    Sliced.clearChanges(Slices[1]);
+    for (uint32_t Pred = 0; Pred < Runs.numPredicates(); ++Pred) {
+      const uint32_t Site = World.Sites.predicate(Pred).Site;
+      const bool InSlice =
+          Pred >= Slices[1].PredBegin && Pred < Slices[1].PredEnd;
+      ASSERT_EQ(Sliced.changes()->changed(Pred, Site),
+                !InSlice && Whole.changes()->changed(Pred, Site))
+          << "pred " << Pred;
+    }
+  }
 }

@@ -86,8 +86,9 @@ TEST_P(IncreaseEquivalenceTest, IncreasePositiveIffHeadsProbabilityHigher) {
       << " SObs=" << C.SObs;
   // And the Z statistic agrees in sign when defined.
   double Z = Scores.zScore();
-  if (std::fabs(Increase) > 1e-9 && Z != 0.0)
+  if (std::fabs(Increase) > 1e-9 && Z != 0.0) {
     EXPECT_EQ(Increase > 0, Z > 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,8 +155,9 @@ TEST(ImportanceTest, IntervalShrinksWithData) {
   PredicateScores Large({/*F=*/500, /*S=*/100, /*FObs=*/800, /*SObs=*/2000});
   ScoreInterval SmallCI = Small.importanceInterval(50);
   ScoreInterval LargeCI = Large.importanceInterval(5000);
-  if (SmallCI.Value > 0 && LargeCI.Value > 0)
+  if (SmallCI.Value > 0 && LargeCI.Value > 0) {
     EXPECT_GT(SmallCI.HalfWidth, LargeCI.HalfWidth);
+  }
 }
 
 TEST(ImportanceTest, IntervalZeroForZeroImportance) {

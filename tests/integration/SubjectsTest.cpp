@@ -96,12 +96,14 @@ TEST_P(SubjectParamTest, EveryFailureHasATriggeredBug) {
   // Failures must come from seeded bugs, not incidental interpreter traps.
   const Subject &Subj = *GetParam();
   SubjectRuns Runs = exercise(Subj, 300, 0x1234);
-  for (size_t I = 0; I < Runs.Buggy.size(); ++I)
-    if (Runs.Buggy[I].crashed())
+  for (size_t I = 0; I < Runs.Buggy.size(); ++I) {
+    if (Runs.Buggy[I].crashed()) {
       EXPECT_FALSE(Runs.Buggy[I].BugsTriggered.empty())
           << Subj.Name << " run " << I << " crashed with "
           << trapKindName(Runs.Buggy[I].Trap) << " ("
           << Runs.Buggy[I].TrapMessage << ") but no __bug marker fired";
+    }
+  }
 }
 
 TEST_P(SubjectParamTest, BugIdsMatchSpecs) {

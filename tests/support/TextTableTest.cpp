@@ -72,8 +72,9 @@ TEST(TextTableTest, NoTrailingWhitespace) {
   std::string Out = Table.render();
   size_t Pos = 0;
   while ((Pos = Out.find('\n', Pos)) != std::string::npos) {
-    if (Pos > 0)
+    if (Pos > 0) {
       EXPECT_NE(Out[Pos - 1], ' ') << "trailing space before newline";
+    }
     ++Pos;
   }
 }
