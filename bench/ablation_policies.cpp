@@ -53,7 +53,7 @@ int main(int Argc, char **Argv) {
         DiscardPolicy::RelabelFailingRuns}) {
     AnalysisOptions Opts;
     Opts.Policy = Policy;
-    Opts.ComputeAffinity = false;
+    Opts.AffinityTopK = 0;
     CauseIsolator Isolator(Result.Sites, Runs, Opts);
     AnalysisResult Analysis = Isolator.run();
 

@@ -217,7 +217,6 @@ double engineMs(const SiteTable &Sites, const RunProfiles &Runs,
   AnalysisOptions Options;
   Options.Policy = Policy;
   Options.Engine = Engine;
-  Options.ComputeAffinity = true;
   Options.SharedIndex = SharedIndex;
   Options.SharedBitset = SharedBitset;
   CauseIsolator Isolator(Sites, Runs, Options);
@@ -650,7 +649,7 @@ void BM_Pruning(benchmark::State &State) {
 void eliminationBench(benchmark::State &State, AnalysisEngine Engine) {
   const SyntheticWorld &World = worldFor(State.range(0));
   AnalysisOptions Options;
-  Options.ComputeAffinity = false;
+  Options.AffinityTopK = 0;
   Options.Engine = Engine;
   CauseIsolator Isolator(World.Sites, World.Reports, Options);
   for (auto _ : State) {

@@ -625,7 +625,7 @@ AnalysisResult CauseIsolator::run() const {
   }
 
   // A cap of zero or less keeps no affinity entries, so none are collected.
-  const bool WantDrops = Options.ComputeAffinity && Options.AffinityTopK > 0;
+  const bool WantDrops = Options.AffinityTopK > 0;
   const size_t TopK = WantDrops ? static_cast<size_t>(Options.AffinityTopK)
                                 : 0;
   const bool Relabel = Options.Policy == DiscardPolicy::RelabelFailingRuns;

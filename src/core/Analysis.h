@@ -69,7 +69,6 @@ struct AnalysisOptions {
   /// How many affinity entries to keep per selected predicate; zero or
   /// less keeps none.
   int AffinityTopK = 10;
-  bool ComputeAffinity = true;
   /// Worker threads for the live engines: the one-time inverted-index or
   /// bit-matrix build, the bitset engine's large row sweeps, and the
   /// elimination loop, whose discard and scoring run as one round per

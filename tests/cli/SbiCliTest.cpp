@@ -3,13 +3,19 @@
 // Runs the built `sbi` binary, and a table bench for the flags the benches
 // share, on inputs a user can get wrong and checks the exit status and
 // what the program says: 2 for a malformed flag or environment variable, 1
-// for a failure while running, and never a crash. Also holds the contract
-// that lets a corpus be sbi's one report format: a campaign read back from
-// its corpus prints what the campaign prints analyzed in memory.
+// for a failure while running, and never a crash. Rows for every flag a
+// verb does not read, bad value and wrong operand count come from sbi's own
+// flag table. Also holds the contract that lets a corpus be sbi's one
+// report format: a campaign read back from its corpus prints what the
+// campaign prints analyzed in memory.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SbiFlags.h"
+
+#include "core/Analysis.h"
 #include "feedback/Corpus.h"
+#include "harness/Campaign.h"
 
 #include <gtest/gtest.h>
 
@@ -20,11 +26,36 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace {
+
+using namespace sbi::cli;
+
+constexpr int position(const char *Flag, std::string_view Choice) {
+  return choicePosition(Flags[flagIndex(Flag)], Choice);
+}
+
+// sbi converts a choice to its enum by the choice's position.
+static_assert(
+    position("sampling", "none") == int(sbi::SamplingMode::None) &&
+    position("sampling", "uniform:0.5") == int(sbi::SamplingMode::Uniform) &&
+    position("sampling", "adaptive") == int(sbi::SamplingMode::Adaptive) &&
+    position("engine", "interp") == int(sbi::Engine::Interpreter) &&
+    position("engine", "vm") == int(sbi::Engine::VM) &&
+    position("policy", "all") == int(sbi::DiscardPolicy::DiscardAllRuns) &&
+    position("policy", "failing") ==
+        int(sbi::DiscardPolicy::DiscardFailingRuns) &&
+    position("policy", "relabel") ==
+        int(sbi::DiscardPolicy::RelabelFailingRuns) &&
+    position("analysis-engine", "rescan") ==
+        int(sbi::AnalysisEngine::Rescan) &&
+    position("analysis-engine", "incremental") ==
+        int(sbi::AnalysisEngine::Incremental) &&
+    position("analysis-engine", "bitset") == int(sbi::AnalysisEngine::Bitset));
 
 struct CliResult {
   int Status = -1; ///< Exit status, or 128 + signal for a killed process.
@@ -110,6 +141,34 @@ std::string readFile(const std::string &Path) {
   return Buffer.str();
 }
 
+struct Case {
+  std::string Command;
+  int Status;
+  std::vector<std::string> Says;
+  /// If set, said exactly once.
+  std::string Once = {};
+};
+
+/// Runs \p C and expects its status and what it says; returns the result.
+CliResult expectCase(const Case &C) {
+  CliResult Result = runCommand(C.Command);
+  EXPECT_EQ(Result.Status, C.Status) << C.Command << "\n" << Result.Output;
+  for (const std::string &Fragment : C.Says)
+    EXPECT_NE(Result.Output.find(Fragment), std::string::npos)
+        << C.Command << " never says \"" << Fragment << "\":\n"
+        << Result.Output;
+  if (C.Once.empty())
+    return Result;
+  size_t Times = 0;
+  for (size_t At = Result.Output.find(C.Once); At != std::string::npos;
+       At = Result.Output.find(C.Once, At + 1))
+    ++Times;
+  EXPECT_EQ(Times, 1u) << C.Command << " names \"" << C.Once << "\" "
+                       << Times << " times:\n"
+                       << Result.Output;
+  return Result;
+}
+
 } // namespace
 
 TEST(SbiCliTest, ExitStatusTable) {
@@ -153,13 +212,6 @@ TEST(SbiCliTest, ExitStatusTable) {
   std::filesystem::resize_file(BadShard,
                                std::filesystem::file_size(BadShard) - 10);
 
-  struct Case {
-    std::string Command;
-    int Status;
-    std::vector<std::string> Says;
-    /// If set, said exactly once.
-    std::string Once = {};
-  };
   const Case Cases[] = {
       {Run + "--sampling=uniform:abc" + Out, 2, {"'abc'", "--sampling"}},
       {Run + "--sampling=uniform:5" + Out, 2, {"'5'", "--sampling"}},
@@ -249,24 +301,105 @@ TEST(SbiCliTest, ExitStatusTable) {
        {"analyze does not take --engine", "analyze does not take --sampling",
         "with --in"}},
   };
-  for (const Case &C : Cases) {
-    CliResult Result = runCommand(C.Command);
-    EXPECT_EQ(Result.Status, C.Status) << C.Command << "\n" << Result.Output;
-    for (const std::string &Fragment : C.Says)
-      EXPECT_NE(Result.Output.find(Fragment), std::string::npos)
-          << C.Command << " never says \"" << Fragment << "\":\n"
-          << Result.Output;
-    if (C.Once.empty())
-      continue;
-    size_t Times = 0;
-    for (size_t At = Result.Output.find(C.Once); At != std::string::npos;
-         At = Result.Output.find(C.Once, At + 1))
-      ++Times;
-    EXPECT_EQ(Times, 1u) << C.Command << " names \"" << C.Once << "\" "
-                         << Times << " times:\n"
-                         << Result.Output;
-  }
+  for (const Case &C : Cases)
+    expectCase(C);
   EXPECT_FALSE(std::filesystem::exists(Dir + "/analyze.out"));
+}
+
+TEST(SbiCliTest, TableRefusalsExitTwoBeforeAnyWork) {
+  // From sbi's own tables: every flag a verb does not read (with --in, the
+  // campaign's too), every bad choice, every count one past its bounds and
+  // every operand too many or too few exits 2 before a campaign runs.
+  std::vector<Case> Cases;
+  for (const VerbSpec &Verb : Verbs) {
+    const std::string Name = Verb.Name;
+    std::string Command = std::string(SBI_PATH) + " " + Name;
+    for (uint32_t I = 0; I < Verb.MinOperands; ++I)
+      Command += " dir";
+    const std::string WithIn = Command + " --in=dir";
+    for (const FlagSpec &Flag : Flags) {
+      const std::string Given = std::string("--") + Flag.Name;
+      const std::string Refused = Name + " does not take " + Given;
+      std::string Valid = Given;
+      if (Flag.Kind != FlagKind::Switch)
+        Valid += std::string("=") + (*Flag.Default ? Flag.Default : "x");
+      if (!takes(Verb, Flag, /*WithIn=*/false)) {
+        Cases.push_back({Command + " " + Valid, 2, {Refused}});
+        continue;
+      }
+      if (!takes(Verb, Flag, /*WithIn=*/true))
+        Cases.push_back({WithIn + " " + Valid, 2, {Refused, "with --in"}});
+      if (Flag.Kind == FlagKind::Choice)
+        Cases.push_back({Command + " " + Given + "=bogus", 2,
+                         {"'bogus'", Given, Flag.Value}});
+      if (Flag.Kind != FlagKind::Count)
+        continue;
+      std::vector<std::string> Bad = {
+          Flag.Max == UINT64_MAX ? "18446744073709551616"
+                                 : std::to_string(Flag.Max + 1)};
+      if (Flag.Min > 0)
+        Bad.push_back(std::to_string(Flag.Min - 1));
+      for (const std::string &Value : Bad)
+        Cases.push_back({Command + " " + Given + "=" + Value, 2,
+                         {"'" + Value + "'", Given}});
+    }
+    if (Verb.MinOperands > 0)
+      Cases.push_back({std::string(SBI_PATH) + " " + Name, 2,
+                       {Name + " needs " + Verb.Synopsis}});
+    if (Verb.MaxOperands != UINT32_MAX) {
+      std::string TooMany = std::string(SBI_PATH) + " " + Name;
+      for (uint32_t I = 0; I < Verb.MaxOperands; ++I)
+        TooMany += " dir";
+      Cases.push_back({TooMany + " extra", 2,
+                       {"unexpected operand 'extra' for " + Name}});
+    }
+  }
+  for (const Case &C : Cases)
+    EXPECT_EQ(expectCase(C).Output.find("sbi: running"), std::string::npos)
+        << C.Command;
+}
+
+TEST(SbiCliTest, UsageListsTheFlagsEachVerbReads) {
+  // Each verb's block of the usage text (its line and the indented lines
+  // after it) names exactly the flags the table says it reads, the
+  // campaign-only ones after "campaign only:".
+  CliResult Usage = runCommand(SBI_PATH);
+  ASSERT_EQ(Usage.Status, 2);
+  std::vector<std::string> Lines;
+  std::istringstream Text(Usage.Output.substr(0, Usage.Output.find("flags:")));
+  for (std::string Line; std::getline(Text, Line);)
+    Lines.push_back(Line);
+  for (const VerbSpec &Verb : Verbs) {
+    const std::string Head = std::string("  ") + Verb.Name + " ";
+    auto At = std::find_if(Lines.begin(), Lines.end(), [&](const auto &L) {
+      return L.compare(0, Head.size(), Head) == 0;
+    });
+    ASSERT_NE(At, Lines.end()) << Verb.Name << ":\n" << Usage.Output;
+    std::set<std::string> Listed, CampaignOnly;
+    bool InCampaignOnly = false;
+    do {
+      std::istringstream Words(*At);
+      for (std::string Word; Words >> Word;) {
+        InCampaignOnly |= Word == "only:";
+        if (Word.compare(0, 2, "--") == 0)
+          (InCampaignOnly ? CampaignOnly : Listed).insert(Word.substr(2));
+      }
+    } while (++At != Lines.end() && At->compare(0, 3, "   ") == 0);
+    std::set<std::string> Reads, ReadsCampaignOnly;
+    for (const FlagSpec &Flag : Flags) {
+      if (takes(Verb, Flag, /*WithIn=*/true))
+        Reads.insert(Flag.Name);
+      else if (takes(Verb, Flag, /*WithIn=*/false))
+        ReadsCampaignOnly.insert(Flag.Name);
+    }
+    EXPECT_EQ(Listed, Reads) << Verb.Name;
+    EXPECT_EQ(CampaignOnly, ReadsCampaignOnly) << Verb.Name;
+  }
+  for (const FlagSpec &Flag : Flags)
+    EXPECT_NE(Usage.Output.find(std::string("\n  --") + Flag.Name +
+                                (Flag.Kind == FlagKind::Switch ? " " : "=")),
+              std::string::npos)
+        << Flag.Name;
 }
 
 TEST(SbiCliTest, ACorpusReadsLikeTheInMemoryCampaign) {

@@ -651,15 +651,14 @@ void addRuns(RunProfiles &Runs, const SyntheticWorld &World, int Count,
   }
 }
 
-/// Analyzes \p Runs with every engine under every policy (with affinity
-/// on, whatever \p Options says otherwise) and expects both live engines
+/// Analyzes \p Runs with every engine under every policy (keeping the
+/// affinity entries \p Options asks for) and expects both live engines
 /// bit-identical to rescan. Returns the rescan results in AllPolicies
 /// order.
 std::vector<AnalysisResult> expectEnginesAgree(const SiteTable &Sites,
                                                const RunProfiles &Runs,
                                                AnalysisOptions Options = {}) {
   std::vector<AnalysisResult> Reference;
-  Options.ComputeAffinity = true;
   for (DiscardPolicy Policy : AllPolicies) {
     Options.Policy = Policy;
     Options.Engine = AnalysisEngine::Rescan;
@@ -1141,14 +1140,13 @@ std::vector<uint32_t> sitesOf(const SlicedWorld &W, size_t First,
 }
 
 /// Analyzes \p Runs with the rescan engine, then with both live engines at
-/// every ThreadCounts value, under every policy, with affinity on. Expects
-/// every live result bit-identical to rescan's, and each live engine's
-/// three work counts the same at every thread count. Returns the rescan
-/// results in AllPolicies order.
+/// every ThreadCounts value, under every policy, with \p Options' affinity
+/// cap. Expects every live result bit-identical to rescan's, and each live
+/// engine's three work counts the same at every thread count. Returns the
+/// rescan results in AllPolicies order.
 std::vector<AnalysisResult> expectSlicedAgree(const SiteTable &Sites,
                                               const RunProfiles &Runs,
                                               AnalysisOptions Options = {}) {
-  Options.ComputeAffinity = true;
   // The bitset engine, however sparse the population.
   Options.BitsetMinDensity = 0.0;
   std::vector<AnalysisResult> Reference;

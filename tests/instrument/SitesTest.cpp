@@ -60,9 +60,11 @@ fn f() { return 1; }
 fn main() { int x = f(); })");
   SiteTable Table = SiteTable::build(*Prog);
   ASSERT_EQ(countScheme(Table, Scheme::Returns), 1u);
-  for (const SiteInfo &Site : Table.sites())
-    if (Site.SchemeKind == Scheme::Returns)
+  for (const SiteInfo &Site : Table.sites()) {
+    if (Site.SchemeKind == Scheme::Returns) {
       EXPECT_EQ(Site.NumPredicates, 6u);
+    }
+  }
 }
 
 TEST(SitesTest, IntReturningIntrinsicsAreReturnSites) {
@@ -91,9 +93,11 @@ TEST(SitesTest, ScalarPairsOneSitePerComparand) {
   size_t Pairs = countScheme(Table, Scheme::ScalarPairs);
   // a-decl: 2 (constants 0,7); b-decl: 1 (a) + 2; assignment: 1 (a) + 2.
   EXPECT_EQ(Pairs, 8u);
-  for (const SiteInfo &Site : Table.sites())
-    if (Site.SchemeKind == Scheme::ScalarPairs)
+  for (const SiteInfo &Site : Table.sites()) {
+    if (Site.SchemeKind == Scheme::ScalarPairs) {
       EXPECT_EQ(Site.NumPredicates, 6u);
+    }
+  }
 }
 
 TEST(SitesTest, ConstantsAreCappedAndDeduplicated) {

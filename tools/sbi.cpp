@@ -3,49 +3,12 @@
 // Part of the SBI project: a reproduction of "Scalable Statistical Bug
 // Isolation" (Liblit et al., PLDI 2005).
 //
-// The command-line face of the library:
-//
-//   sbi subjects
-//       List the bundled study subjects and their seeded bugs.
-//
-//   sbi run --subject=NAME [--runs=N] [--seed=S]
-//           [--sampling=adaptive|none|uniform:RATE] [--out=DIR]
-//       Run a feedback-collection campaign; its workers write the labeled
-//       reports straight into an SBI-CORPUS v2 corpus (feedback/Corpus.h)
-//       at DIR (default: <subject>.corpus), replacing any corpus there.
-//
-//   sbi analyze --subject=NAME [--in=DIR] [--runs=N] [--seed=S]
-//               [--policy=all|failing|relabel] [--top=K] [--affinity]
-//               [--bugs]
-//       Isolate causes. Reads the corpus at DIR if given, otherwise runs
-//       a fresh campaign in memory; both give the same output. --bugs
-//       appends ground-truth columns (the seeded subjects record which bug
-//       actually occurred per run).
-//
-//   sbi logreg --subject=NAME [--in=DIR] [--runs=N] [--top=K]
-//       The Section 4.4 baseline: l1-regularized logistic regression.
-//
-//   sbi report --subject=NAME [--in=DIR] [--runs=N] [--seed=S]
-//              [--policy=all|failing|relabel] [--out=FILE] [--top=K]
-//              [--bugs]
-//       Write the analysis as a self-contained HTML page (the paper's
-//       "interactive version of our analysis tools").
-//
-//   sbi corpus <info|merge|validate> ...
-//       Summarize, concatenate and fully decode corpora.
-//
-//   sbi lint [--subject=NAME] [--json]
-//       Static findings (src/sa) over one subject or all of them: dead
-//       code, constant branches, unreachable returns, use-before-init.
-//
-//   sbi trace summarize --in=FILE [--top=K] [--json]
-//       Top spans by self-time from a --trace-out Perfetto trace.
-//
-//   `run`/`analyze --static-prune` classifies sites with the same analysis
-//   and instruments only the Live ones; retained-predicate rankings are
-//   bit-identical to the unpruned pipeline at the same seed.
+// The command-line face of the library. Its verbs and flags are declared
+// once, in SbiFlags.h; `sbi` with no arguments lists them.
 //
 //===----------------------------------------------------------------------===//
+
+#include "SbiFlags.h"
 
 #include "core/Analysis.h"
 #include "feedback/Corpus.h"
@@ -67,208 +30,142 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 using namespace sbi;
+using namespace sbi::cli;
 
 namespace {
 
-struct CliArgs {
-  std::string Command;
-  std::string SubCommand; // corpus verb: info|merge|validate.
-  std::string SubjectName;
-  std::string InFile;
-  std::string OutFile;
-  std::string Sampling = "adaptive";
-  double UniformRate = 0.01; // RATE of --sampling=uniform:RATE.
-  std::string Policy = "all";
-  std::string Engine = "incremental";
-  std::string ExecEngine = "interp";
-  std::string MetricsOut;
-  std::string TraceOut;
-  std::vector<std::string> Inputs; // Positional args (corpus merge dirs).
-  /// Every flag given, by name: "--runs=40" is "runs".
-  std::vector<std::string> Given;
-  size_t Runs = 4000;
-  uint64_t Seed = 20050612;
-  size_t Top = 20;
-  size_t Threads = 0;            // 0 = one per hardware thread.
-  size_t ShardReports = 128;     // Reports per shard for corpus writers.
-  bool ShowAffinity = false;
-  bool ShowBugs = false;
-  bool Trace = false;
-  bool ShowProgress = false;
-  bool StaticPrune = false;
-  bool Json = false;
+/// A flag named by a constant: a name that is no flag's fails to compile.
+struct FlagName {
+  size_t Index;
+  consteval FlagName(const char *Name) : Index(flagIndex(Name)) {}
 };
 
+struct CliArgs {
+  const VerbSpec *Verb = nullptr;
+  std::vector<std::string> Operands; ///< After the verb's name.
+  /// One per row of Flags: the text given, or the default, and what it
+  /// converts to (a Count's value, a Choice's position).
+  struct Value {
+    std::string Text;
+    uint64_t Number = 0;
+    bool Given = false;
+  } Values[std::size(Flags)];
+  double Rate = 0; ///< The RATE of a "NAME:RATE" choice.
+
+  const std::string &text(FlagName F) const { return Values[F.Index].Text; }
+  uint64_t count(FlagName F) const { return Values[F.Index].Number; }
+  bool on(FlagName F) const { return Values[F.Index].Given; }
+  template <typename Enum> Enum choice(FlagName F) const {
+    return static_cast<Enum>(Values[F.Index].Number);
+  }
+};
+
+/// Appends \p Head, then the words of \p Body from column 22 on, wrapped
+/// to fit 79 columns.
+void appendWrapped(std::string &Text, std::string Line, std::string_view Body) {
+  constexpr size_t Indent = 22, Width = 79;
+  std::istringstream Words{std::string(Body)};
+  for (std::string Word; Words >> Word;) {
+    if (Line.size() > Indent && Line.size() + 1 + Word.size() > Width) {
+      Text += Line + "\n";
+      Line.clear();
+    }
+    Line = (Line.size() < Indent ? padRight(Line, Indent) : Line + " ") + Word;
+  }
+  Text += Line + "\n";
+}
+
 int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sbi <command> [options]\n"
-      "  subjects\n"
-      "  run     --subject=NAME [--runs=N] [--seed=S]\n"
-      "          [--sampling=adaptive|none|uniform:RATE] [--out=DIR]\n"
-      "          [--shard-reports=N] [--static-prune] [--engine=interp|vm]\n"
-      "  analyze --subject=NAME [--in=DIR] [--runs=N] [--seed=S]\n"
-      "          [--policy=all|failing|relabel] [--top=K] [--affinity] "
-      "[--bugs]\n"
-      "          [--analysis-engine=rescan|incremental|bitset] "
-      "[--static-prune]\n"
-      "          [--trace] [--engine=interp|vm]\n"
-      "  logreg  --subject=NAME [--in=DIR] [--runs=N] [--top=K]\n"
-      "  report  --subject=NAME [--in=DIR] [--out=FILE] [--top=K] "
-      "[--bugs]\n"
-      "          [--policy=all|failing|relabel]\n"
-      "  lint    [--subject=NAME] [--json]\n"
-      "  trace   summarize --in=FILE [--top=K] [--json]\n"
-      "  corpus  info     DIR\n"
-      "          merge    --out=DIR DIR... [--shard-reports=N]\n"
-      "          validate DIR\n"
-      "corpus options (reports live in SBI-CORPUS v2 shard directories):\n"
-      "  --out=DIR          (run, corpus merge) the corpus to write; any\n"
-      "                     corpus already there is replaced (run default:\n"
-      "                     <subject>.corpus)\n"
-      "  --in=DIR           (analyze, logreg, report) read the runs from a\n"
-      "                     corpus instead of running a campaign\n"
-      "  --shard-reports=N  reports per shard when writing (default 128);\n"
-      "                     each run-loop worker writes whole shards\n"
-      "common options (any command that runs a campaign):\n"
-      "  --threads=N        worker threads for the run loop; 0 = one per\n"
-      "                     hardware thread (default; results are\n"
-      "                     bit-identical for any N)\n"
-      "  --engine=E         execution engine for the subject's runs:\n"
-      "                     'interp' (tree-walking reference, default) or\n"
-      "                     'vm' (bytecode VM); outcomes, predicate\n"
-      "                     counts, and analysis results are identical\n"
-      "                     either way (crash backtrace frame labels may\n"
-      "                     name different AST nodes)\n"
-      "  --metrics-out=FILE enable telemetry and write the metrics\n"
-      "                     registry as JSON on exit\n"
-      "  --trace            (analyze) print the iteration-by-iteration\n"
-      "                     elimination audit trail as text; unrelated to\n"
-      "                     --trace-out\n"
-      "  --trace-out=FILE   (run/analyze) record timing spans and write\n"
-      "                     them as Chrome trace_event JSON on exit; load\n"
-      "                     in Perfetto / chrome://tracing, or summarize\n"
-      "                     with 'sbi trace summarize --in=FILE'\n"
-      "  --static-prune     (run/analyze) statically classify sites and\n"
-      "                     instrument only the Live ones; site ids are\n"
-      "                     not renumbered, so reports and rankings stay\n"
-      "                     comparable with unpruned campaigns\n"
-      "  --json             (lint) machine-readable findings\n"
-      "  --progress         live progress bar on stderr during the run\n"
-      "                     loop\n");
+  std::string Text = "usage: sbi <verb> [operands] [flags]\n"
+                     "verbs, and the flags each reads (campaign only: read "
+                     "while the verb runs a\ncampaign, which analyze, "
+                     "logreg and report do unless given --in):\n";
+  for (const VerbSpec &Verb : Verbs) {
+    std::string Always, CampaignOnly;
+    for (const FlagSpec &Flag : Flags) {
+      if (takes(Verb, Flag, /*WithIn=*/true))
+        Always += std::string(" --") + Flag.Name;
+      else if (takes(Verb, Flag, /*WithIn=*/false))
+        CampaignOnly += std::string(" --") + Flag.Name;
+    }
+    appendWrapped(Text, format("  %s %s", Verb.Name, Verb.Synopsis), Always);
+    if (!CampaignOnly.empty())
+      appendWrapped(Text, "", "campaign only:" + CampaignOnly);
+  }
+  Text += "flags:\n";
+  for (const FlagSpec &Flag : Flags) {
+    std::string Body = Flag.Usage;
+    if (Flag.Kind == FlagKind::Count)
+      Body += format(" (default %s; %llu to %llu)", Flag.Default, Flag.Min,
+                     Flag.Max);
+    else if (*Flag.Default)
+      Body += format(" (default %s)", Flag.Default);
+    std::string Head = std::string("  --") + Flag.Name;
+    if (Flag.Kind != FlagKind::Switch)
+      Head += std::string("=") + Flag.Value;
+    appendWrapped(Text, Head, Body);
+  }
+  std::fputs(Text.c_str(), stderr);
   return 2;
 }
 
+/// Converts \p Value's text as \p Flag reads it, or says why it cannot.
+bool convert(const FlagSpec &Flag, CliArgs::Value &Value, double &Rate) {
+  const std::string &Text = Value.Text;
+  if (Flag.Kind == FlagKind::Count &&
+      !(parseUnsigned(Text, Value.Number) && Value.Number >= Flag.Min &&
+        Value.Number <= Flag.Max)) {
+    std::fprintf(stderr,
+                 "sbi: bad value '%s' for --%s: expected an integer from "
+                 "%llu to %llu\n",
+                 Text.c_str(), Flag.Name, Flag.Min, Flag.Max);
+    return false;
+  }
+  if (Flag.Kind != FlagKind::Choice)
+    return true;
+  const int Position = choicePosition(Flag, Text);
+  if (Position < 0) {
+    std::fprintf(stderr, "sbi: bad value '%s' for --%s: expected %s\n",
+                 Text.c_str(), Flag.Name, Flag.Value);
+    return false;
+  }
+  Value.Number = static_cast<uint64_t>(Position);
+  const size_t Colon = Text.find(':');
+  if (Colon == std::string::npos ||
+      parseRate(std::string_view(Text).substr(Colon + 1), Rate))
+    return true;
+  std::fprintf(stderr,
+               "sbi: bad rate '%s' for --%s=%sRATE: expected a number with "
+               "0 < RATE <= 1\n",
+               Text.c_str() + Colon + 1, Flag.Name,
+               Text.substr(0, Colon + 1).c_str());
+  return false;
+}
+
+/// Reads the verb, its operands and its flags. Refuses, in this order, an
+/// unknown flag, one the verb does not read, the wrong number of operands
+/// and a value its flag does not accept.
 bool parseArgs(int Argc, char **Argv, CliArgs &Args) {
   if (Argc < 2)
     return false;
-  Args.Command = Argv[1];
   for (int I = 2; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
-    if (startsWith(Arg, "--"))
-      Args.Given.emplace_back(Arg.substr(2, Arg.find('=') - 2));
-    auto valueOf = [&](std::string_view Prefix,
-                       std::string &Out) {
-      if (Arg.substr(0, Prefix.size()) != Prefix)
-        return false;
-      Out = std::string(Arg.substr(Prefix.size()));
-      return true;
-    };
-    // Strict full-consumption parse: "--runs=abc" and "--runs=40x" are
-    // errors, not silent zeros (the strtoull they replace accepted both).
-    auto numberOf = [&](std::string_view Prefix, uint64_t &Out,
-                        bool &Failed) {
-      std::string Value;
-      if (!valueOf(Prefix, Value))
-        return false;
-      if (!parseUnsigned(Value, Out)) {
-        std::fprintf(stderr,
-                     "sbi: bad value '%s' for %.*s: expected an unsigned "
-                     "decimal integer\n",
-                     Value.c_str(), static_cast<int>(Prefix.size() - 1),
-                     Prefix.data());
-        Failed = true;
-      }
-      return true;
-    };
-    if (valueOf("--subject=", Args.SubjectName) ||
-        valueOf("--in=", Args.InFile) || valueOf("--out=", Args.OutFile) ||
-        valueOf("--policy=", Args.Policy) ||
-        valueOf("--analysis-engine=", Args.Engine) ||
-        valueOf("--engine=", Args.ExecEngine) ||
-        valueOf("--metrics-out=", Args.MetricsOut) ||
-        valueOf("--trace-out=", Args.TraceOut))
-      continue;
-    if (valueOf("--sampling=", Args.Sampling)) {
-      if (startsWith(Args.Sampling, "uniform:") &&
-          !parseRate(std::string_view(Args.Sampling).substr(8),
-                     Args.UniformRate)) {
-        std::fprintf(stderr,
-                     "sbi: bad rate '%s' for --sampling=uniform:RATE: "
-                     "expected a number with 0 < RATE <= 1\n",
-                     Args.Sampling.c_str() + 8);
-        return false;
-      }
+    if (!startsWith(Arg, "--")) {
+      Args.Operands.emplace_back(Arg);
       continue;
     }
-    bool BadNumber = false;
-    uint64_t Number = 0;
-    if (numberOf("--runs=", Number, BadNumber)) {
-      if (BadNumber)
-        return false;
-      Args.Runs = static_cast<size_t>(Number);
-    } else if (numberOf("--seed=", Number, BadNumber)) {
-      if (BadNumber)
-        return false;
-      Args.Seed = Number;
-    } else if (numberOf("--top=", Number, BadNumber)) {
-      if (BadNumber)
-        return false;
-      Args.Top = static_cast<size_t>(Number);
-    } else if (numberOf("--threads=", Number, BadNumber)) {
-      if (BadNumber)
-        return false;
-      Args.Threads = static_cast<size_t>(Number);
-    } else if (numberOf("--shard-reports=", Number, BadNumber)) {
-      if (BadNumber)
-        return false;
-      if (Number == 0 || Number > UINT32_MAX) {
-        std::fprintf(stderr,
-                     "sbi: --shard-reports must be between 1 and 2^32-1\n");
-        return false;
-      }
-      Args.ShardReports = static_cast<size_t>(Number);
-    } else if (!startsWith(Arg, "--")) {
-      // Positional operands: the corpus/trace verb and its operands.
-      if (Args.Command == "corpus" || Args.Command == "trace") {
-        if (Args.SubCommand.empty())
-          Args.SubCommand = std::string(Arg);
-        else
-          Args.Inputs.emplace_back(Arg);
-        continue;
-      }
-      std::fprintf(stderr, "sbi: unexpected argument '%s'\n", Argv[I]);
-      return false;
-    } else if (Arg == "--affinity") {
-      Args.ShowAffinity = true;
-    } else if (Arg == "--bugs") {
-      Args.ShowBugs = true;
-    } else if (Arg == "--trace") {
-      Args.Trace = true;
-    } else if (Arg == "--static-prune") {
-      Args.StaticPrune = true;
-    } else if (Arg == "--json") {
-      Args.Json = true;
-    } else if (Arg == "--progress") {
-      Args.ShowProgress = true;
-    } else {
+    const size_t Eq = Arg.find('=');
+    const FlagSpec *Flag = std::find_if(
+        std::begin(Flags), std::end(Flags),
+        [&](const FlagSpec &F) { return F.Name == Arg.substr(2, Eq - 2); });
+    if (Flag == std::end(Flags) ||
+        (Flag->Kind == FlagKind::Switch) != (Eq == std::string_view::npos)) {
       std::fprintf(stderr, "sbi: unknown option '%s'\n", Argv[I]);
       // The two tracing flags are easy to cross: --trace is the textual
       // elimination audit trail, --trace-out=FILE records Perfetto spans.
@@ -279,50 +176,77 @@ bool parseArgs(int Argc, char **Argv, CliArgs &Args) {
                      "spans)?\n");
       return false;
     }
+    Args.Values[Flag - Flags] = {
+        std::string(Eq == std::string_view::npos ? "" : Arg.substr(Eq + 1)),
+        0, true};
+  }
+
+  // A command with sub-verbs, like corpus, names one in its first operand.
+  std::string Name = Argv[1], SubVerb;
+  const bool HasSubVerbs =
+      std::any_of(std::begin(Verbs), std::end(Verbs), [&](const VerbSpec &V) {
+        return startsWith(V.Name, Name + " ");
+      });
+  if (HasSubVerbs && !Args.Operands.empty()) {
+    SubVerb = Args.Operands.front();
+    Args.Operands.erase(Args.Operands.begin());
+    Name += " " + SubVerb;
+  }
+  for (const VerbSpec &Verb : Verbs)
+    if (Verb.Name == Name)
+      Args.Verb = &Verb;
+  if (!Args.Verb) {
+    if (HasSubVerbs)
+      std::fprintf(stderr, "sbi: unknown %s verb '%s'\n", Argv[1],
+                   SubVerb.c_str());
+    else
+      std::fprintf(stderr, "sbi: unknown command '%s'\n", Argv[1]);
+    return false;
+  }
+  const VerbSpec &Verb = *Args.Verb;
+
+  bool Ok = true, NoCampaign = false;
+  const bool WithIn = !Args.text("in").empty();
+  for (size_t I = 0; I < std::size(Flags); ++I) {
+    if (!Args.Values[I].Given || takes(Verb, Flags[I], WithIn))
+      continue;
+    std::fprintf(stderr, "sbi: %s does not take --%s\n", Verb.Name,
+                 Flags[I].Name);
+    NoCampaign |= takes(Verb, Flags[I], /*WithIn=*/false);
+    Ok = false;
+  }
+  if (NoCampaign)
+    std::fprintf(stderr, "sbi: with --in, %s reads the runs from the corpus "
+                         "and runs no campaign\n",
+                 Verb.Name);
+  if (!Ok)
+    return false;
+
+  if (Args.Operands.size() > Verb.MaxOperands) {
+    std::fprintf(stderr, "sbi: unexpected operand '%s' for %s\n",
+                 Args.Operands[Verb.MaxOperands].c_str(), Verb.Name);
+    return false;
+  }
+  if (Args.Operands.size() < Verb.MinOperands) {
+    std::fprintf(stderr, "sbi: %s needs %s\n", Verb.Name, Verb.Synopsis);
+    return false;
+  }
+
+  for (size_t I = 0; I < std::size(Flags); ++I) {
+    if (!Args.Values[I].Given)
+      Args.Values[I].Text = Flags[I].Default;
+    if (!convert(Flags[I], Args.Values[I], Args.Rate))
+      return false;
   }
   return true;
 }
 
-/// The flags a campaign reads (configureCampaign). A verb given --in=DIR
-/// reads its runs from the corpus there and runs no campaign.
-constexpr std::string_view CampaignFlags[] = {
-    "runs", "seed", "sampling", "engine", "progress", "static-prune"};
-
-/// Whether \p Verb reads every flag given: those in \p Reads, main()'s
-/// --metrics-out and --trace-out, and the campaign's when \p Campaign.
-/// Otherwise says which flags it does not take.
-bool takesOnly(const CliArgs &Args, const std::string &Verb,
-               std::initializer_list<std::string_view> Reads,
-               bool Campaign = false) {
-  auto reads = [&](std::string_view Flag) {
-    auto In = [&](const auto &Names) {
-      return std::find(std::begin(Names), std::end(Names), Flag) !=
-             std::end(Names);
-    };
-    return Flag == "metrics-out" || Flag == "trace-out" || In(Reads) ||
-           (Campaign && In(CampaignFlags));
-  };
-  bool Ok = true;
-  for (const std::string &Flag : Args.Given) {
-    if (reads(Flag))
-      continue;
-    std::fprintf(stderr, "sbi: %s does not take --%s\n", Verb.c_str(),
-                 Flag.c_str());
-    Ok = false;
-  }
-  if (!Ok && !Args.InFile.empty())
-    std::fprintf(stderr, "sbi: with --in, %s reads the runs from the corpus "
-                         "and runs no campaign\n",
-                 Verb.c_str());
-  return Ok;
-}
-
 /// The subject --subject names, or null after saying it does not exist.
 const Subject *subjectOf(const CliArgs &Args) {
-  const Subject *Subj = findSubject(Args.SubjectName);
+  const Subject *Subj = findSubject(Args.text("subject"));
   if (!Subj)
     std::fprintf(stderr, "sbi: unknown subject '%s' (try 'sbi subjects')\n",
-                 Args.SubjectName.c_str());
+                 Args.text("subject").c_str());
   return Subj;
 }
 
@@ -335,7 +259,7 @@ void printPruneSummary(const PruneResult &Prune) {
                Prune.numConstant(), Prune.numLive());
 }
 
-int cmdSubjects() {
+int cmdSubjects(const CliArgs &) {
   for (const Subject *Subj : allSubjects()) {
     std::printf("%s  (%s-labeled)\n", Subj->Name.c_str(),
                 Subj->UseOutputOracle ? "oracle" : "crash");
@@ -346,21 +270,17 @@ int cmdSubjects() {
   return 0;
 }
 
-bool configureCampaign(const CliArgs &Args, CampaignOptions &Options) {
-  Options.NumRuns = Args.Runs;
-  Options.Seed = Args.Seed;
-  Options.Threads = Args.Threads;
-  Options.StaticPrune = Args.StaticPrune;
-  if (Args.ExecEngine == "interp") {
-    Options.Exec = Engine::Interpreter;
-  } else if (Args.ExecEngine == "vm") {
-    Options.Exec = Engine::VM;
-  } else {
-    std::fprintf(stderr, "sbi: bad --engine value '%s' (want interp|vm)\n",
-                 Args.ExecEngine.c_str());
-    return false;
-  }
-  if (Args.ShowProgress) {
+CampaignOptions campaignOptions(const CliArgs &Args) {
+  CampaignOptions Options;
+  Options.NumRuns = Args.count("runs");
+  Options.Seed = Args.count("seed");
+  Options.Threads = Args.count("threads");
+  Options.StaticPrune = Args.on("static-prune");
+  Options.Exec = Args.choice<Engine>("engine");
+  Options.Mode = Args.choice<SamplingMode>("sampling");
+  if (Options.Mode == SamplingMode::Uniform)
+    Options.UniformRate = Args.Rate;
+  if (Args.on("progress")) {
     // Reuses the bug-thermometer renderer as a progress bar: the '#' band
     // is the completed fraction of a full-length bar. Called from worker
     // threads; one fprintf per call keeps the line updates atomic enough.
@@ -373,19 +293,7 @@ bool configureCampaign(const CliArgs &Args, CampaignOptions &Options) {
                    Done == Total ? "\n" : "");
     };
   }
-  if (Args.Sampling == "adaptive") {
-    Options.Mode = SamplingMode::Adaptive;
-  } else if (Args.Sampling == "none") {
-    Options.Mode = SamplingMode::None;
-  } else if (startsWith(Args.Sampling, "uniform:")) {
-    Options.Mode = SamplingMode::Uniform;
-    Options.UniformRate = Args.UniformRate;
-  } else {
-    std::fprintf(stderr, "sbi: bad --sampling value '%s'\n",
-                 Args.Sampling.c_str());
-    return false;
-  }
-  return true;
+  return Options;
 }
 
 /// What analyze, logreg and report read: the subject, the site table that
@@ -407,11 +315,10 @@ bool loadPopulation(const CliArgs &Args, Population &Out,
   Out.Subj = subjectOf(Args);
   if (!Out.Subj)
     return false;
-  if (Args.InFile.empty()) {
-    CampaignOptions Options;
-    if (!configureCampaign(Args, Options))
-      return false;
-    std::fprintf(stderr, "sbi: running %zu '%s' inputs...\n", Args.Runs,
+  const std::string &InDir = Args.text("in");
+  if (InDir.empty()) {
+    CampaignOptions Options = campaignOptions(Args);
+    std::fprintf(stderr, "sbi: running %zu '%s' inputs...\n", Options.NumRuns,
                  Out.Subj->Name.c_str());
     CampaignResult Result = runCampaign(*Out.Subj, Options);
     if (Result.StaticPruned)
@@ -429,9 +336,9 @@ bool loadPopulation(const CliArgs &Args, Population &Out,
   Out.Sites = SiteTable::build(*Out.Prog);
   CorpusIngestStats Stats;
   std::string Error;
-  if (!ingestCorpus(Args.InFile, Out.Runs, Args.Threads, Error, &Stats)) {
-    std::fprintf(stderr, "sbi: cannot read corpus '%s': %s\n",
-                 Args.InFile.c_str(), Error.c_str());
+  if (!ingestCorpus(InDir, Out.Runs, Args.count("threads"), Error, &Stats)) {
+    std::fprintf(stderr, "sbi: cannot read corpus '%s': %s\n", InDir.c_str(),
+                 Error.c_str());
     return false;
   }
   if (Out.Runs.numSites() != Out.Sites.numSites() ||
@@ -453,9 +360,9 @@ bool loadPopulation(const CliArgs &Args, Population &Out,
                Stats.Seconds > 0.0
                    ? static_cast<double>(Stats.Bytes) / 1e6 / Stats.Seconds
                    : 0.0);
-  if (Counts && !readCorpus(Args.InFile, *Counts, Error)) {
-    std::fprintf(stderr, "sbi: cannot read corpus '%s': %s\n",
-                 Args.InFile.c_str(), Error.c_str());
+  if (Counts && !readCorpus(InDir, *Counts, Error)) {
+    std::fprintf(stderr, "sbi: cannot read corpus '%s': %s\n", InDir.c_str(),
+                 Error.c_str());
     return false;
   }
   return true;
@@ -464,19 +371,14 @@ bool loadPopulation(const CliArgs &Args, Population &Out,
 /// The one write path: the campaign's workers spill their reports straight
 /// into the corpus at --out; no ReportSet is ever materialized.
 int cmdRun(const CliArgs &Args) {
-  if (!takesOnly(Args, "run", {"subject", "out", "shard-reports", "threads"},
-                 /*Campaign=*/true))
-    return usage();
   const Subject *Subj = subjectOf(Args);
   if (!Subj)
     return 1;
-  CampaignOptions Options;
-  if (!configureCampaign(Args, Options))
-    return 1;
-  Options.SpillDir =
-      Args.OutFile.empty() ? Subj->Name + ".corpus" : Args.OutFile;
-  Options.SpillShardReports = Args.ShardReports;
-  std::fprintf(stderr, "sbi: running %zu '%s' inputs...\n", Args.Runs,
+  CampaignOptions Options = campaignOptions(Args);
+  const std::string &Out = Args.text("out");
+  Options.SpillDir = Out.empty() ? Subj->Name + ".corpus" : Out;
+  Options.SpillShardReports = Args.count("shard-reports");
+  std::fprintf(stderr, "sbi: running %zu '%s' inputs...\n", Options.NumRuns,
                Subj->Name.c_str());
   CampaignResult Result = runCampaign(*Subj, Options);
   if (!Result.Error.empty()) {
@@ -495,59 +397,33 @@ int cmdRun(const CliArgs &Args) {
   return 0;
 }
 
-/// Resolves the analysis flags analyze and report share:
-/// --analysis-engine, --policy and --threads (the index build's workers).
-/// Returns false (after complaining) on a bad value.
-bool configureAnalysis(const CliArgs &Args, AnalysisOptions &Options) {
-  Options.IndexThreads = Args.Threads;
-  if (Args.Engine == "incremental")
-    Options.Engine = AnalysisEngine::Incremental;
-  else if (Args.Engine == "rescan")
-    Options.Engine = AnalysisEngine::Rescan;
-  else if (Args.Engine == "bitset")
-    Options.Engine = AnalysisEngine::Bitset;
-  else {
-    std::fprintf(stderr, "sbi: bad --analysis-engine value '%s'\n",
-                 Args.Engine.c_str());
-    return false;
-  }
-  if (Args.Policy == "all")
-    Options.Policy = DiscardPolicy::DiscardAllRuns;
-  else if (Args.Policy == "failing")
-    Options.Policy = DiscardPolicy::DiscardFailingRuns;
-  else if (Args.Policy == "relabel")
-    Options.Policy = DiscardPolicy::RelabelFailingRuns;
-  else {
-    std::fprintf(stderr, "sbi: bad --policy value '%s'\n",
-                 Args.Policy.c_str());
-    return false;
-  }
-  return true;
+/// The analysis flags analyze and report share: --analysis-engine,
+/// --policy and --threads (the index build's workers).
+AnalysisOptions analysisOptions(const CliArgs &Args) {
+  AnalysisOptions Options;
+  Options.IndexThreads = Args.count("threads");
+  Options.Engine = Args.choice<AnalysisEngine>("analysis-engine");
+  Options.Policy = Args.choice<DiscardPolicy>("policy");
+  return Options;
 }
 
 int cmdAnalyze(const CliArgs &Args) {
-  if (!takesOnly(Args, "analyze",
-                 {"subject", "in", "threads", "static-prune", "policy",
-                  "analysis-engine", "top", "affinity", "bugs", "trace"},
-                 Args.InFile.empty()))
-    return usage();
-  AnalysisOptions Options;
-  if (!configureAnalysis(Args, Options))
-    return usage();
+  AnalysisOptions Options = analysisOptions(Args);
   // Only --affinity prints the lists; `report` always renders them.
-  Options.ComputeAffinity = Args.ShowAffinity;
+  if (!Args.on("affinity"))
+    Options.AffinityTopK = 0;
   Population Pop;
   ReportSet Counts;
-  if (!loadPopulation(Args, Pop, Args.StaticPrune ? &Counts : nullptr))
+  if (!loadPopulation(Args, Pop, Args.on("static-prune") ? &Counts : nullptr))
     return 1;
 
-  if (Args.StaticPrune) {
+  if (Args.on("static-prune")) {
     // Check the static claims against the recorded counts. With --in=DIR
     // the runs typically come from an unpruned reference campaign, which is
     // the strong direction: every pruned site must show zero (or
     // exactly-constant) counts even though it was fully instrumented.
     const PruneResult Prune = computePrune(*Pop.Prog, Pop.Sites);
-    if (!Args.InFile.empty())
+    if (!Args.text("in").empty())
       printPruneSummary(Prune);
     PruneVerification Verified =
         verifyPruneAgainstReports(Prune, Pop.Sites, Counts);
@@ -572,67 +448,59 @@ int cmdAnalyze(const CliArgs &Args) {
               Pop.Sites.numPredicates(), Analysis.PrunedSurvivors.size(),
               Analysis.Selected.size());
 
-  if (Args.Trace)
+  if (Args.on("trace"))
     std::printf("%s\n", renderAuditTrail(Pop.Sites, Analysis).c_str());
 
   std::vector<int> BugIds;
-  if (Args.ShowBugs)
+  if (Args.on("bugs"))
     for (const BugSpec &Bug : Pop.Subj->Bugs)
       BugIds.push_back(Bug.Id);
+  const size_t Top = Args.count("top");
   std::printf("%s\n", renderSelectedList(Pop.Sites, Pop.Runs,
-                                         Analysis.Selected, BugIds, Args.Top)
+                                         Analysis.Selected, BugIds, Top)
                           .c_str());
 
-  if (Args.ShowAffinity)
-    for (size_t I = 0; I < Analysis.Selected.size() && I < Args.Top; ++I)
+  if (Args.on("affinity"))
+    for (size_t I = 0; I < Analysis.Selected.size() && I < Top; ++I)
       std::printf("%s",
                   renderAffinity(Pop.Sites, Analysis.Selected[I]).c_str());
   return 0;
 }
 
 int cmdLogReg(const CliArgs &Args) {
-  if (!takesOnly(Args, "logreg", {"subject", "in", "threads", "top"},
-                 Args.InFile.empty()))
-    return usage();
   Population Pop;
   if (!loadPopulation(Args, Pop))
     return 1;
+  // --top is at most a million, so the product fits.
+  const size_t Top = Args.count("top");
   LogRegModel Model = trainForSparsity(
-      Pop.Runs, /*MaxActive=*/static_cast<int>(Args.Top) * 3,
+      Pop.Runs, /*MaxActive=*/static_cast<int>(Top) * 3,
       {0.05, 0.02, 0.01, 0.005, 0.002});
   std::printf("trained: %d nonzero weights (%d iterations)\n\n",
               Model.numNonzero(), Model.Iterations);
   std::printf("%-12s %s\n", "Coefficient", "Predicate");
-  for (const auto &[Pred, Weight] : Model.topByMagnitude(Args.Top))
+  for (const auto &[Pred, Weight] : Model.topByMagnitude(Top))
     std::printf("%12.6f %s\n", Weight,
                 predicateLabel(Pop.Sites, Pred).c_str());
   return 0;
 }
 
 int cmdReport(const CliArgs &Args) {
-  if (!takesOnly(Args, "report",
-                 {"subject", "in", "threads", "policy", "analysis-engine",
-                  "out", "top", "bugs"},
-                 Args.InFile.empty()))
-    return usage();
-  AnalysisOptions AnalyzeOptions;
-  if (!configureAnalysis(Args, AnalyzeOptions))
-    return usage();
   Population Pop;
   if (!loadPopulation(Args, Pop))
     return 1;
-  CauseIsolator Isolator(Pop.Sites, Pop.Runs, AnalyzeOptions);
+  CauseIsolator Isolator(Pop.Sites, Pop.Runs, analysisOptions(Args));
   AnalysisResult Analysis = Isolator.run();
 
   HtmlReportOptions Options;
-  Options.TopK = Args.Top;
-  Options.ShowGroundTruth = Args.ShowBugs;
+  Options.TopK = Args.count("top");
+  Options.ShowGroundTruth = Args.on("bugs");
   std::string Html =
       renderHtmlReport(*Pop.Subj, Pop.Sites, Pop.Runs, Analysis, Options);
 
-  std::string OutFile = Args.OutFile.empty()
+  std::string OutFile = Args.text("out").empty()
                             ? Pop.Subj->Name + ".report.html"
-                            : Args.OutFile;
+                            : Args.text("out");
   std::ofstream Out(OutFile);
   if (!Out) {
     std::fprintf(stderr, "sbi: cannot write '%s'\n", OutFile.c_str());
@@ -646,13 +514,7 @@ int cmdReport(const CliArgs &Args) {
 
 /// `sbi corpus info DIR`: per-shard and whole-corpus summary.
 int cmdCorpusInfo(const CliArgs &Args) {
-  if (!takesOnly(Args, "corpus info", {}))
-    return usage();
-  if (Args.Inputs.empty()) {
-    std::fprintf(stderr, "sbi: corpus info needs a corpus directory\n");
-    return usage();
-  }
-  const std::string &Dir = Args.Inputs.front();
+  const std::string &Dir = Args.Operands.front();
   std::vector<std::string> Shards = listCorpusShards(Dir);
   if (Shards.empty()) {
     std::fprintf(stderr, "sbi: no shard files in '%s'\n", Dir.c_str());
@@ -690,28 +552,25 @@ int cmdCorpusInfo(const CliArgs &Args) {
 /// replaces any corpus already at DIR. Memory stays bounded by one shard;
 /// dimensions must agree throughout.
 int cmdCorpusMerge(const CliArgs &Args) {
-  if (!takesOnly(Args, "corpus merge", {"out", "shard-reports"}))
-    return usage();
-  if (Args.OutFile.empty() || Args.Inputs.empty()) {
-    std::fprintf(stderr,
-                 "sbi: corpus merge needs --out=DIR and at least one input "
-                 "corpus directory\n");
+  const std::string &OutDir = Args.text("out");
+  if (OutDir.empty()) {
+    std::fprintf(stderr, "sbi: corpus merge needs --out=DIR\n");
     return usage();
   }
   // Replacing the output corpus would delete an input that is the same
   // directory before it is read; refuse before writing anything.
-  for (const std::string &Dir : Args.Inputs) {
+  for (const std::string &Dir : Args.Operands) {
     std::error_code Ec;
-    if (std::filesystem::equivalent(Args.OutFile, Dir, Ec)) {
+    if (std::filesystem::equivalent(OutDir, Dir, Ec)) {
       std::fprintf(stderr,
                    "sbi: corpus merge --out='%s' is also an input; merge "
                    "into another directory\n",
-                   Args.OutFile.c_str());
+                   OutDir.c_str());
       return 2;
     }
   }
   std::string Error;
-  if (!clearCorpusDir(Args.OutFile, Error)) {
+  if (!clearCorpusDir(OutDir, Error)) {
     std::fprintf(stderr, "sbi: %s\n", Error.c_str());
     return 1;
   }
@@ -722,11 +581,12 @@ int cmdCorpusMerge(const CliArgs &Args) {
   uint32_t NumSites = 0, NumPredicates = 0;
   bool HaveDims = false;
   auto openNext = [&] {
-    return Writer.open(Args.OutFile + "/" + corpusShardName(OutShard),
+    return Writer.open(OutDir + "/" + corpusShardName(OutShard),
                        OutShard, NumSites, NumPredicates, Error);
   };
 
-  for (const std::string &Dir : Args.Inputs) {
+  const uint64_t ShardReports = Args.count("shard-reports");
+  for (const std::string &Dir : Args.Operands) {
     std::vector<std::string> Shards = listCorpusShards(Dir);
     if (Shards.empty()) {
       std::fprintf(stderr, "sbi: no shard files in '%s'\n", Dir.c_str());
@@ -757,8 +617,7 @@ int cmdCorpusMerge(const CliArgs &Args) {
         // Roll to a new output shard only once another record exists, so
         // an exact multiple of --shard-reports never leaves a trailing
         // empty shard.
-        if (Writer.isOpen() &&
-            Writer.reportsWritten() >= Args.ShardReports) {
+        if (Writer.isOpen() && Writer.reportsWritten() >= ShardReports) {
           if (!Writer.finalize(Error))
             break;
           ++OutShard;
@@ -788,21 +647,15 @@ int cmdCorpusMerge(const CliArgs &Args) {
   }
   std::printf("merged %llu reports from %zu corpora into %u shards under "
               "%s\n",
-              static_cast<unsigned long long>(Written), Args.Inputs.size(),
-              OutShard + 1, Args.OutFile.c_str());
+              static_cast<unsigned long long>(Written), Args.Operands.size(),
+              OutShard + 1, OutDir.c_str());
   return 0;
 }
 
 /// `sbi corpus validate DIR`: full decode of every record of every shard;
 /// malformed input is reported, never crashes.
 int cmdCorpusValidate(const CliArgs &Args) {
-  if (!takesOnly(Args, "corpus validate", {}))
-    return usage();
-  if (Args.Inputs.empty()) {
-    std::fprintf(stderr, "sbi: corpus validate needs a corpus directory\n");
-    return usage();
-  }
-  const std::string &Dir = Args.Inputs.front();
+  const std::string &Dir = Args.Operands.front();
   std::vector<std::string> Shards = listCorpusShards(Dir);
   if (Shards.empty()) {
     std::fprintf(stderr, "sbi: no shard files in '%s'\n", Dir.c_str());
@@ -838,10 +691,8 @@ int cmdCorpusValidate(const CliArgs &Args) {
 /// or (default) every subject. Output is deterministic, so CI pins golden
 /// per-subject finding counts against the trailing summary lines.
 int cmdLint(const CliArgs &Args) {
-  if (!takesOnly(Args, "lint", {"subject", "json"}))
-    return usage();
   std::vector<const Subject *> Subjects;
-  if (!Args.SubjectName.empty()) {
+  if (!Args.text("subject").empty()) {
     const Subject *Subj = subjectOf(Args);
     if (!Subj)
       return 1;
@@ -850,14 +701,14 @@ int cmdLint(const CliArgs &Args) {
     Subjects = allSubjects();
   }
 
-  if (Args.Json)
+  if (Args.on("json"))
     std::printf("[");
   bool First = true;
   for (const Subject *Subj : Subjects) {
     std::unique_ptr<Program> Prog =
         compileSubjectSource(Subj->Source, Subj->Name);
     LintReport Report = runLint(*Prog);
-    if (Args.Json) {
+    if (Args.on("json")) {
       std::printf("%s\n%s", First ? "" : ",",
                   renderLintJson(Subj->Name, Report).c_str());
     } else {
@@ -867,7 +718,7 @@ int cmdLint(const CliArgs &Args) {
     }
     First = false;
   }
-  if (Args.Json)
+  if (Args.on("json"))
     std::printf("\n]\n");
   return 0;
 }
@@ -875,15 +726,14 @@ int cmdLint(const CliArgs &Args) {
 /// `sbi trace summarize --in=FILE [--top=K] [--json]`: self-time summary
 /// of a Chrome trace_event file produced by --trace-out.
 int cmdTraceSummarize(const CliArgs &Args) {
-  if (!takesOnly(Args, "trace summarize", {"in", "top", "json"}))
-    return usage();
-  if (Args.InFile.empty()) {
+  const std::string &File = Args.text("in");
+  if (File.empty()) {
     std::fprintf(stderr, "sbi: trace summarize needs --in=FILE\n");
     return usage();
   }
-  std::ifstream In(Args.InFile);
+  std::ifstream In(File);
   if (!In) {
-    std::fprintf(stderr, "sbi: cannot open '%s'\n", Args.InFile.c_str());
+    std::fprintf(stderr, "sbi: cannot open '%s'\n", File.c_str());
     return 1;
   }
   std::stringstream Buffer;
@@ -892,54 +742,27 @@ int cmdTraceSummarize(const CliArgs &Args) {
   std::string Error;
   if (!summarizeTrace(Buffer.str(), Summary, Error)) {
     std::fprintf(stderr, "sbi: '%s' is not a valid trace file: %s\n",
-                 Args.InFile.c_str(), Error.c_str());
+                 File.c_str(), Error.c_str());
     return 1;
   }
-  if (Args.Json)
-    std::printf("%s", renderTraceSummaryJson(Summary, Args.Top).c_str());
+  const size_t Top = Args.count("top");
+  if (Args.on("json"))
+    std::printf("%s", renderTraceSummaryJson(Summary, Top).c_str());
   else
-    std::printf("%s", renderTraceSummary(Summary, Args.Top).c_str());
+    std::printf("%s", renderTraceSummary(Summary, Top).c_str());
   return 0;
 }
 
-int cmdTrace(const CliArgs &Args) {
-  if (Args.SubCommand == "summarize")
-    return cmdTraceSummarize(Args);
-  std::fprintf(stderr, "sbi: unknown trace verb '%s'\n",
-               Args.SubCommand.c_str());
-  return usage();
-}
-
-int cmdCorpus(const CliArgs &Args) {
-  if (Args.SubCommand == "info")
-    return cmdCorpusInfo(Args);
-  if (Args.SubCommand == "merge")
-    return cmdCorpusMerge(Args);
-  if (Args.SubCommand == "validate")
-    return cmdCorpusValidate(Args);
-  std::fprintf(stderr, "sbi: unknown corpus verb '%s'\n",
-               Args.SubCommand.c_str());
-  return usage();
-}
-
 int dispatch(const CliArgs &Args) {
-  if (Args.Command == "subjects")
-    return takesOnly(Args, "subjects", {}) ? cmdSubjects() : usage();
-  if (Args.Command == "run")
-    return cmdRun(Args);
-  if (Args.Command == "analyze")
-    return cmdAnalyze(Args);
-  if (Args.Command == "logreg")
-    return cmdLogReg(Args);
-  if (Args.Command == "report")
-    return cmdReport(Args);
-  if (Args.Command == "corpus")
-    return cmdCorpus(Args);
-  if (Args.Command == "lint")
-    return cmdLint(Args);
-  if (Args.Command == "trace")
-    return cmdTrace(Args);
-  std::fprintf(stderr, "sbi: unknown command '%s'\n", Args.Command.c_str());
+  const std::pair<VerbBit, int (*)(const CliArgs &)> Handlers[] = {
+      {Subjects, cmdSubjects},       {Run, cmdRun},
+      {Analyze, cmdAnalyze},         {LogReg, cmdLogReg},
+      {Report, cmdReport},           {CorpusInfo, cmdCorpusInfo},
+      {CorpusMerge, cmdCorpusMerge}, {CorpusValidate, cmdCorpusValidate},
+      {Lint, cmdLint},               {TraceSummarize, cmdTraceSummarize}};
+  for (const auto &[Bit, Handle] : Handlers)
+    if (Bit == Args.Verb->Bit)
+      return Handle(Args);
   return usage();
 }
 
@@ -949,31 +772,32 @@ int main(int Argc, char **Argv) {
   CliArgs Args;
   if (!parseArgs(Argc, Argv, Args))
     return usage();
-  if (!Args.MetricsOut.empty())
+  const std::string &MetricsOut = Args.text("metrics-out");
+  const std::string &TraceOut = Args.text("trace-out");
+  if (!MetricsOut.empty())
     Telemetry::setEnabled(true);
-  if (!Args.TraceOut.empty())
+  if (!TraceOut.empty())
     Tracer::setEnabled(true);
   int Code = dispatch(Args);
-  if (!Args.TraceOut.empty()) {
-    if (writeTraceFile(Tracer::instance(), Args.TraceOut)) {
+  if (!TraceOut.empty()) {
+    if (writeTraceFile(Tracer::instance(), TraceOut)) {
       std::fprintf(stderr,
                    "sbi: wrote %llu trace event(s) (%llu dropped) to %s\n",
                    static_cast<unsigned long long>(
                        Tracer::instance().recordedTotal()),
                    static_cast<unsigned long long>(
                        Tracer::instance().droppedTotal()),
-                   Args.TraceOut.c_str());
+                   TraceOut.c_str());
     } else {
       std::fprintf(stderr, "sbi: cannot write trace to '%s'\n",
-                   Args.TraceOut.c_str());
+                   TraceOut.c_str());
       if (Code == 0)
         Code = 1;
     }
   }
-  if (!Args.MetricsOut.empty() &&
-      !Telemetry::writeJson(Args.MetricsOut)) {
+  if (!MetricsOut.empty() && !Telemetry::writeJson(MetricsOut)) {
     std::fprintf(stderr, "sbi: cannot write metrics to '%s'\n",
-                 Args.MetricsOut.c_str());
+                 MetricsOut.c_str());
     if (Code == 0)
       Code = 1;
   }
